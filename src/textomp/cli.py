@@ -10,9 +10,7 @@ Subcommands wire the library into a file-based pipeline:
   top-weights  highest-weighted vocabulary terms of a saved model
 
 Every mutating run writes a JSON manifest holding the resolved
-configuration, so outputs are reproducible from the manifest alone. The
---threads knob only changes how the correlation scan is chunked across
-workers, never the numbers, so reruns are byte-identical regardless of it.
+configuration, so outputs are reproducible from the manifest alone.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -21,16 +19,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, evaluation, gomp as gomp_mod, grouping, omp as omp_mod
-from . import sparse, textpipe
-from .evaluation import FitReport, GridSpec, accuracy
+from . import evaluation, gomp as gomp_mod, grouping, textpipe
+from .evaluation import FitOptions, GridSpec, accuracy
 from .logistic import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sparse import SparseMatrix
 
@@ -214,13 +209,6 @@ def _load_design(matrix_path, labels_path):
     return X, y
 
 
-def _load_group_structure(args, X):
-    if args.groups:
-        return grouping.load_groups(args.groups, X.n_cols,
-                                    bias_col=X.bias_col)
-    return gomp_mod.GroupStructure([])
-
-
 def _check_gomp_usable(args):
     if args.method == "gomp" and not args.groups \
             and not args.augment_singletons:
@@ -246,64 +234,37 @@ def _train_config(args):
     return cfg
 
 
+def _fit_options(args, X):
+    groups = None
+    if args.method == "gomp" and args.groups:
+        groups = grouping.load_groups(args.groups, X.n_cols,
+                                      bias_col=X.bias_col)
+    return FitOptions(budget=args.budget, epsilon=args.epsilon, groups=groups,
+                      criterion=args.criterion,
+                      augment_singletons=args.augment_singletons,
+                      normalize_columns=args.normalize_columns,
+                      tol=args.tol, max_iter=args.max_iter,
+                      penalize_bias=args.penalize_bias)
+
+
 def cmd_train(args):
     _check_gomp_usable(args)
     if args.dev_matrix and not args.dev_labels:
         raise _usage("--dev-matrix needs --dev-labels")
-    sparse.set_num_threads(args.threads)
     X, y = _load_design(args.matrix, args.labels)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    started = time.perf_counter()
-    traj = None
-    if args.method == "omp":
-        cfg = omp_mod.OMPConfig(budget=args.budget, epsilon=args.epsilon,
-                                lam=args.lam,
-                                normalize_columns=args.normalize_columns,
-                                penalize_bias=args.penalize_bias,
-                                tol=args.tol, max_iter=args.max_iter)
-        model, traj = omp_mod.run_omp(X, y, cfg)
-        hp = {"lambda": args.lam, "budget": args.budget,
-              "epsilon": args.epsilon}
-    elif args.method == "gomp":
-        cfg = gomp_mod.GOMPConfig(budget=args.budget, epsilon=args.epsilon,
-                                  lam=args.lam, criterion=args.criterion,
-                                  augment_singletons=args.augment_singletons,
-                                  penalize_bias=args.penalize_bias,
-                                  tol=args.tol, max_iter=args.max_iter)
-        model, traj = gomp_mod.run_gomp(X, y, _load_group_structure(args, X),
-                                        cfg)
-        hp = {"lambda": args.lam, "budget": args.budget,
-              "epsilon": args.epsilon, "criterion": args.criterion}
+    if args.method == "elastic":
+        hp = {"lambda_l1": args.lambda_l1, "lambda_l2": args.lambda_l2}
     else:
-        if args.method == "lasso":
-            pen = baselines.PenaltyConfig(lambda_l1=args.lam, lambda_l2=0.0)
-            hp = {"lambda": args.lam}
-        elif args.method == "ridge":
-            pen = baselines.PenaltyConfig(lambda_l1=0.0, lambda_l2=args.lam)
-            hp = {"lambda": args.lam}
-        elif args.method == "elastic":
-            pen = baselines.PenaltyConfig(lambda_l1=args.lambda_l1,
-                                          lambda_l2=args.lambda_l2)
-            hp = {"lambda_l1": args.lambda_l1, "lambda_l2": args.lambda_l2}
-        else:  # none
-            pen = baselines.PenaltyConfig(0.0, 0.0)
-            hp = {}
-        # proximal fits need far more iterations than Newton refits
-        model = baselines.fit_penalized(X, y, pen, tol=args.tol,
-                                        max_iter=max(args.max_iter, 1000),
-                                        penalize_bias=args.penalize_bias)
-
-    report = FitReport(
-        method=args.method, hyperparams=hp,
-        sparsity_pct=baselines.sparsity(model, bias_col=X.bias_col),
-        n_active=int(np.count_nonzero(model.theta)
-                     - (1 if X.bias_col is not None
-                        and model.theta[X.bias_col] != 0 else 0)),
-        seconds=time.perf_counter() - started,
-        converged=model.converged,
-    )
+        hp = {} if args.method == "none" else {"lambda": args.lam}
+    model, traj, report = evaluation.fit(args.method, hp, X, y,
+                                         _fit_options(args, X))
+    if args.method in ("omp", "gomp"):  # a greedy fit records its stop rule
+        report.hyperparams.update(budget=args.budget, epsilon=args.epsilon)
+    if args.method == "gomp":
+        report.hyperparams["criterion"] = args.criterion
     if args.dev_matrix:
         X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
         report.dev_accuracy = accuracy(model, X_dev, y_dev)
@@ -339,7 +300,6 @@ def _write_scatter(reports, path):
 
 def cmd_grid(args):
     _check_gomp_usable(args)
-    sparse.set_num_threads(args.threads)
     X, y = _load_design(args.matrix, args.labels)
     X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
     out = Path(args.out_dir)
@@ -347,16 +307,9 @@ def cmd_grid(args):
 
     lambdas = [float(v) for v in args.lambdas.split(",") if v]
     spec = GridSpec(method=args.method, lambda_values=lambdas)
-    groups = _load_group_structure(args, X) if args.method == "gomp" else None
     try:
         best_model, reports = evaluation.grid_search(
-            X, y, X_dev, y_dev, spec,
-            budget=args.budget, epsilon=args.epsilon, groups=groups,
-            criterion=args.criterion,
-            augment_singletons=args.augment_singletons,
-            normalize_columns=args.normalize_columns,
-            tol=args.tol, max_iter=args.max_iter,
-            penalize_bias=args.penalize_bias)
+            X, y, X_dev, y_dev, spec, _fit_options(args, X))
     except RuntimeError as exc:
         raise CliError(str(exc), 3) from exc
 
@@ -443,8 +396,6 @@ def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="correlation-scan workers; never changes results")
 
 
 def build_parser():

@@ -88,39 +88,74 @@ def atoms_curve(trajectory, X_dev, y_dev):
             for count, theta in trajectory.checkpoints]
 
 
-def _fit_one(method, hp, X, y, *, budget, epsilon, groups, criterion,
-             augment_singletons, normalize_columns, tol, max_iter,
-             penalize_bias):
-    """Returns (model, trajectory-or-None) for one grid point."""
+@dataclass
+class FitOptions:
+    """Solver settings shared by every fit of a run; the penalty strengths
+    vary per fit and travel separately as hyperparameters."""
+    budget: int = 2000
+    epsilon: float = 0.0
+    groups: object = None  # GroupStructure or list of Groups, gomp only
+    criterion: str = "averaged"
+    augment_singletons: bool = True
+    normalize_columns: bool = False
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    penalize_bias: bool = True
+
+
+def fit(method, hp, X, y, opts):
+    """Fit one model with the solver `method` names.
+
+    hp holds the penalty strengths: "lambda" for omp, gomp, lasso and
+    ridge, "lambda_l1" and "lambda_l2" for elastic, none for "none".
+    Returns (model, trajectory or None, FitReport without dev scores); the
+    trajectory comes from the greedy methods only.
+    """
+    started = time.perf_counter()
+    traj = None
     if method == "omp":
-        cfg = omp_mod.OMPConfig(budget=budget, epsilon=epsilon,
+        cfg = omp_mod.OMPConfig(budget=opts.budget, epsilon=opts.epsilon,
                                 lam=hp["lambda"],
-                                normalize_columns=normalize_columns,
-                                penalize_bias=penalize_bias,
-                                tol=tol, max_iter=max_iter)
-        return omp_mod.run_omp(X, y, cfg)
-    if method == "gomp":
-        cfg = gomp_mod.GOMPConfig(budget=budget, epsilon=epsilon,
-                                  lam=hp["lambda"], criterion=criterion,
-                                  augment_singletons=augment_singletons,
-                                  penalize_bias=penalize_bias,
-                                  tol=tol, max_iter=max_iter)
-        return gomp_mod.run_gomp(X, y, groups if groups is not None else [],
-                                 cfg)
-    if method == "lasso":
-        pen = baselines.PenaltyConfig(lambda_l1=hp["lambda"], lambda_l2=0.0)
-    elif method == "ridge":
-        pen = baselines.PenaltyConfig(lambda_l1=0.0, lambda_l2=hp["lambda"])
-    elif method == "elastic":
-        pen = baselines.PenaltyConfig(lambda_l1=hp["lambda_l1"],
-                                      lambda_l2=hp["lambda_l2"])
-    else:  # none: unregularized
-        pen = baselines.PenaltyConfig(0.0, 0.0)
-    # proximal fits need far more iterations than Newton refits; floor the cap
-    model = baselines.fit_penalized(X, y, pen, tol=tol,
-                                    max_iter=max(max_iter, 1000),
-                                    penalize_bias=penalize_bias)
-    return model, None
+                                normalize_columns=opts.normalize_columns,
+                                penalize_bias=opts.penalize_bias,
+                                tol=opts.tol, max_iter=opts.max_iter)
+        model, traj = omp_mod.run_omp(X, y, cfg)
+    elif method == "gomp":
+        cfg = gomp_mod.GOMPConfig(budget=opts.budget, epsilon=opts.epsilon,
+                                  lam=hp["lambda"], criterion=opts.criterion,
+                                  augment_singletons=opts.augment_singletons,
+                                  penalize_bias=opts.penalize_bias,
+                                  tol=opts.tol, max_iter=opts.max_iter)
+        model, traj = gomp_mod.run_gomp(
+            X, y, opts.groups if opts.groups is not None else [], cfg)
+    else:
+        if method == "lasso":
+            pen = baselines.PenaltyConfig(lambda_l1=hp["lambda"],
+                                          lambda_l2=0.0)
+        elif method == "ridge":
+            pen = baselines.PenaltyConfig(lambda_l1=0.0,
+                                          lambda_l2=hp["lambda"])
+        elif method == "elastic":
+            pen = baselines.PenaltyConfig(lambda_l1=hp["lambda_l1"],
+                                          lambda_l2=hp["lambda_l2"])
+        else:  # none: unregularized
+            pen = baselines.PenaltyConfig(0.0, 0.0)
+        # proximal fits need far more iterations than Newton refits
+        model = baselines.fit_penalized(X, y, pen, tol=opts.tol,
+                                        max_iter=max(opts.max_iter, 1000),
+                                        penalize_bias=opts.penalize_bias)
+    bias = X.bias_col
+    report = FitReport(
+        method=method,
+        hyperparams=dict(hp),
+        sparsity_pct=baselines.sparsity(model, bias_col=bias),
+        n_active=int(np.count_nonzero(model.theta)
+                     - (1 if bias is not None and model.theta[bias] != 0
+                        else 0)),
+        seconds=time.perf_counter() - started,
+        converged=model.converged,
+    )
+    return model, traj, report
 
 
 def selection_key(report):
@@ -132,18 +167,14 @@ def selection_key(report):
             lam, hp.get("lambda_l1", 0.0))
 
 
-def grid_search(X_train, y_train, X_dev, y_dev, spec, *, budget=2000,
-                epsilon=0.0, groups=None, criterion="averaged",
-                augment_singletons=True, normalize_columns=False,
-                tol=None, max_iter=None, penalize_bias=True):
+def grid_search(X_train, y_train, X_dev, y_dev, spec, opts=None):
     """Fit the whole grid; returns (best model, reports in grid order).
 
+    opts: FitOptions shared by every grid point (defaults if None).
     Individual fit failures are recorded on their report and the search
     continues; if every point fails, the last failure is re-raised.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    max_iter = DEFAULT_MAX_ITER if max_iter is None else max_iter
-
+    opts = FitOptions() if opts is None else opts
     reports = []
     best = None
     best_model = None
@@ -151,30 +182,14 @@ def grid_search(X_train, y_train, X_dev, y_dev, spec, *, budget=2000,
     for hp in spec.points():
         started = time.perf_counter()
         try:
-            model, traj = _fit_one(spec.method, hp, X_train, y_train,
-                                   budget=budget, epsilon=epsilon,
-                                   groups=groups, criterion=criterion,
-                                   augment_singletons=augment_singletons,
-                                   normalize_columns=normalize_columns,
-                                   tol=tol, max_iter=max_iter,
-                                   penalize_bias=penalize_bias)
+            model, traj, report = fit(spec.method, hp, X_train, y_train, opts)
         except Exception as exc:  # recorded, search continues
             last_exc = exc
             reports.append(FitReport(method=spec.method, hyperparams=dict(hp),
                                      seconds=time.perf_counter() - started,
                                      error=str(exc) or repr(exc)))
             continue
-        report = FitReport(
-            method=spec.method,
-            hyperparams=dict(hp),
-            dev_accuracy=accuracy(model, X_dev, y_dev),
-            sparsity_pct=baselines.sparsity(model, bias_col=X_train.bias_col),
-            n_active=int(np.count_nonzero(model.theta)
-                         - (1 if X_train.bias_col is not None
-                            and model.theta[X_train.bias_col] != 0 else 0)),
-            seconds=time.perf_counter() - started,
-            converged=model.converged,
-        )
+        report.dev_accuracy = accuracy(model, X_dev, y_dev)
         if traj is not None and traj.checkpoints:
             report.atoms_curve = tuple(atoms_curve(traj, X_dev, y_dev))
         reports.append(report)

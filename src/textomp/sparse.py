@@ -5,28 +5,12 @@ so the storage is CSC-like: one contiguous (row, value) run per column.
 Matrices are immutable after construction and safe to share across threads.
 
 Per-column sums always run left-to-right over the stored entries, so
-``col_dot`` and ``correlations`` agree bit-for-bit and results do not
-depend on the number of worker threads.
+``col_dot`` and ``correlations`` agree bit-for-bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-_n_threads = 1
-_CHUNK_COLS = 8192  # fixed chunk width: results never depend on thread count
-
-
-def set_num_threads(n):
-    """Set the worker count used for the column-correlation scan."""
-    global _n_threads
-    _n_threads = max(1, int(n))
-
-
-def get_num_threads():
-    return _n_threads
 
 
 def _column_sums(products, starts, counts):
@@ -178,21 +162,8 @@ class SparseMatrix:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_rows,):
             raise ValueError(f"vector length {v.shape} != ({self.n_rows},)")
-        counts = np.diff(self.indptr)
-        if _n_threads == 1 or self.n_cols <= _CHUNK_COLS:
-            products = self.vals * v[self.rows]
-            return _column_sums(products, self.indptr[:-1], counts)
-        bounds = list(range(0, self.n_cols, _CHUNK_COLS)) + [self.n_cols]
-
-        def chunk(a, b):
-            s, e = self.indptr[a], self.indptr[b]
-            products = self.vals[s:e] * v[self.rows[s:e]]
-            return _column_sums(products, self.indptr[a:b] - s, counts[a:b])
-
-        with ThreadPoolExecutor(max_workers=_n_threads) as pool:
-            parts = list(pool.map(lambda ab: chunk(*ab),
-                                  zip(bounds[:-1], bounds[1:])))
-        return np.concatenate(parts)
+        products = self.vals * v[self.rows]
+        return _column_sums(products, self.indptr[:-1], np.diff(self.indptr))
 
     def mat_vec(self, theta):
         """Dense product X @ theta, accumulated in ascending column order."""

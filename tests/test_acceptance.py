@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import textomp.omp as omp_mod
-from textomp import (ActiveSet, GOMPConfig, GridSpec, Group, GroupStructure,
-                     OMPConfig, PenaltyConfig, SparseMatrix, fit_penalized,
-                     fit_restricted, gradient, grid_search, kkt_violation,
-                     run_gomp, run_omp, score_group_averaged,
+from textomp import (ActiveSet, FitOptions, GOMPConfig, GridSpec, Group,
+                     GroupStructure, OMPConfig, PenaltyConfig, SparseMatrix,
+                     fit_penalized, fit_restricted, gradient, grid_search,
+                     kkt_violation, run_gomp, run_omp, score_group_averaged,
                      score_group_gram, score_group_orthonormal,
                      select_feature, sigmoid)
 from textomp.cli import main as cli_main
@@ -270,7 +270,8 @@ def test_reference_corpus_reproduction(tmp_path):
 
     budget = int(os.environ.get("TEXTOMP_ACCEPT_BUDGET", "2000"))
     spec = GridSpec(method="omp")
-    best_model, reports = grid_search(X, y, Xd, yd, spec, budget=budget)
+    best_model, reports = grid_search(X, y, Xd, yd, spec,
+                                      FitOptions(budget=budget))
     best = min((r for r in reports if r.ok()), key=selection_key)
     from textomp import accuracy
     best.test_accuracy = accuracy(best_model, Xt, yt)
@@ -306,7 +307,7 @@ def test_lasso_kkt_conditions_on_random_instances():
                 f"max violation {worst:.2e}")
 
 
-def test_model_files_identical_across_thread_counts(tmp_path):
+def test_model_files_identical_across_reruns(tmp_path):
     rng = np.random.default_rng(21)
     X, y, _ = planted_instance(rng, 60, 31, 3)
     matrix = tmp_path / "train.matrix"
@@ -316,14 +317,14 @@ def test_model_files_identical_across_thread_counts(tmp_path):
     save_labels(y, labels)
 
     digests = []
-    for threads in (1, 3):
-        out = tmp_path / f"run_t{threads}"
+    for run in (1, 2):
+        out = tmp_path / f"run{run}"
         code = cli_main(["train", "--matrix", str(matrix),
                          "--labels", str(labels),
                          "--method", "omp", "--budget", "8",
-                         "--lambda", "0.5", "--threads", str(threads),
-                         "--out-dir", str(out)])
+                         "--lambda", "0.5", "--out-dir", str(out)])
         assert code == 0
-        digests.append((out / "model.txt").read_bytes())
-    report_line("train reruns with different --threads produce identical "
-                "model files", digests[0] == digests[1])
+        digests.append([(out / name).read_bytes()
+                        for name in ("model.txt", "manifest.json")])
+    report_line("identical train reruns produce identical model and "
+                "manifest files", digests[0] == digests[1])

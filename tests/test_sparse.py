@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textomp import SparseMatrix, set_num_threads
-from textomp.sparse import _CHUNK_COLS
+from textomp import SparseMatrix
 
 from conftest import random_design
 
@@ -124,26 +123,6 @@ def test_correlations_bitwise_equal_to_col_dot(rng):
     corr = X.correlations(v)
     for j in range(11):
         assert corr[j] == X.col_dot(j, v)  # exact, not approximate
-
-
-def test_correlations_independent_of_thread_count(rng):
-    n = 40
-    d = _CHUNK_COLS + 17  # force the chunked multi-thread path
-    cols = []
-    for j in range(d):
-        nnz = int(rng.integers(0, 4))
-        r = rng.choice(n, size=nnz, replace=False)
-        cols.append((r, rng.normal(size=nnz)))
-    X = SparseMatrix.from_columns(n, cols)
-    v = rng.normal(size=n)
-    try:
-        set_num_threads(1)
-        single = X.correlations(v)
-        set_num_threads(4)
-        multi = X.correlations(v)
-    finally:
-        set_num_threads(1)
-    np.testing.assert_array_equal(single, multi)
 
 
 def test_validation_rejects_duplicate_rows():
