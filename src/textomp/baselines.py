@@ -75,7 +75,9 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     Backtracking proximal gradient: each accepted step satisfies the
     quadratic upper-bound test, so the penalized objective never increases.
     Convergence is declared when the KKT violation reaches `tol`; hitting
-    max_iter flags the returned Model instead of raising.
+    max_iter flags the returned Model instead of raising. Raises
+    FloatingPointError when a trial step's objective or the step-size
+    bound L overflows.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.n_rows,):
@@ -115,6 +117,11 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             cand = _soft_threshold(step, l1 * l1_mask / L)
             diff = cand - theta
             cand_val, cand_grad = _smooth_parts(X, y, cand, l2, l2_mask)
+            # doubling L cannot recover from overflow: fail instead of looping
+            if not (np.isfinite(L) and np.isfinite(cand_val)):
+                raise FloatingPointError(
+                    f"proximal step left the finite range (L={L!r}, "
+                    f"objective={cand_val!r})")
             quad = 0.5 * L * float(diff @ diff)
             if quad <= 1e-10 * (1.0 + abs(val)):
                 break  # margin below noise: take the validated fixed step

@@ -18,6 +18,9 @@ DEFAULT_MAX_ITER = 100
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+# A predicted decrease below this fraction of (1 + |objective|) is under the
+# objective's float resolution, so the Armijo test cannot judge the step.
+_NOISE_FLOOR = 1e-10
 
 
 class ActiveSet:
@@ -174,7 +177,9 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
 
     Newton steps on the active coordinates with Armijo backtracking; a
     plain gradient step is taken when the Hessian solve fails or is not
-    a descent direction. Stops when the restricted gradient infinity-norm
+    a descent direction. A step whose predicted decrease is below the
+    objective's float resolution is taken whole, since Armijo cannot tell
+    it from rounding. Stops when the restricted gradient infinity-norm
     drops to `tol`. Non-convergence is flagged on the returned Model, which
     then carries the best iterate rather than raising.
 
@@ -211,7 +216,7 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
 
     lam = float(lam)
     best_coef = coef.copy()
-    best_val = _restricted_value(Xd, y, coef, lam, pen_mask)
+    best_val = val = _restricted_value(Xd, y, coef, lam, pen_mask)
     converged = False
     n_iter = 0
 
@@ -237,20 +242,20 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
         if step is None:
             step = -grad  # fallback: gradient descent direction
 
-        val = _restricted_value(Xd, y, coef, lam, pen_mask)
         slope = float(grad @ step)
+        below_noise = -slope <= _NOISE_FLOOR * (1.0 + abs(val))
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            cand = coef + t * step
-            if _restricted_value(Xd, y, cand, lam, pen_mask) \
-                    <= val + _ARMIJO_C * t * slope:
+            cand_val = _restricted_value(Xd, y, coef + t * step, lam, pen_mask)
+            if below_noise or cand_val <= val + _ARMIJO_C * t * slope:
                 break
             t *= 0.5
+        else:  # cap hit: t was halved past the last evaluated point
+            cand_val = _restricted_value(Xd, y, coef + t * step, lam, pen_mask)
         coef = coef + t * step
-
-        cand_val = _restricted_value(Xd, y, coef, lam, pen_mask)
-        if cand_val < best_val:
-            best_val = cand_val
+        val = cand_val
+        if val < best_val:
+            best_val = val
             best_coef = coef.copy()
 
     if not converged:

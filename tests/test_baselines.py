@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from textomp import (ActiveSet, PenaltyConfig, fit_penalized, fit_restricted,
-                     kkt_violation, sparsity)
+from textomp import (ActiveSet, PenaltyConfig, SparseMatrix, fit_penalized,
+                     fit_restricted, kkt_violation, sparsity)
 
 from conftest import random_design, random_labels
 
@@ -122,6 +122,17 @@ def test_sparsity_edge_cases():
     theta = np.zeros(25788)
     theta[:2000] = 1.0
     assert sparsity(theta) == pytest.approx(7.756, abs=1e-3)
+
+
+def test_overflowing_step_raises_instead_of_looping():
+    # entries so large that no representable step size 1/L keeps the
+    # margins finite; L used to double to inf and loop forever
+    X = SparseMatrix.from_dense([[1e200, 1], [-1e200, 1], [2e200, 1], [1, 1]],
+                                bias_col=1)
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError):
+        fit_penalized(X, y, PenaltyConfig(1.0, 0.0))
 
 
 def test_penalty_config_rejects_negative_strengths():

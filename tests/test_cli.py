@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from textomp import SparseMatrix, evaluation
 from textomp.cli import load_model, main, save_model, top_weights
-from textomp.textpipe import load_labels, load_vocabulary
+from textomp.textpipe import load_labels, load_vocabulary, save_labels
 
 SPACE_WORDS = ["orbit", "rocket", "lunar"]
 MED_WORDS = ["patient", "doctor", "dosage"]
@@ -235,6 +236,30 @@ def test_missing_file_is_data_error(tmp_path, capsys):
                  "--matrix", str(tmp_path / "nope.matrix"),
                  "--labels", str(tmp_path / "nope.labels")])
     assert code == 2
+
+
+def test_numerical_failure_is_exit_code_3(tmp_path, capsys):
+    X = SparseMatrix.from_dense([[1e200, 1], [-1e200, 1], [2e200, 1], [1, 1]],
+                                bias_col=1)
+    X.save(tmp_path / "x.matrix")
+    save_labels(np.array([1.0, -1.0, 1.0, -1.0]), tmp_path / "x.labels")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--matrix", str(tmp_path / "x.matrix"),
+                     "--labels", str(tmp_path / "x.labels"),
+                     "--method", "lasso", "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_linalg_failure_is_exit_code_3(vectorized, tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(evaluation, "fit", singular)
+    code = main(["train", "--matrix", str(vectorized / "train.matrix"),
+                 "--labels", str(vectorized / "train.labels"),
+                 "--method", "ridge", "--out-dir", str(tmp_path / "out")])
+    assert code == 3
 
 
 def test_bad_flag_is_usage_error(capsys):

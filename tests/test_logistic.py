@@ -259,6 +259,22 @@ def test_fit_restricted_flags_nonconvergence(rng):
     assert np.all(np.isfinite(model.theta))
 
 
+def test_fit_restricted_reports_convergence_at_objective_float_resolution():
+    # Large column norms leave the last Newton steps a predicted decrease
+    # below the float resolution of an objective near 1e3. Armijo alone
+    # rejected them, backtracked to the iteration cap and flagged the
+    # optimum as non-converged on each of these seeds.
+    for seed in (5, 18, 19):
+        rng = np.random.default_rng(seed)
+        dense = rng.poisson(3.0, size=(2000, 6)) * 30.0
+        dense[:, -1] = 1.0
+        X = SparseMatrix.from_dense(dense, bias_col=5)
+        y = rng.choice([-1.0, 1.0], size=2000)
+        model = fit_restricted(X, y, ActiveSet(range(6)), lam=1.0)
+        assert model.converged, seed
+        assert model.n_iter <= 5, seed
+
+
 def test_fit_restricted_empty_support(rng):
     _, X = random_design(rng, 5, 3)
     y = random_labels(rng, 5)
