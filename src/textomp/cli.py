@@ -216,7 +216,7 @@ def _check_gomp_usable(args):
 
 
 def _train_config(args):
-    cfg = {
+    return {
         "matrix": args.matrix,
         "labels": args.labels,
         "method": args.method,
@@ -229,9 +229,7 @@ def _train_config(args):
         "penalize_bias": args.penalize_bias,
         "tol": args.tol,
         "max_iter": args.max_iter,
-        "seed": args.seed,
     }
-    return cfg
 
 
 def _fit_options(args, X):
@@ -376,7 +374,7 @@ def _add_solver_flags(p):
     p.add_argument("--budget", type=int, default=2000,
                    help="max selected features (omp/gomp)")
     p.add_argument("--epsilon", type=float, default=0.0,
-                   help="correlation stopping threshold")
+                   help="stop once the winner's ||X_W^T r|| is at most this")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="penalty strength")
     p.add_argument("--lambda-l1", type=float, default=0.0,
@@ -395,7 +393,6 @@ def _add_solver_flags(p):
                    default=True, help="include the bias in the L2 penalty")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():

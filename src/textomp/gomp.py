@@ -1,9 +1,10 @@
 """Greedy group selection over possibly overlapping groups of features.
 
-Same outer loop as plain greedy selection, lifted to groups: score every
-remaining group against the residual, activate the whole winning group,
-then strip the winner's indices out of every other group so that no index
-can enter the active set twice. Three scoring criteria are available:
+The greedy loop of `omp.run_greedy`, lifted to groups (Lozano, Swirszcz
+& Abe, AISTATS 2011): score every remaining group against the residual,
+activate the whole winning group, then strip the winner's indices out of
+every other group so that no index can enter the active set twice.
+Three scoring criteria are available:
 
 - "orthonormal":    ||X_G^T r||^2, exact when the group's columns are
                     orthonormal;
@@ -19,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grouping
 from .groups import Group, GroupStructure
-from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, Model,
-                       fit_restricted, residual)
-from .omp import CHECKPOINT_INTERVAL, Trajectory
+# unused here; kept because the benchmark tracer wraps them on this module
+from .logistic import fit_restricted, residual  # noqa: F401
+from .omp import GreedyConfig, run_greedy
 
 CRITERIA = ("orthonormal", "gram_corrected", "averaged")
 
@@ -30,25 +32,12 @@ _GRAM_JITTER = 1e-10
 
 
 @dataclass
-class GOMPConfig:
-    budget: int = 2000  # counts features, not groups; a group may overshoot
-    epsilon: float = 0.0
-    lam: float = 1.0
+class GOMPConfig(GreedyConfig):
     criterion: str = "averaged"
     augment_singletons: bool = True
-    record_trajectory: bool = True
-    penalize_bias: bool = True
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    checkpoint_interval: int = CHECKPOINT_INTERVAL
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        super().__post_init__()
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
 
@@ -69,24 +58,18 @@ class GroupSelectionRecord:
     converged: bool = True
 
 
-def _corr_squares(X, members, r):
-    return [X.col_dot(j, r) ** 2 for j in members]
-
-
 def score_group_orthonormal(X, G, r):
     """||X_G^T r||_2^2; -inf for an empty group so it can never win."""
     members = G.members if isinstance(G, Group) else tuple(G)
     if not members:
         return float("-inf")
-    return float(np.sum(_corr_squares(X, members, r)))
+    return float(np.sum([X.col_dot(j, r) ** 2 for j in members]))
 
 
 def score_group_averaged(X, G, r):
     """||X_G^T r||_2^2 / |G|; -inf for an empty group."""
     members = G.members if isinstance(G, Group) else tuple(G)
-    if not members:
-        return float("-inf")
-    return float(np.sum(_corr_squares(X, members, r))) / len(members)
+    return score_group_orthonormal(X, members, r) / max(len(members), 1)
 
 
 def score_group_gram(X, G, r):
@@ -114,34 +97,29 @@ def score_group_gram(X, G, r):
     return float(abs(c @ coef))
 
 
-def _scores_from_correlations(corr, member_sets, criterion):
-    scores = np.full(len(member_sets), -np.inf)
-    for pos, members in enumerate(member_sets):
-        if not members:
-            continue
-        idx = np.fromiter(members, dtype=np.int64)
-        s = float(np.sum(corr[idx] ** 2))
-        scores[pos] = s / len(members) if criterion == "averaged" else s
-    return scores
-
-
 def select_group(X, groups, r, criterion="averaged"):
     """Best-scoring non-empty group: (position, score); ties take the
     lowest position. Raises when every group is empty (exhaustion)."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
-    member_sets = groups.member_sets() if isinstance(groups, GroupStructure) \
-        else [set(g) for g in groups]
-    if all(not m for m in member_sets):
+    if not isinstance(groups, GroupStructure):
+        groups = GroupStructure(groups)
+    sizes = np.diff(groups.offsets)
+    live = sizes > 0
+    if not live.any():
         raise ValueError("all groups are empty; structure exhausted")
+    scores = np.full(len(groups), -np.inf)
     if criterion == "gram_corrected":
-        scores = np.full(len(member_sets), -np.inf)
-        for pos, members in enumerate(member_sets):
-            if members:
-                scores[pos] = score_group_gram(X, sorted(members), r)
+        for pos in np.flatnonzero(live):
+            scores[pos] = score_group_gram(X, sorted(groups[pos].members), r)
     else:
         corr = X.correlations(r)
-        scores = _scores_from_correlations(corr, member_sets, criterion)
+        # a segment runs to the next live start, since empty groups own none
+        energy = np.add.reduceat(corr[groups.indices] ** 2,
+                                 groups.offsets[:-1][live])
+        if criterion == "averaged":
+            energy /= sizes[live]
+        scores[live] = energy
     pos = int(np.argmax(scores))
     return pos, float(scores[pos])
 
@@ -152,77 +130,46 @@ def remove_overlap(groups, selected):
     Groups that lose all members stay in place (empty) so positions and
     names remain stable; empty groups are never selectable.
     """
-    selected = set(int(j) for j in selected)
-    out = []
-    for g in groups:
-        kept = tuple(j for j in g.members if j not in selected)
-        out.append(Group(name=g.name, members=kept))
-    return GroupStructure(out)
+    if not isinstance(groups, GroupStructure):
+        groups = GroupStructure(groups)
+    keep = ~np.isin(groups.indices, np.fromiter(selected, dtype=np.int64))
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return GroupStructure.from_arrays(groups.names(),
+                                      kept_before[groups.offsets],
+                                      groups.indices[keep])
 
 
 def run_gomp(X, y, groups, cfg, on_iteration=None):
     """Run the group selection loop; returns (final Model, Trajectory).
 
     The feature budget is checked after each activation, so the last group
-    may overshoot it. The loop ends when the budget is reached, the winning
-    group's squared correlation falls to epsilon, or no indices remain in
-    any group. on_iteration, when given, is called after every iteration
-    with (active index set, remaining group member sets) for inspection.
+    may overshoot it. The loop ends when the budget is reached, the
+    winning group's correlation norm ||X_G^T r|| falls to epsilon (the
+    same test as OMP's |X_j^T r| on a singleton), or no indices remain in
+    any group. on_iteration, when given, is called after every refit with
+    (active index set, remaining group member sets) for inspection.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n_rows,):
-        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
     if not isinstance(groups, GroupStructure):
         groups = GroupStructure(groups)
     groups.validate_indices(X.n_cols, bias_col=X.bias_col)
     if cfg.augment_singletons:
-        from .grouping import augment_singletons
-        groups = augment_singletons(groups, X.n_cols, bias_col=X.bias_col)
+        groups = grouping.augment_singletons(groups, X.n_cols,
+                                             bias_col=X.bias_col)
+    working = groups
 
-    working = GroupStructure(groups)
-    original = {g.name: g.members for g in groups}
-
-    active = ActiveSet([X.bias_col] if X.bias_col is not None else [])
-    traj = Trajectory()
-    if active:
-        model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
-                               max_iter=cfg.max_iter,
-                               penalize_bias=cfg.penalize_bias)
-    else:
-        model = Model(theta=np.zeros(X.n_cols), active=active, lam=cfg.lam)
-    r = y.copy()
-
-    next_mark = cfg.checkpoint_interval
-    while active.n_selected(X.bias_col) < cfg.budget:
-        if all(len(g) == 0 for g in working):
-            break  # exhausted: every index already active or stripped
+    def select(r, active):
+        nonlocal working
+        if not working.indices.size:
+            return None  # exhausted: every index already active or stripped
         pos, score = select_group(X, working, r, criterion=cfg.criterion)
         winner = working[pos]
-        if score_group_orthonormal(X, winner, r) <= cfg.epsilon:
-            break
-        added = winner.members
-        for j in added:
-            active.add(j)
-        working = remove_overlap(working, added)
-        model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
-                               max_iter=cfg.max_iter,
-                               warm_start=model.theta,
-                               penalize_bias=cfg.penalize_bias)
-        r = residual(X, model.theta, y)
-        traj.records.append(GroupSelectionRecord(
+        norm = np.sqrt(score_group_orthonormal(X, winner, r))
+        working = remove_overlap(working, winner.members)
+        return norm, GroupSelectionRecord(
             name=winner.name, score=score,
-            members_original=original[winner.name],
-            members_added=added, converged=model.converged))
-        n_sel = active.n_selected(X.bias_col)
-        if cfg.record_trajectory and n_sel >= next_mark:
-            traj.checkpoints.append((n_sel, model.theta.copy()))
-            next_mark = (n_sel // cfg.checkpoint_interval + 1) \
-                * cfg.checkpoint_interval
-        if on_iteration is not None:
-            on_iteration(frozenset(active), working.member_sets())
+            members_original=groups[pos].members,
+            members_added=winner.members)
 
-    n_sel = active.n_selected(X.bias_col)
-    if cfg.record_trajectory and (
-            not traj.checkpoints or traj.checkpoints[-1][0] != n_sel):
-        traj.checkpoints.append((n_sel, model.theta.copy()))
-    return model, traj
+    report = None if on_iteration is None else lambda active: on_iteration(
+        frozenset(active), working.member_sets())
+    return run_greedy(X, y, cfg, select, on_refit=report)

@@ -4,7 +4,7 @@ Loop: pick the inactive column most correlated with the residual, add it
 to the active set, refit the L2-penalized logistic model on the enlarged
 support, recompute the residual, repeat until the feature budget is hit,
 the winning correlation falls to the precision threshold, or no candidate
-columns remain.
+columns remain. `run_greedy` is this loop, with the pick left to a step.
 
 The bias column is active from the start and never counted against the
 budget; the first selection correlates against the raw labels.
@@ -23,12 +23,12 @@ CHECKPOINT_INTERVAL = 100
 
 
 @dataclass
-class OMPConfig:
+class GreedyConfig:
+    """Settings shared by OMP and group OMP."""
+
     budget: int = 2000
     epsilon: float = 0.0
     lam: float = 1.0
-    record_trajectory: bool = True
-    normalize_columns: bool = False
     penalize_bias: bool = True
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
@@ -44,6 +44,11 @@ class OMPConfig:
 
 
 @dataclass
+class OMPConfig(GreedyConfig):
+    normalize_columns: bool = False
+
+
+@dataclass
 class SelectionRecord:
     """One greedy iteration: which column won and with what correlation."""
 
@@ -51,21 +56,26 @@ class SelectionRecord:
     score: float
     converged: bool = True
 
+    @property
+    def members_added(self):
+        return (self.index,)
+
 
 @dataclass
 class Trajectory:
     """Per-iteration selection records plus periodic weight snapshots.
 
     checkpoints holds (active non-bias feature count, theta copy) pairs,
-    taken every checkpoint_interval selections and at termination, so
-    accuracy-vs-atom-count curves can be replayed without refitting.
+    taken once the count reaches each checkpoint_interval multiple and at
+    termination, so accuracy-vs-atom-count curves replay without refitting.
     """
 
     records: list = field(default_factory=list)
     checkpoints: list = field(default_factory=list)
 
     def selected_indices(self):
-        return [r.index for r in self.records]
+        """Every activated index, in activation order."""
+        return [j for rec in self.records for j in rec.members_added]
 
 
 def select_feature(X, r, active, col_norms=None):
@@ -92,11 +102,13 @@ def select_feature(X, r, active, col_norms=None):
     return j, float(scores[j])
 
 
-def run_omp(X, y, cfg):
-    """Run the greedy selection loop; returns (final Model, Trajectory).
+def run_greedy(X, y, cfg, select, on_refit=None):
+    """The loop of OMP and group OMP; returns (final Model, Trajectory).
 
-    Solver non-convergence on an iteration is recorded on that iteration's
-    trajectory entry and the loop continues with the best iterate.
+    select(r, active) returns None when nothing is left, else the winner's
+    correlation norm ||X_W^T r|| and a record whose members_added enter
+    the active set unless the norm is at most cfg.epsilon. on_refit, when
+    given, is called with the active set after every refit.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.n_rows,):
@@ -104,8 +116,6 @@ def run_omp(X, y, cfg):
 
     active = ActiveSet([X.bias_col] if X.bias_col is not None else [])
     traj = Trajectory()
-    col_norms = X.col_norms() if cfg.normalize_columns else None
-
     if active:
         model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
                                max_iter=cfg.max_iter,
@@ -114,26 +124,47 @@ def run_omp(X, y, cfg):
         model = Model(theta=np.zeros(X.n_cols), active=active, lam=cfg.lam)
     r = y.copy()  # first selection correlates against the raw labels
 
-    n_candidates = X.n_cols - len(active)
-    while active.n_selected(X.bias_col) < cfg.budget and n_candidates > 0:
-        j, corr = select_feature(X, r, active, col_norms=col_norms)
-        if abs(corr) <= cfg.epsilon:
+    next_mark = cfg.checkpoint_interval
+    while active.n_selected(X.bias_col) < cfg.budget:
+        chosen = select(r, active)
+        if chosen is None or chosen[0] <= cfg.epsilon:
             break
-        active.add(j)
-        n_candidates -= 1
+        record = chosen[1]
+        for j in record.members_added:
+            active.add(j)
         model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
                                max_iter=cfg.max_iter,
                                warm_start=model.theta,
                                penalize_bias=cfg.penalize_bias)
         r = residual(X, model.theta, y)
-        traj.records.append(SelectionRecord(index=j, score=corr,
-                                            converged=model.converged))
+        record.converged = model.converged
+        traj.records.append(record)
         n_sel = active.n_selected(X.bias_col)
-        if cfg.record_trajectory and n_sel % cfg.checkpoint_interval == 0:
+        if n_sel >= next_mark:
             traj.checkpoints.append((n_sel, model.theta.copy()))
+            next_mark = (n_sel // cfg.checkpoint_interval + 1) \
+                * cfg.checkpoint_interval
+        if on_refit is not None:
+            on_refit(active)
 
     n_sel = active.n_selected(X.bias_col)
-    if cfg.record_trajectory and (
-            not traj.checkpoints or traj.checkpoints[-1][0] != n_sel):
+    if not traj.checkpoints or traj.checkpoints[-1][0] != n_sel:
         traj.checkpoints.append((n_sel, model.theta.copy()))
     return model, traj
+
+
+def run_omp(X, y, cfg):
+    """Run greedy single-feature selection; returns (final Model, Trajectory).
+
+    Solver non-convergence on an iteration is recorded on that iteration's
+    trajectory entry and the loop continues with the best iterate.
+    """
+    col_norms = X.col_norms() if cfg.normalize_columns else None
+
+    def select(r, active):
+        if len(active) == X.n_cols:
+            return None  # every non-bias column is already active
+        j, corr = select_feature(X, r, active, col_norms=col_norms)
+        return abs(corr), SelectionRecord(index=j, score=corr)
+
+    return run_greedy(X, y, cfg, select)

@@ -90,7 +90,8 @@ def test_train_omp_budget_limits_model_size(vectorized, tmp_path):
     non_bias = np.count_nonzero(np.delete(theta, bias_col))
     assert non_bias <= 5
     assert (out / "report.txt").exists()
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "seed" not in manifest["config"]  # no fit reads a seed
 
 
 def test_train_ridge_is_dense(vectorized, tmp_path, capsys):

@@ -147,14 +147,18 @@ def test_select_group_matches_exhaustive_scan(rng):
                for _ in range(8)]
     groups = GroupStructure([(f"g{i}", m) for i, m in enumerate(members)])
     r = rng.normal(size=10)
-    for criterion, scorer in (("orthonormal", score_group_orthonormal),
-                              ("averaged", score_group_averaged),
-                              ("gram_corrected", score_group_gram)):
-        scores = [scorer(X, g, r) for g in groups]
-        expected = int(np.argmax(scores))
-        pos, score = select_group(X, groups, r, criterion=criterion)
-        assert pos == expected
-        assert score == pytest.approx(scores[expected], rel=1e-12)
+    # stripping the first two groups' members empties them and shrinks others
+    stripped = remove_overlap(groups, set(members[0]) | set(members[1]))
+    assert len(stripped[0]) == len(stripped[1]) == 0
+    for structure in (groups, stripped):
+        for criterion, scorer in (("orthonormal", score_group_orthonormal),
+                                  ("averaged", score_group_averaged),
+                                  ("gram_corrected", score_group_gram)):
+            scores = [scorer(X, g, r) for g in structure]
+            expected = int(np.argmax(scores))
+            pos, score = select_group(X, structure, r, criterion=criterion)
+            assert pos == expected
+            assert score == pytest.approx(scores[expected], rel=1e-12)
 
 
 def test_select_group_all_empty_errors(rng):
@@ -194,13 +198,19 @@ def test_singleton_groups_with_averaged_criterion_replay_plain_selection(rng):
     _, X = random_design(rng, 25, 10)
     y = random_labels(rng, 25)
     singletons = GroupStructure([(f"s{j}", [j]) for j in range(9)])
-    cfg = GOMPConfig(budget=6, lam=0.5, criterion="averaged",
-                     augment_singletons=False)
-    gmodel, gtraj = run_gomp(X, y, singletons, cfg)
-    omodel, otraj = run_omp(X, y, OMPConfig(budget=6, lam=0.5))
-    picked = [rec.members_added[0] for rec in gtraj.records]
-    assert picked == otraj.selected_indices()
-    np.testing.assert_allclose(gmodel.theta, omodel.theta, atol=1e-9)
+    # epsilon=2 stops OMP after 3 of 6 selections; group OMP must stop
+    # there too, which needs both to threshold the same correlation norm
+    for epsilon in (0.0, 2.0):
+        cfg = GOMPConfig(budget=6, lam=0.5, epsilon=epsilon,
+                         criterion="averaged", augment_singletons=False)
+        gmodel, gtraj = run_gomp(X, y, singletons, cfg)
+        omodel, otraj = run_omp(X, y, OMPConfig(budget=6, lam=0.5,
+                                                epsilon=epsilon))
+        picked = [rec.members_added[0] for rec in gtraj.records]
+        assert picked == otraj.selected_indices(), epsilon
+        assert gtraj.selected_indices() == otraj.selected_indices()
+        np.testing.assert_allclose(gmodel.theta, omodel.theta,
+                                   atol=1e-9)
 
 
 def test_overlapping_groups_share_predictive_feature():
