@@ -2,9 +2,10 @@
 
 One solver covers all three: proximal gradient descent (ISTA) with
 backtracking on the smooth part (logistic loss + L2 term) and a
-soft-threshold prox for the L1 term. The bias column is never shrunk by
-the L1 penalty; its L2 treatment follows the same flag as the restricted
-Newton fit.
+soft-threshold prox for the L1 term. The smooth part is the shared
+kernel `logistic.value_and_gradient`; the penalty weights follow the one
+bias rule, `logistic.penalty_mask`: the L1 penalty never covers the bias,
+and the L2 penalty covers it unless penalize_bias is False.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logistic import ActiveSet, Model, sigmoid, softplus
+from .logistic import ActiveSet, Model, penalty_mask, value_and_gradient
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 5000
@@ -29,24 +30,16 @@ class PenaltyConfig:
             raise ValueError("penalty strengths must be non-negative")
 
 
-def _l1_mask(n_cols, bias_col):
-    mask = np.ones(n_cols)
-    if bias_col is not None:
-        mask[bias_col] = 0.0
-    return mask
-
-
-def _smooth_parts(X, y, theta, l2, l2_mask):
-    """Value and gradient of logistic loss + l2 * sum(mask * theta^2)."""
-    z = X.mat_vec(theta)
-    s = sigmoid(-y * z)
-    val = float(np.sum(softplus(-y * z)) + l2 * np.sum(l2_mask * theta ** 2))
-    grad = X.correlations(-y * s) + 2.0 * l2 * l2_mask * theta
-    return val, grad
-
-
 def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _max_violation(theta, grad, l1_vec):
+    nz = theta != 0
+    viol = np.where(nz,
+                    np.abs(grad + l1_vec * np.sign(theta)),
+                    np.maximum(np.abs(grad) - l1_vec, 0.0))
+    return float(np.max(viol))
 
 
 def kkt_violation(X, y, theta, cfg, penalize_bias=True):
@@ -56,20 +49,14 @@ def kkt_violation(X, y, theta, cfg, penalize_bias=True):
     ones must satisfy smooth gradient + lambda_l1 * sign(theta) = 0.
     """
     y = np.asarray(y, dtype=np.float64)
-    l2_mask = np.ones(X.n_cols)
-    if not penalize_bias and X.bias_col is not None:
-        l2_mask[X.bias_col] = 0.0
-    _, grad = _smooth_parts(X, y, theta, cfg.lambda_l2, l2_mask)
-    l1 = cfg.lambda_l1 * _l1_mask(X.n_cols, X.bias_col)
-    nz = theta != 0
-    viol = np.where(nz,
-                    np.abs(grad + l1 * np.sign(theta)),
-                    np.maximum(np.abs(grad) - l1, 0.0))
-    return float(np.max(viol))
+    l2_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    _, grad = value_and_gradient(X, y, theta, cfg.lambda_l2, l2_mask)
+    l1_vec = cfg.lambda_l1 * penalty_mask(X.n_cols, X.bias_col, False)
+    return _max_violation(theta, grad, l1_vec)
 
 
 def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                  warm_start=None, penalize_bias=True):
+                  penalize_bias=True):
     """Minimize sum of logistic losses + l1*||theta||_1 + l2*||theta||_2^2.
 
     Backtracking proximal gradient: each accepted step satisfies the
@@ -83,40 +70,29 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     if y.shape != (X.n_rows,):
         raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
 
-    l1_mask = _l1_mask(X.n_cols, X.bias_col)
-    l2_mask = np.ones(X.n_cols)
-    if not penalize_bias and X.bias_col is not None:
-        l2_mask[X.bias_col] = 0.0
     l1, l2 = float(cfg.lambda_l1), float(cfg.lambda_l2)
-
-    theta = np.zeros(X.n_cols) if warm_start is None \
-        else np.asarray(warm_start, dtype=np.float64).copy()
-
-    def total(th, smooth_val):
-        return smooth_val + l1 * np.sum(l1_mask * np.abs(th))
+    l1_vec = l1 * penalty_mask(X.n_cols, X.bias_col, False)
+    l2_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    theta = np.zeros(X.n_cols)
 
     # L only ever grows: each doubling is validated by the quadratic-bound
     # test while its margin is measurably above float noise, so the final
     # step size 1/L stays a true majorizer and the prox map contracts.
     L = 1.0
-    val, grad = _smooth_parts(X, y, theta, l2, l2_mask)
+    val, grad = value_and_gradient(X, y, theta, l2, l2_mask)
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        nz = theta != 0
-        viol = np.where(nz,
-                        np.abs(grad + l1 * l1_mask * np.sign(theta)),
-                        np.maximum(np.abs(grad) - l1 * l1_mask, 0.0))
-        if float(np.max(viol)) <= tol:
+        if _max_violation(theta, grad, l1_vec) <= tol:
             converged = True
             n_iter -= 1
             break
 
         while True:
             step = theta - grad / L
-            cand = _soft_threshold(step, l1 * l1_mask / L)
+            cand = _soft_threshold(step, l1_vec / L)
             diff = cand - theta
-            cand_val, cand_grad = _smooth_parts(X, y, cand, l2, l2_mask)
+            cand_val, cand_grad = value_and_gradient(X, y, cand, l2, l2_mask)
             # doubling L cannot recover from overflow: fail instead of looping
             if not (np.isfinite(L) and np.isfinite(cand_val)):
                 raise FloatingPointError(

@@ -72,10 +72,14 @@ def load_model(path):
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'index weight'")
-            j = int(parts[0])
+            try:
+                j, w = int(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad entry ({exc})") from None
             if not 0 <= j < d:
                 raise ValueError(f"{path}:{lineno}: index {j} out of range")
-            theta[j] = float(parts[1])
+            theta[j] = w
     return theta, (None if bias_col < 0 else bias_col)
 
 
@@ -177,13 +181,11 @@ def cmd_group(args):
     if n_embedded == 0:
         raise _data("no vocabulary token has an embedding")
     k = min(args.k, n_embedded)
-    cfg = grouping.KMeansConfig(k=k, max_iter=args.max_iter, seed=args.seed,
-                                neighbors=args.neighbors)
+    cfg = grouping.KMeansConfig(k=k, max_iter=args.max_iter, seed=args.seed)
     structure = grouping.kmeans_cluster(emb, vocab, cfg)
-    if args.neighbors > 0:
-        structure = grouping.expand_overlap(structure, emb, vocab,
-                                            neighbors=args.neighbors,
-                                            metric=args.metric)
+    structure = grouping.expand_overlap(structure, emb, vocab,
+                                        neighbors=args.neighbors,
+                                        metric=args.metric)
     grouping.save_groups(structure, args.out)
     _write_manifest(str(args.out) + ".manifest.json", "group", {
         "embeddings": args.embeddings,

@@ -22,13 +22,10 @@ class KMeansConfig:
     k: int = 2000
     max_iter: int = 100
     seed: int = 0
-    neighbors: int = 5
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.neighbors < 0:
-            raise ValueError("neighbors must be >= 0")
 
 
 class EmbeddingTable:
@@ -189,6 +186,8 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
     """
     if metric not in ("euclidean", "cosine"):
         raise ValueError("metric must be 'euclidean' or 'cosine'")
+    if neighbors < 0:
+        raise ValueError("neighbors must be >= 0")
     if neighbors == 0:
         return GroupStructure([Group(g.name, g.members) for g in groups])
     order = sorted(vocab.items(), key=lambda kv: kv[1])

@@ -1,5 +1,9 @@
 """L2-penalized logistic loss, gradients, and the support-restricted fit.
 
+`value_and_gradient` is the one penalized-logistic kernel behind
+`objective`, `gradient` and the `baselines` solvers. `penalty_mask` is the
+one bias rule: the only place a penalty weight on the bias is zeroed.
+
 The restricted fit is the inner solver of the greedy selection loops: a
 dense Newton method over the active coordinates with backtracking line
 search, falling back to a gradient step whenever the Hessian solve fails
@@ -58,9 +62,6 @@ class ActiveSet:
     def ascending(self):
         return sorted(self._members)
 
-    def to_list(self):
-        return list(self._order)
-
     def copy(self):
         return ActiveSet(self._order)
 
@@ -85,9 +86,6 @@ class Model:
     lam: float
     converged: bool = True
     n_iter: int = 0
-
-    def nonzero_indices(self):
-        return np.nonzero(self.theta)[0]
 
 
 def sigmoid(z):
@@ -114,11 +112,38 @@ def loss(theta, x, y):
     return float(softplus(-y * margin))
 
 
-def _penalty_weights(theta, lam, bias_col, penalize_bias):
-    p = float(lam) * np.sum(theta ** 2)
+def penalty_mask(n_cols, bias_col, penalize_bias):
+    """Penalty weights: 1.0, or 0.0 at the bias unless penalize_bias.
+
+    L2 terms pass the caller's flag; the L1 term always passes False.
+    """
+    mask = np.ones(n_cols)
     if not penalize_bias and bias_col is not None:
-        p -= float(lam) * theta[bias_col] ** 2
-    return p
+        mask[bias_col] = 0.0
+    return mask
+
+
+def value_and_gradient(X, y, theta, lam, mask):
+    """Logistic loss sum plus lam * sum(mask * theta**2), and its gradient.
+
+    y and theta must be float64 arrays of X's row and column counts.
+    """
+    z = X.mat_vec(theta)
+    s = sigmoid(-y * z)
+    val = float(np.sum(softplus(-y * z)) + lam * np.sum(mask * theta ** 2))
+    grad = X.correlations(-y * s) + 2.0 * lam * mask * theta
+    return val, grad
+
+
+def _as_checked(X, y, theta):
+    """y and theta as float64 arrays, checked against X's shape."""
+    y = np.asarray(y, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    if y.shape != (X.n_rows,):
+        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
+    if theta.shape != (X.n_cols,):
+        raise ValueError(f"theta length {theta.shape} != ({X.n_cols},)")
+    return y, theta
 
 
 def objective(X, y, theta, lam, penalize_bias=True):
@@ -127,41 +152,21 @@ def objective(X, y, theta, lam, penalize_bias=True):
     The penalty covers every coordinate including the bias; pass
     penalize_bias=False to exempt it.
     """
-    y = np.asarray(y, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if y.shape != (X.n_rows,):
-        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
-    if theta.shape != (X.n_cols,):
-        raise ValueError(f"theta length {theta.shape} != ({X.n_cols},)")
-    z = X.mat_vec(theta)
-    nll = float(np.sum(softplus(-y * z)))
-    return nll + _penalty_weights(theta, lam, X.bias_col, penalize_bias)
+    y, theta = _as_checked(X, y, theta)
+    mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    return value_and_gradient(X, y, theta, lam, mask)[0]
 
 
 def gradient(X, y, theta, lam, penalize_bias=True):
     """Gradient of objective(): X^T(-y * sigma(-y X theta)) + 2 lam theta."""
-    y = np.asarray(y, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if y.shape != (X.n_rows,):
-        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
-    if theta.shape != (X.n_cols,):
-        raise ValueError(f"theta length {theta.shape} != ({X.n_cols},)")
-    z = X.mat_vec(theta)
-    g = X.correlations(-y * sigmoid(-y * z))
-    g += 2.0 * lam * theta
-    if not penalize_bias and X.bias_col is not None:
-        g[X.bias_col] -= 2.0 * lam * theta[X.bias_col]
-    return g
+    y, theta = _as_checked(X, y, theta)
+    mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    return value_and_gradient(X, y, theta, lam, mask)[1]
 
 
 def residual(X, theta, y):
     """Prediction residual sigma(X theta) - 1[y == +1], componentwise in (-1, 1)."""
-    y = np.asarray(y, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if y.shape != (X.n_rows,):
-        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
-    if theta.shape != (X.n_cols,):
-        raise ValueError(f"theta length {theta.shape} != ({X.n_cols},)")
+    y, theta = _as_checked(X, y, theta)
     return sigmoid(X.mat_vec(theta)) - (y > 0).astype(np.float64)
 
 
@@ -205,12 +210,9 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
         return Model(theta=theta, active=active, lam=float(lam))
 
     Xd = X.densify_columns(idx)
-    k = len(idx)
-    pen_mask = np.ones(k)
-    if not penalize_bias and X.bias_col is not None and X.bias_col in active:
-        pen_mask[idx.index(X.bias_col)] = 0.0
+    pen_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)[idx]
 
-    coef = np.zeros(k)
+    coef = np.zeros(len(idx))
     if warm_start is not None:
         coef = np.asarray(warm_start, dtype=np.float64)[idx].copy()
 

@@ -133,9 +133,6 @@ class SparseMatrix:
         s, e = self.indptr[j], self.indptr[j + 1]
         return self.rows[s:e], self.vals[s:e]
 
-    def col_nnz(self, j):
-        return int(self.indptr[j + 1] - self.indptr[j])
-
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
         for j in range(self.n_cols):
@@ -244,7 +241,11 @@ class SparseMatrix:
                     continue
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{lineno}: expected 'row col value'")
-                i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
+                try:
+                    i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad entry ({exc})") from None
                 if not 0 <= i < n_rows or not 0 <= j < n_cols:
                     raise ValueError(f"{path}:{lineno}: index out of range")
                 if x == 0.0 or not np.isfinite(x):

@@ -198,7 +198,10 @@ def load_labels(path):
             line = line.strip()
             if not line:
                 continue
-            y = int(line)
+            try:
+                y = int(line)
+            except ValueError:
+                y = None
             if y not in (-1, 1):
                 raise ValueError(f"{path}:{lineno}: label must be -1 or +1")
             out.append(y)

@@ -232,6 +232,13 @@ def test_model_file_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()
 
 
+def test_model_file_rejects_bad_entry_with_its_line(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("3 2\n0 1.0\nx 2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"model\.txt:3:"):
+        load_model(path)
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     code = main(["eval", "--model", str(tmp_path / "nope.txt"),
                  "--matrix", str(tmp_path / "nope.matrix"),
@@ -283,3 +290,5 @@ def test_group_subcommand_writes_groups(tmp_path):
     assert len(gs) >= 3  # k clusters survive
     covered = {j for g in gs for j in g.members}
     assert covered == set(range(10))
+    assert main(["group", "--embeddings", str(emb), "--vocab", str(vocab),
+                 "--k", "3", "--neighbors", "-1", "--out", str(out)]) == 2

@@ -142,6 +142,14 @@ def test_expand_with_zero_neighbors_is_identity():
     assert [g.members for g in out] == [(0, 1), (2,)]
 
 
+def test_expand_rejects_negative_neighbors():
+    # unchecked, -1 slices the ranking as [:-1]: every word but the query
+    emb = embedding_of([(float(i),) for i in range(8)])
+    gs = GroupStructure([("a", [0])])
+    with pytest.raises(ValueError, match="neighbors"):
+        expand_overlap(gs, emb, vocab_of(8), neighbors=-1)
+
+
 def test_expand_makes_adjacent_clusters_overlap():
     emb = embedding_of([(0.0,), (1.0,), (2.0,), (3.0,)])
     gs = GroupStructure([("left", [0, 1]), ("right", [2, 3])])

@@ -119,6 +119,20 @@ def test_single_budget_selects_the_separating_column(rng):
     assert sorted(model.active.ascending()) == [3, 4]
 
 
+def test_normalize_columns_undoes_a_scaled_column(rng):
+    dense, X = random_design(rng, 30, 8)
+    y = random_labels(rng, 30)
+    normalized = OMPConfig(budget=1, lam=1.0, normalize_columns=True)
+    first = run_omp(X, y, normalized)[1].selected_indices()[0]
+    big = 0 if first != 0 else 1
+    dense[:, big] *= 1000.0
+    scaled = SparseMatrix.from_dense(dense, bias_col=7)
+    _, raw_traj = run_omp(scaled, y, OMPConfig(budget=1, lam=1.0))
+    _, norm_traj = run_omp(scaled, y, normalized)
+    assert raw_traj.selected_indices() == [big]
+    assert norm_traj.selected_indices() == [first]
+
+
 def test_infinite_epsilon_returns_minimal_model(rng):
     _, X = random_design(rng, 10, 6)
     y = random_labels(rng, 10)

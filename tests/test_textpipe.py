@@ -206,3 +206,6 @@ def test_labels_file_rejects_other_values(tmp_path):
     path.write_text("+1\n0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2"):
         load_labels(path)
+    path.write_text("+1\n1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"y\.labels:2:"):
+        load_labels(path)
