@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import evaluation, gomp as gomp_mod, grouping, textpipe
 from .evaluation import FitOptions, GridSpec, accuracy
-from .logistic import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sparse import SparseMatrix
 
 
@@ -61,10 +61,11 @@ def save_model(theta, bias_col, path):
 def load_model(path):
     """Inverse of save_model; returns (theta, bias_col)."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: expected header 'd bias_col'")
-        d, bias_col = int(header[0]), int(header[1])
+        try:
+            d, bias_col = map(int, fh.readline().split())
+        except ValueError:
+            raise ValueError(
+                f"{path}:1: expected header 'd bias_col'") from None
         theta = np.zeros(d)
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
@@ -175,6 +176,8 @@ def cmd_vectorize(args):
 # -- group ---------------------------------------------------------------------
 
 def cmd_group(args):
+    if args.neighbors < 0:  # before the clustering, which it would waste
+        raise _data("--neighbors must be >= 0")
     emb = grouping.load_embeddings(args.embeddings)
     vocab = textpipe.load_vocabulary(args.vocab)
     n_embedded = sum(1 for tok in vocab if tok in emb)
@@ -217,34 +220,23 @@ def _check_gomp_usable(args):
         raise _usage("gomp needs --groups and/or --augment-singletons")
 
 
-def _train_config(args):
-    return {
-        "matrix": args.matrix,
-        "labels": args.labels,
-        "method": args.method,
-        "budget": args.budget,
-        "epsilon": args.epsilon,
-        "groups": args.groups,
-        "criterion": args.criterion,
-        "augment_singletons": args.augment_singletons,
-        "normalize_columns": args.normalize_columns,
-        "penalize_bias": args.penalize_bias,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-    }
+_SOLVER_SETTINGS = tuple(f.name for f in dataclasses.fields(FitOptions))
+
+
+def _run_config(args, *extra):
+    """Manifest config: the inputs, the method, every solver setting as
+    given on the command line (groups as its path), then `extra` flags."""
+    names = ("matrix", "labels", "method") + _SOLVER_SETTINGS + extra
+    return {name: getattr(args, name) for name in names}
 
 
 def _fit_options(args, X):
-    groups = None
+    settings = {name: getattr(args, name) for name in _SOLVER_SETTINGS}
+    settings["groups"] = None
     if args.method == "gomp" and args.groups:
-        groups = grouping.load_groups(args.groups, X.n_cols,
-                                      bias_col=X.bias_col)
-    return FitOptions(budget=args.budget, epsilon=args.epsilon, groups=groups,
-                      criterion=args.criterion,
-                      augment_singletons=args.augment_singletons,
-                      normalize_columns=args.normalize_columns,
-                      tol=args.tol, max_iter=args.max_iter,
-                      penalize_bias=args.penalize_bias)
+        settings["groups"] = grouping.load_groups(args.groups, X.n_cols,
+                                                  bias_col=X.bias_col)
+    return FitOptions(**settings)
 
 
 def cmd_train(args):
@@ -275,7 +267,7 @@ def cmd_train(args):
 
     save_model(model.theta, X.bias_col, out / "model.txt")
     evaluation.write_reports([report], out / "report.txt")
-    _write_manifest(out / "manifest.json", "train", _train_config(args))
+    _write_manifest(out / "manifest.json", "train", _run_config(args))
     print(evaluation.human_table([report]))
     return 0
 
@@ -300,6 +292,8 @@ def _write_scatter(reports, path):
 
 def cmd_grid(args):
     _check_gomp_usable(args)
+    if bool(args.test_matrix) != bool(args.test_labels):
+        raise _usage("--test-matrix and --test-labels go together")
     X, y = _load_design(args.matrix, args.labels)
     X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
     out = Path(args.out_dir)
@@ -323,11 +317,9 @@ def cmd_grid(args):
     _write_scatter(reports, out / "scatter.csv")
     if best.atoms_curve:
         _write_curve(best.atoms_curve, out / "curve.csv")
-    cfg = _train_config(args)
-    cfg.update({"dev_matrix": args.dev_matrix, "dev_labels": args.dev_labels,
-                "test_matrix": args.test_matrix,
-                "test_labels": args.test_labels, "lambdas": args.lambdas})
-    _write_manifest(out / "manifest.json", "grid", cfg)
+    _write_manifest(out / "manifest.json", "grid", _run_config(
+        args, "dev_matrix", "dev_labels", "test_matrix", "test_labels",
+        "lambdas"))
     print(evaluation.human_table(reports))
     print(f"\nbest: {evaluation.format_report(best)}")
     return 0
@@ -373,9 +365,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--budget", type=int, default=2000,
+    p.add_argument("--budget", type=int, default=FitOptions.budget,
                    help="max selected features (omp/gomp)")
-    p.add_argument("--epsilon", type=float, default=0.0,
+    p.add_argument("--epsilon", type=float, default=FitOptions.epsilon,
                    help="stop once the winner's ||X_W^T r|| is at most this")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="penalty strength")
@@ -385,16 +377,17 @@ def _add_solver_flags(p):
                    help="elastic net L2 strength")
     p.add_argument("--groups", default=None, help="group file for gomp")
     p.add_argument("--criterion", choices=gomp_mod.CRITERIA,
-                   default="averaged")
+                   default=FitOptions.criterion)
     p.add_argument("--augment-singletons", action=argparse.BooleanOptionalAction,
-                   default=True,
+                   default=FitOptions.augment_singletons,
                    help="append every feature as its own gomp group")
     p.add_argument("--normalize-columns", action="store_true",
                    help="score selection correlations against unit-L2 columns")
     p.add_argument("--penalize-bias", action=argparse.BooleanOptionalAction,
-                   default=True, help="include the bias in the L2 penalty")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+                   default=FitOptions.penalize_bias,
+                   help="include the bias in the L2 penalty")
+    p.add_argument("--tol", type=float, default=FitOptions.tol)
+    p.add_argument("--max-iter", type=int, default=FitOptions.max_iter)
 
 
 def build_parser():

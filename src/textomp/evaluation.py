@@ -9,12 +9,11 @@ tie to the smallest penalty, so the search is fully deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import baselines, gomp as gomp_mod, omp as omp_mod
-from .logistic import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -91,16 +90,24 @@ def atoms_curve(trajectory, X_dev, y_dev):
 @dataclass
 class FitOptions:
     """Solver settings shared by every fit of a run; the penalty strengths
-    vary per fit and travel separately as hyperparameters."""
-    budget: int = 2000
-    epsilon: float = 0.0
+    vary per fit and travel separately as hyperparameters. The CLI solver
+    flags and the train/grid manifests derive from these fields, and each
+    default is the one of the greedy config that owns the setting."""
+    budget: int = omp_mod.GreedyConfig.budget
+    epsilon: float = omp_mod.GreedyConfig.epsilon
     groups: object = None  # GroupStructure or list of Groups, gomp only
-    criterion: str = "averaged"
-    augment_singletons: bool = True
-    normalize_columns: bool = False
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    penalize_bias: bool = True
+    criterion: str = gomp_mod.GOMPConfig.criterion
+    augment_singletons: bool = gomp_mod.GOMPConfig.augment_singletons
+    normalize_columns: bool = omp_mod.OMPConfig.normalize_columns
+    tol: float = omp_mod.GreedyConfig.tol
+    max_iter: int = omp_mod.GreedyConfig.max_iter
+    penalize_bias: bool = omp_mod.GreedyConfig.penalize_bias
+
+
+def _greedy_config(cls, lam, opts):
+    """cls with penalty lam and every FitOptions setting cls also has."""
+    shared = {f.name for f in fields(cls)} & {f.name for f in fields(opts)}
+    return cls(lam=lam, **{name: getattr(opts, name) for name in shared})
 
 
 def fit(method, hp, X, y, opts):
@@ -114,18 +121,10 @@ def fit(method, hp, X, y, opts):
     started = time.perf_counter()
     traj = None
     if method == "omp":
-        cfg = omp_mod.OMPConfig(budget=opts.budget, epsilon=opts.epsilon,
-                                lam=hp["lambda"],
-                                normalize_columns=opts.normalize_columns,
-                                penalize_bias=opts.penalize_bias,
-                                tol=opts.tol, max_iter=opts.max_iter)
+        cfg = _greedy_config(omp_mod.OMPConfig, hp["lambda"], opts)
         model, traj = omp_mod.run_omp(X, y, cfg)
     elif method == "gomp":
-        cfg = gomp_mod.GOMPConfig(budget=opts.budget, epsilon=opts.epsilon,
-                                  lam=hp["lambda"], criterion=opts.criterion,
-                                  augment_singletons=opts.augment_singletons,
-                                  penalize_bias=opts.penalize_bias,
-                                  tol=opts.tol, max_iter=opts.max_iter)
+        cfg = _greedy_config(gomp_mod.GOMPConfig, hp["lambda"], opts)
         model, traj = gomp_mod.run_gomp(
             X, y, opts.groups if opts.groups is not None else [], cfg)
     else:

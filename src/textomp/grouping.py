@@ -152,6 +152,16 @@ def _sq_dists(points, centers):
     return np.maximum(d2, 0.0)
 
 
+def _embedded_columns(emb, vocab):
+    """Ascending vocabulary columns that have an embedding, and their
+    vectors as the rows of one array."""
+    order = sorted((j, tok) for tok, j in vocab.items() if tok in emb)
+    cols = np.array([j for j, _ in order], dtype=np.int64)
+    points = np.stack([emb[tok] for _, tok in order]) if order else \
+        np.zeros((0, emb.dim or 0))
+    return cols, points
+
+
 def kmeans_cluster(emb, vocab, cfg):
     """Cluster the embedded vocabulary into at most k disjoint groups.
 
@@ -159,18 +169,16 @@ def kmeans_cluster(emb, vocab, cfg):
     fixed seed. Clusters that end up empty are dropped. Group members are
     vocabulary column indices.
     """
-    order = sorted(vocab.items(), key=lambda kv: kv[1])
-    tokens = [tok for tok, _ in order if tok in emb]
-    if len(tokens) < cfg.k:
+    cols, points = _embedded_columns(emb, vocab)
+    if len(cols) < cfg.k:
         raise ValueError(
-            f"k={cfg.k} exceeds the {len(tokens)} embedded vocabulary tokens")
-    points = np.stack([emb[tok] for tok in tokens])
+            f"k={cfg.k} exceeds the {len(cols)} embedded vocabulary tokens")
     rng = np.random.default_rng(cfg.seed)
     labels, _, _ = _lloyd(points, cfg.k, rng, cfg.max_iter)
     groups = []
     for c in range(cfg.k):
-        members = [vocab[tokens[i]] for i in np.nonzero(labels == c)[0]]
-        if members:
+        members = cols[labels == c]
+        if len(members):
             groups.append(Group.of(f"cluster_{c}", members))
     return GroupStructure(groups)
 
@@ -190,12 +198,8 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
         raise ValueError("neighbors must be >= 0")
     if neighbors == 0:
         return GroupStructure([Group(g.name, g.members) for g in groups])
-    order = sorted(vocab.items(), key=lambda kv: kv[1])
-    tokens = [tok for tok, _ in order if tok in emb]
-    token_cols = np.array([vocab[tok] for tok in tokens], dtype=np.int64)
+    token_cols, points = _embedded_columns(emb, vocab)
     col_to_pos = {int(c): p for p, c in enumerate(token_cols)}
-    points = np.stack([emb[tok] for tok in tokens]) if tokens else \
-        np.zeros((0, emb.dim or 0))
     if metric == "cosine":
         norms = np.linalg.norm(points, axis=1)
         safe = np.where(norms > 0, norms, 1.0)

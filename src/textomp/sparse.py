@@ -41,16 +41,14 @@ class SparseMatrix:
         Index of the always-one bias column, by convention the last one.
     """
 
-    def __init__(self, n_rows, n_cols, indptr, rows, vals, bias_col=None,
-                 check=True):
+    def __init__(self, n_rows, n_cols, indptr, rows, vals, bias_col=None):
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.rows = np.asarray(rows, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.float64)
         self.bias_col = None if bias_col is None else int(bias_col)
-        if check:
-            self._validate()
+        self._validate()
 
     # -- construction ------------------------------------------------------
 
@@ -134,11 +132,7 @@ class SparseMatrix:
         return self.rows[s:e], self.vals[s:e]
 
     def to_dense(self):
-        out = np.zeros((self.n_rows, self.n_cols))
-        for j in range(self.n_cols):
-            r, v = self.col(j)
-            out[r, j] = v
-        return out
+        return self.densify_columns(range(self.n_cols))
 
     # -- kernels -----------------------------------------------------------
 
@@ -230,10 +224,11 @@ class SparseMatrix:
         None loads a plain matrix, an int designates an explicit column.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"{path}:1: expected header 'n_rows n_cols'")
-            n_rows, n_cols = int(header[0]), int(header[1])
+            try:
+                n_rows, n_cols = map(int, fh.readline().split())
+            except ValueError:
+                raise ValueError(
+                    f"{path}:1: expected header 'n_rows n_cols'") from None
             per_col = [([], []) for _ in range(n_cols)]
             for lineno, line in enumerate(fh, start=2):
                 parts = line.split()

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from textomp import SparseMatrix, evaluation
-from textomp.cli import load_model, main, save_model, top_weights
+from textomp import FitOptions, SparseMatrix, evaluation, grouping
+from textomp.cli import build_parser, load_model, main, save_model, top_weights
 from textomp.textpipe import load_labels, load_vocabulary, save_labels
 
 SPACE_WORDS = ["orbit", "rocket", "lunar"]
@@ -170,6 +171,51 @@ def test_grid_search_cli_end_to_end(vectorized, tmp_path, capsys):
     assert len(scatter) == 3
 
 
+def test_grid_rejects_test_matrix_and_labels_apart(vectorized, tmp_path,
+                                                   capsys):
+    base = ["grid", "--matrix", str(vectorized / "train.matrix"),
+            "--labels", str(vectorized / "train.labels"),
+            "--dev-matrix", str(vectorized / "dev.matrix"),
+            "--dev-labels", str(vectorized / "dev.labels"),
+            "--method", "omp", "--budget", "2", "--lambdas", "1"]
+    for half in (["--test-matrix", str(vectorized / "test.matrix")],
+                 ["--test-labels", str(vectorized / "test.labels")]):
+        out = tmp_path / half[0].lstrip("-")
+        assert main(base + half + ["--out-dir", str(out)]) == 1
+        assert "--test-matrix and --test-labels" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any fit
+
+
+def test_solver_flag_defaults_are_the_fit_options_defaults():
+    for method in ("train", "grid"):
+        args = build_parser().parse_args(
+            [method, "--matrix", "m", "--labels", "l", "--dev-matrix", "dm",
+             "--dev-labels", "dl", "--method", "omp", "--out-dir", "o"])
+        for f in dataclasses.fields(FitOptions):
+            assert getattr(args, f.name) == getattr(FitOptions(), f.name), \
+                (method, f.name)
+
+
+def test_manifest_config_is_the_inputs_and_every_fit_setting(vectorized,
+                                                              tmp_path):
+    data = ["--matrix", str(vectorized / "train.matrix"),
+            "--labels", str(vectorized / "train.labels"),
+            "--method", "omp", "--budget", "2"]
+    dev = ["--dev-matrix", str(vectorized / "dev.matrix"),
+           "--dev-labels", str(vectorized / "dev.labels")]
+    assert main(["train", *data, "--out-dir", str(tmp_path / "t")]) == 0
+    assert main(["grid", *data, *dev, "--lambdas", "1",
+                 "--out-dir", str(tmp_path / "g")]) == 0
+    train_keys = set("augment_singletons budget criterion epsilon groups "
+                     "labels matrix max_iter method normalize_columns "
+                     "penalize_bias tol".split())
+    grid_keys = train_keys | set("dev_labels dev_matrix lambdas "
+                                 "test_labels test_matrix".split())
+    for name, keys in (("t", train_keys), ("g", grid_keys)):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert set(manifest["config"]) == keys
+
+
 def test_eval_prints_accuracy(vectorized, tmp_path, capsys):
     out = tmp_path / "m"
     main(["train", "--matrix", str(vectorized / "train.matrix"),
@@ -237,6 +283,9 @@ def test_model_file_rejects_bad_entry_with_its_line(tmp_path):
     path.write_text("3 2\n0 1.0\nx 2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"model\.txt:3:"):
         load_model(path)
+    path.write_text("3 b\n0 1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"model\.txt:1:"):
+        load_model(path)
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):
@@ -274,7 +323,7 @@ def test_bad_flag_is_usage_error(capsys):
     assert main(["train", "--method", "bogus"]) == 1
 
 
-def test_group_subcommand_writes_groups(tmp_path):
+def test_group_subcommand_writes_groups(tmp_path, monkeypatch):
     emb = tmp_path / "emb.txt"
     emb.write_text("".join(f"w{i} {float(i)} {float(i % 3)}\n"
                            for i in range(10)), encoding="utf-8")
@@ -290,5 +339,10 @@ def test_group_subcommand_writes_groups(tmp_path):
     assert len(gs) >= 3  # k clusters survive
     covered = {j for g in gs for j in g.members}
     assert covered == set(range(10))
+
+    def no_clustering(*args, **kwargs):
+        raise AssertionError("a negative --neighbors reached k-means")
+
+    monkeypatch.setattr(grouping, "kmeans_cluster", no_clustering)
     assert main(["group", "--embeddings", str(emb), "--vocab", str(vocab),
                  "--k", "3", "--neighbors", "-1", "--out", str(out)]) == 2

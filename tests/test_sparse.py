@@ -176,6 +176,9 @@ def test_file_rejects_bad_entries(tmp_path):
     p.write_text("2 2\n0 x 1.0\n")
     with pytest.raises(ValueError, match=r"bad\.matrix:2:"):
         SparseMatrix.load(p, bias_col=None)
+    p.write_text("2 x\n0 0 1.0\n")
+    with pytest.raises(ValueError, match=r"bad\.matrix:1:"):
+        SparseMatrix.load(p, bias_col=None)
 
 
 @settings(max_examples=60, deadline=None)
