@@ -9,8 +9,9 @@ Subcommands wire the library into a file-based pipeline:
   eval         accuracy of a saved model on a matrix
   top-weights  highest-weighted vocabulary terms of a saved model
 
-Every mutating run writes a JSON manifest holding the resolved
-configuration, so outputs are reproducible from the manifest alone.
+Every mutating run writes a JSON manifest whose config is every parsed
+argument except the output locations: two runs with equal manifests read
+the same input paths with the same settings.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -109,8 +110,12 @@ def top_weights(theta, vocab, n):
 
 # -- manifest ------------------------------------------------------------------
 
-def _write_manifest(path, subcommand, config):
-    manifest = {"subcommand": subcommand, "config": config}
+def _write_manifest(path, args):
+    """The subcommand and, as its config, every parsed argument that is
+    neither dispatch nor an output location."""
+    config = {name: value for name, value in vars(args).items() if name not in
+              ("func", "subcommand", "out_dir", "out", "manifest_out")}
+    manifest = {"subcommand": args.subcommand, "config": config}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -159,15 +164,7 @@ def cmd_vectorize(args):
         textpipe.save_labels(y, out / "test.labels")
     textpipe.save_vocabulary(corpus.vocabulary, out / "vocab.txt")
 
-    _write_manifest(out / "manifest.json", "vectorize", {
-        "corpus": args.corpus,
-        "dev_corpus": args.dev_corpus,
-        "test_corpus": args.test_corpus,
-        "label_map": args.label_map,
-        "train_fraction": args.train_fraction,
-        "min_df": args.min_df,
-        "seed": args.seed,
-    })
+    _write_manifest(out / "manifest.json", args)
     print(f"vocabulary size {len(corpus.vocabulary)}; "
           f"train {len(train_docs)} docs, dev {len(dev_docs)} docs")
     return 0
@@ -183,22 +180,15 @@ def cmd_group(args):
     n_embedded = sum(1 for tok in vocab if tok in emb)
     if n_embedded == 0:
         raise _data("no vocabulary token has an embedding")
-    k = min(args.k, n_embedded)
-    cfg = grouping.KMeansConfig(k=k, max_iter=args.max_iter, seed=args.seed)
+    args.k = min(args.k, n_embedded)  # the manifest records the k used
+    cfg = grouping.KMeansConfig(k=args.k, max_iter=args.max_iter,
+                                seed=args.seed)
     structure = grouping.kmeans_cluster(emb, vocab, cfg)
     structure = grouping.expand_overlap(structure, emb, vocab,
                                         neighbors=args.neighbors,
                                         metric=args.metric)
     grouping.save_groups(structure, args.out)
-    _write_manifest(str(args.out) + ".manifest.json", "group", {
-        "embeddings": args.embeddings,
-        "vocab": args.vocab,
-        "k": k,
-        "max_iter": args.max_iter,
-        "neighbors": args.neighbors,
-        "metric": args.metric,
-        "seed": args.seed,
-    })
+    _write_manifest(str(args.out) + ".manifest.json", args)
     print(f"wrote {len(structure)} groups (k-means on {n_embedded} "
           f"embedded tokens) to {args.out}")
     return 0
@@ -220,18 +210,9 @@ def _check_gomp_usable(args):
         raise _usage("gomp needs --groups and/or --augment-singletons")
 
 
-_SOLVER_SETTINGS = tuple(f.name for f in dataclasses.fields(FitOptions))
-
-
-def _run_config(args, *extra):
-    """Manifest config: the inputs, the method, every solver setting as
-    given on the command line (groups as its path), then `extra` flags."""
-    names = ("matrix", "labels", "method") + _SOLVER_SETTINGS + extra
-    return {name: getattr(args, name) for name in names}
-
-
 def _fit_options(args, X):
-    settings = {name: getattr(args, name) for name in _SOLVER_SETTINGS}
+    settings = {f.name: getattr(args, f.name)
+                for f in dataclasses.fields(FitOptions)}
     settings["groups"] = None
     if args.method == "gomp" and args.groups:
         settings["groups"] = grouping.load_groups(args.groups, X.n_cols,
@@ -241,8 +222,8 @@ def _fit_options(args, X):
 
 def cmd_train(args):
     _check_gomp_usable(args)
-    if args.dev_matrix and not args.dev_labels:
-        raise _usage("--dev-matrix needs --dev-labels")
+    if bool(args.dev_matrix) != bool(args.dev_labels):
+        raise _usage("--dev-matrix and --dev-labels go together")
     X, y = _load_design(args.matrix, args.labels)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,7 +248,7 @@ def cmd_train(args):
 
     save_model(model.theta, X.bias_col, out / "model.txt")
     evaluation.write_reports([report], out / "report.txt")
-    _write_manifest(out / "manifest.json", "train", _run_config(args))
+    _write_manifest(out / "manifest.json", args)
     print(evaluation.human_table([report]))
     return 0
 
@@ -317,9 +298,7 @@ def cmd_grid(args):
     _write_scatter(reports, out / "scatter.csv")
     if best.atoms_curve:
         _write_curve(best.atoms_curve, out / "curve.csv")
-    _write_manifest(out / "manifest.json", "grid", _run_config(
-        args, "dev_matrix", "dev_labels", "test_matrix", "test_labels",
-        "lambdas"))
+    _write_manifest(out / "manifest.json", args)
     print(evaluation.human_table(reports))
     print(f"\nbest: {evaluation.format_report(best)}")
     return 0
@@ -335,8 +314,7 @@ def cmd_eval(args):
     acc = accuracy(theta, X, y)
     print(f"accuracy={acc!r}")
     if args.manifest_out:
-        _write_manifest(args.manifest_out, "eval", {
-            "model": args.model, "matrix": args.matrix, "labels": args.labels})
+        _write_manifest(args.manifest_out, args)
     return 0
 
 
@@ -351,30 +329,29 @@ def cmd_top_weights(args):
     for tok, w in negatives:
         print(f"  {w:.6g}  {tok}")
     if args.manifest_out:
-        _write_manifest(args.manifest_out, "top-weights", {
-            "model": args.model, "vocab": args.vocab, "n": args.n})
+        _write_manifest(args.manifest_out, args)
     return 0
 
 
 # -- parser ----------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # whole flags only: an abbreviation would read grid's --lambda as
+        # --lambdas instead of rejecting a flag that grid does not take
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_solver_flags(p):
+    """One flag per FitOptions field, with its default."""
     p.add_argument("--budget", type=int, default=FitOptions.budget,
                    help="max selected features (omp/gomp)")
     p.add_argument("--epsilon", type=float, default=FitOptions.epsilon,
                    help="stop once the winner's ||X_W^T r|| is at most this")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="penalty strength")
-    p.add_argument("--lambda-l1", type=float, default=0.0,
-                   help="elastic net L1 strength")
-    p.add_argument("--lambda-l2", type=float, default=0.0,
-                   help="elastic net L2 strength")
     p.add_argument("--groups", default=None, help="group file for gomp")
     p.add_argument("--criterion", choices=gomp_mod.CRITERIA,
                    default=FitOptions.criterion)
@@ -428,6 +405,12 @@ def build_parser():
     p.add_argument("--dev-matrix", default=None,
                    help="optional dev split for accuracy and atom curves")
     p.add_argument("--dev-labels", default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
+                   help="penalty strength")
+    p.add_argument("--lambda-l1", type=float, default=0.0,
+                   help="elastic net L1 strength")
+    p.add_argument("--lambda-l2", type=float, default=0.0,
+                   help="elastic net L2 strength")
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)

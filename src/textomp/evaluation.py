@@ -90,15 +90,17 @@ def atoms_curve(trajectory, X_dev, y_dev):
 @dataclass
 class FitOptions:
     """Solver settings shared by every fit of a run; the penalty strengths
-    vary per fit and travel separately as hyperparameters. The CLI solver
-    flags and the train/grid manifests derive from these fields, and each
-    default is the one of the greedy config that owns the setting."""
+    vary per fit and travel separately as hyperparameters. Each field is
+    one CLI solver flag of train and grid, which the manifests record with
+    every other parsed argument. Each default is the one of the greedy
+    config that owns the setting; normalize_columns applies to omp and
+    gomp alike."""
     budget: int = omp_mod.GreedyConfig.budget
     epsilon: float = omp_mod.GreedyConfig.epsilon
     groups: object = None  # GroupStructure or list of Groups, gomp only
     criterion: str = gomp_mod.GOMPConfig.criterion
     augment_singletons: bool = gomp_mod.GOMPConfig.augment_singletons
-    normalize_columns: bool = omp_mod.OMPConfig.normalize_columns
+    normalize_columns: bool = omp_mod.GreedyConfig.normalize_columns
     tol: float = omp_mod.GreedyConfig.tol
     max_iter: int = omp_mod.GreedyConfig.max_iter
     penalize_bias: bool = omp_mod.GreedyConfig.penalize_bias

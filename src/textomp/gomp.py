@@ -24,7 +24,7 @@ from . import grouping
 from .groups import Group, GroupStructure
 # unused here; kept because the benchmark tracer wraps them on this module
 from .logistic import fit_restricted, residual  # noqa: F401
-from .omp import GreedyConfig, run_greedy
+from .omp import GreedyConfig, per_unit_norm, run_greedy
 
 CRITERIA = ("orthonormal", "gram_corrected", "averaged")
 
@@ -97,9 +97,14 @@ def score_group_gram(X, G, r):
     return float(abs(c @ coef))
 
 
-def select_group(X, groups, r, criterion="averaged"):
+def select_group(X, groups, r, criterion="averaged", col_norms=None):
     """Best-scoring non-empty group: (position, score); ties take the
-    lowest position. Raises when every group is empty (exhaustion)."""
+    lowest position. Raises when every group is empty (exhaustion).
+
+    col_norms, when given, makes "orthonormal" and "averaged" score each
+    member by corr_j / col_norms[j] (0 for a zero-norm column);
+    "gram_corrected" is invariant to column scale and ignores it.
+    """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
     if not isinstance(groups, GroupStructure):
@@ -113,7 +118,7 @@ def select_group(X, groups, r, criterion="averaged"):
         for pos in np.flatnonzero(live):
             scores[pos] = score_group_gram(X, sorted(groups[pos].members), r)
     else:
-        corr = X.correlations(r)
+        corr = per_unit_norm(X.correlations(r), col_norms)
         # a segment runs to the next live start, since empty groups own none
         energy = np.add.reduceat(corr[groups.indices] ** 2,
                                  groups.offsets[:-1][live])
@@ -145,7 +150,8 @@ def run_gomp(X, y, groups, cfg, on_iteration=None):
     The feature budget is checked after each activation, so the last group
     may overshoot it. The loop ends when the budget is reached, the
     winning group's correlation norm ||X_G^T r|| falls to epsilon (the
-    same test as OMP's |X_j^T r| on a singleton), or no indices remain in
+    same test as OMP's |X_j^T r| on a singleton, on raw columns even when
+    cfg.normalize_columns ranks on unit-norm ones), or no indices remain in
     any group. on_iteration, when given, is called after every refit with
     (active index set, remaining group member sets) for inspection.
     """
@@ -156,12 +162,14 @@ def run_gomp(X, y, groups, cfg, on_iteration=None):
         groups = grouping.augment_singletons(groups, X.n_cols,
                                              bias_col=X.bias_col)
     working = groups
+    col_norms = X.col_norms() if cfg.normalize_columns else None
 
     def select(r, active):
         nonlocal working
         if not working.indices.size:
             return None  # exhausted: every index already active or stripped
-        pos, score = select_group(X, working, r, criterion=cfg.criterion)
+        pos, score = select_group(X, working, r, criterion=cfg.criterion,
+                                  col_norms=col_norms)
         winner = working[pos]
         norm = np.sqrt(score_group_orthonormal(X, winner, r))
         working = remove_overlap(working, winner.members)

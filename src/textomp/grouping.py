@@ -241,7 +241,18 @@ def augment_singletons(groups, n_cols, bias_col="last"):
     """
     if bias_col == "last":
         bias_col = n_cols - 1
-    existing = list(groups)
-    singles = [Group(name=f"single_{j}", members=(j,))
-               for j in range(n_cols) if j != bias_col]
-    return GroupStructure(existing + singles)
+    if not isinstance(groups, GroupStructure):
+        groups = GroupStructure(groups)
+    singles = np.arange(n_cols, dtype=np.int64)
+    if bias_col is not None:
+        singles = singles[singles != bias_col]
+    names = groups.names()
+    taken = set(names)
+    for name in (f"single_{j}" for j in singles):
+        if name in taken:
+            raise ValueError(f"duplicate group name {name!r}")
+        names.append(name)
+    offsets = np.concatenate(
+        (groups.offsets, groups.offsets[-1] + np.arange(1, len(singles) + 1)))
+    return GroupStructure.from_arrays(
+        names, offsets, np.concatenate((groups.indices, singles)))

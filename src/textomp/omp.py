@@ -24,11 +24,16 @@ CHECKPOINT_INTERVAL = 100
 
 @dataclass
 class GreedyConfig:
-    """Settings shared by OMP and group OMP."""
+    """Settings shared by OMP and group OMP.
+
+    normalize_columns ranks candidates on corr_j / ||x_j||, as if every
+    column had unit L2 norm; the epsilon test keeps the raw correlation.
+    """
 
     budget: int = 2000
     epsilon: float = 0.0
     lam: float = 1.0
+    normalize_columns: bool = False
     penalize_bias: bool = True
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
@@ -43,9 +48,7 @@ class GreedyConfig:
             raise ValueError("lambda must be non-negative")
 
 
-@dataclass
-class OMPConfig(GreedyConfig):
-    normalize_columns: bool = False
+OMPConfig = GreedyConfig  # OMP has no setting of its own
 
 
 @dataclass
@@ -78,6 +81,15 @@ class Trajectory:
         return [j for rec in self.records for j in rec.members_added]
 
 
+def per_unit_norm(scores, col_norms):
+    """scores[j] / col_norms[j], 0 where a column's norm is 0; the scores
+    unchanged when col_norms is None."""
+    if col_norms is None:
+        return scores
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(col_norms > 0, scores / col_norms, 0.0)
+
+
 def select_feature(X, r, active, col_norms=None):
     """Inactive column with the largest |X_j^T r|; ties go to the lowest index.
 
@@ -93,11 +105,7 @@ def select_feature(X, r, active, col_norms=None):
         mask[j] = False
     if not mask.any():
         raise ValueError("no inactive candidate columns remain")
-    ranked = np.abs(scores)
-    if col_norms is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ranked = np.where(col_norms > 0, ranked / col_norms, 0.0)
-    ranked = np.where(mask, ranked, -1.0)
+    ranked = np.where(mask, np.abs(per_unit_norm(scores, col_norms)), -1.0)
     j = int(np.argmax(ranked))
     return j, float(scores[j])
 

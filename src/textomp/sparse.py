@@ -53,22 +53,37 @@ class SparseMatrix:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def from_triplets(cls, n_rows, n_cols, rows, cols, vals, bias_col=None):
+        """Build from parallel (row, column, value) arrays in any order.
+
+        Entries are sorted by column, then row. The sort is stable, so a
+        repeated (row, column) pair is kept and fails validation.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError("row/column/value length mismatch")
+        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+            raise ValueError("column index out of range")
+        order = np.lexsort((rows, cols))  # by column, then row; stable
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(
+            cols, minlength=n_cols))))
+        return cls(n_rows, n_cols, indptr, rows[order], vals[order],
+                   bias_col=bias_col)
+
+    @classmethod
     def from_columns(cls, n_rows, columns, bias_col=None):
         """Build from a list of per-column (row_indices, values) pairs."""
-        indptr = np.zeros(len(columns) + 1, dtype=np.int64)
-        row_parts, val_parts = [], []
-        for j, (r, v) in enumerate(columns):
-            r = np.asarray(r, dtype=np.int64)
-            v = np.asarray(v, dtype=np.float64)
+        rows = [np.asarray(r, dtype=np.int64) for r, _ in columns]
+        vals = [np.asarray(v, dtype=np.float64) for _, v in columns]
+        for j, (r, v) in enumerate(zip(rows, vals)):
             if r.shape != v.shape:
                 raise ValueError(f"column {j}: row/value length mismatch")
-            order = np.argsort(r, kind="stable")
-            row_parts.append(r[order])
-            val_parts.append(v[order])
-            indptr[j + 1] = indptr[j] + len(r)
-        rows = np.concatenate(row_parts) if row_parts else np.zeros(0, np.int64)
-        vals = np.concatenate(val_parts) if val_parts else np.zeros(0)
-        return cls(n_rows, len(columns), indptr, rows, vals, bias_col=bias_col)
+        cols = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        return cls.from_triplets(
+            n_rows, len(rows), np.concatenate([np.zeros(0, np.int64), *rows]),
+            cols, np.concatenate([np.zeros(0), *vals]), bias_col=bias_col)
 
     @classmethod
     def from_dense(cls, arr, bias_col=None):
@@ -76,11 +91,9 @@ class SparseMatrix:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("from_dense expects a 2-D array")
-        cols = []
-        for j in range(arr.shape[1]):
-            nz = np.nonzero(arr[:, j])[0]
-            cols.append((nz, arr[nz, j]))
-        return cls.from_columns(arr.shape[0], cols, bias_col=bias_col)
+        rows, cols = np.nonzero(arr)
+        return cls.from_triplets(arr.shape[0], arr.shape[1], rows, cols,
+                                 arr[rows, cols], bias_col=bias_col)
 
     def _validate(self):
         if self.indptr.shape != (self.n_cols + 1,):
@@ -229,7 +242,7 @@ class SparseMatrix:
             except ValueError:
                 raise ValueError(
                     f"{path}:1: expected header 'n_rows n_cols'") from None
-            per_col = [([], []) for _ in range(n_cols)]
+            rows, cols, vals = [], [], []
             for lineno, line in enumerate(fh, start=2):
                 parts = line.split()
                 if not parts:
@@ -246,8 +259,10 @@ class SparseMatrix:
                 if x == 0.0 or not np.isfinite(x):
                     raise ValueError(f"{path}:{lineno}: value must be finite "
                                      "and non-zero")
-                per_col[j][0].append(i)
-                per_col[j][1].append(x)
+                rows.append(i)
+                cols.append(j)
+                vals.append(x)
         if bias_col == "last":
             bias_col = n_cols - 1 if n_cols else None
-        return cls.from_columns(n_rows, per_col, bias_col=bias_col)
+        return cls.from_triplets(n_rows, n_cols, rows, cols, vals,
+                                 bias_col=bias_col)

@@ -101,7 +101,7 @@ def build_matrix(corpus, docs):
     docs = list(docs)
     n_rows = len(docs)
     bias = corpus.bias_col
-    per_col = [([], []) for _ in range(bias + 1)]
+    rows, cols, vals = [], [], []
     labels = np.zeros(n_rows)
     for i, doc in enumerate(docs):
         labels[i] = doc.label
@@ -109,11 +109,14 @@ def build_matrix(corpus, docs):
         for tok in sorted(counts):
             j = vocab.get(tok)
             if j is not None:
-                per_col[j][0].append(i)
-                per_col[j][1].append(float(counts[tok]))
-        per_col[bias][0].append(i)
-        per_col[bias][1].append(1.0)
-    X = SparseMatrix.from_columns(n_rows, per_col, bias_col=bias)
+                rows.append(i)
+                cols.append(j)
+                vals.append(float(counts[tok]))
+        rows.append(i)
+        cols.append(bias)
+        vals.append(1.0)
+    X = SparseMatrix.from_triplets(n_rows, bias + 1, rows, cols, vals,
+                                   bias_col=bias)
     return X, labels
 
 

@@ -186,6 +186,30 @@ def test_grid_rejects_test_matrix_and_labels_apart(vectorized, tmp_path,
         assert not out.exists()  # rejected before any fit
 
 
+def test_train_rejects_dev_matrix_and_labels_apart(vectorized, tmp_path,
+                                                   capsys):
+    base = ["train", "--matrix", str(vectorized / "train.matrix"),
+            "--labels", str(vectorized / "train.labels"),
+            "--method", "omp", "--budget", "2"]
+    for half in (["--dev-matrix", str(vectorized / "dev.matrix")],
+                 ["--dev-labels", str(vectorized / "dev.labels")]):
+        out = tmp_path / half[0].lstrip("-")
+        assert main(base + half + ["--out-dir", str(out)]) == 1
+        assert "--dev-matrix and --dev-labels" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any fit
+
+
+def test_grid_takes_no_single_penalty_flag(vectorized, tmp_path):
+    for flag in ("--lambda", "--lambda-l1", "--lambda-l2"):
+        assert main(["grid", "--matrix", str(vectorized / "train.matrix"),
+                     "--labels", str(vectorized / "train.labels"),
+                     "--dev-matrix", str(vectorized / "dev.matrix"),
+                     "--dev-labels", str(vectorized / "dev.labels"),
+                     "--method", "omp", "--lambdas", "1", flag, "5",
+                     "--out-dir", str(tmp_path / "g")]) == 1
+    assert not (tmp_path / "g").exists()
+
+
 def test_solver_flag_defaults_are_the_fit_options_defaults():
     for method in ("train", "grid"):
         args = build_parser().parse_args(
@@ -206,14 +230,29 @@ def test_manifest_config_is_the_inputs_and_every_fit_setting(vectorized,
     assert main(["train", *data, "--out-dir", str(tmp_path / "t")]) == 0
     assert main(["grid", *data, *dev, "--lambdas", "1",
                  "--out-dir", str(tmp_path / "g")]) == 0
-    train_keys = set("augment_singletons budget criterion epsilon groups "
-                     "labels matrix max_iter method normalize_columns "
-                     "penalize_bias tol".split())
-    grid_keys = train_keys | set("dev_labels dev_matrix lambdas "
-                                 "test_labels test_matrix".split())
+    fit_keys = set("augment_singletons budget criterion epsilon groups "
+                   "labels matrix max_iter method normalize_columns "
+                   "penalize_bias tol".split())
+    train_keys = fit_keys | set("dev_labels dev_matrix lam lambda_l1 "
+                                "lambda_l2".split())
+    grid_keys = fit_keys | set("dev_labels dev_matrix lambdas "
+                               "test_labels test_matrix".split())
     for name, keys in (("t", train_keys), ("g", grid_keys)):
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert set(manifest["config"]) == keys
+
+
+def test_train_manifests_differ_when_the_penalty_does(vectorized, tmp_path):
+    manifests = []
+    for lam in ("1", "10"):
+        out = tmp_path / lam
+        assert main(["train", "--matrix", str(vectorized / "train.matrix"),
+                     "--labels", str(vectorized / "train.labels"),
+                     "--method", "ridge", "--lambda", lam,
+                     "--out-dir", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] != manifests[1]
+    assert json.loads(manifests[1])["config"]["lam"] == 10.0
 
 
 def test_eval_prints_accuracy(vectorized, tmp_path, capsys):

@@ -213,6 +213,27 @@ def test_singleton_groups_with_averaged_criterion_replay_plain_selection(rng):
                                    atol=1e-9)
 
 
+def test_normalize_columns_undoes_a_scaled_column_in_singleton_groups(rng):
+    dense, X = random_design(rng, 30, 8)
+    y = random_labels(rng, 30)
+    singletons = GroupStructure([(f"s{j}", [j]) for j in range(7)])
+    for criterion in ("orthonormal", "averaged"):
+        def config(normalize):
+            return GOMPConfig(budget=1, lam=1.0, criterion=criterion,
+                              augment_singletons=False,
+                              normalize_columns=normalize)
+        first = run_gomp(X, y, singletons, config(True))[1] \
+            .selected_indices()[0]
+        big = 0 if first != 0 else 1
+        scaled_dense = dense.copy()
+        scaled_dense[:, big] *= 1000.0
+        scaled = SparseMatrix.from_dense(scaled_dense, bias_col=7)
+        _, raw_traj = run_gomp(scaled, y, singletons, config(False))
+        _, norm_traj = run_gomp(scaled, y, singletons, config(True))
+        assert raw_traj.selected_indices() == [big], criterion
+        assert norm_traj.selected_indices() == [first], criterion
+
+
 def test_overlapping_groups_share_predictive_feature():
     y = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
     col_pred = y.copy()

@@ -128,6 +128,18 @@ def test_correlations_bitwise_equal_to_col_dot(rng):
 def test_validation_rejects_duplicate_rows():
     with pytest.raises(ValueError):
         SparseMatrix.from_columns(3, [([1, 1], [1.0, 2.0])])
+    with pytest.raises(ValueError):
+        SparseMatrix.from_triplets(3, 2, [1, 0, 1], [0, 1, 0], [1.0, 2.0, 3.0])
+
+
+def test_triplets_in_any_order_build_the_column_layout():
+    X = SparseMatrix.from_triplets(3, 3, [2, 0, 1, 0], [0, 2, 0, 0],
+                                   [3.0, 4.0, 2.0, 1.0])
+    np.testing.assert_array_equal(X.indptr, [0, 3, 3, 4])
+    np.testing.assert_array_equal(X.rows, [0, 1, 2, 0])
+    np.testing.assert_array_equal(X.vals, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="column index out of range"):
+        SparseMatrix.from_triplets(3, 2, [0], [2], [1.0])
 
 
 def test_validation_rejects_out_of_range_row():
