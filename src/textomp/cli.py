@@ -205,8 +205,10 @@ def _load_design(matrix_path, labels_path):
 
 
 def _check_gomp_usable(args):
-    if args.method == "gomp" and not args.groups \
-            and not args.augment_singletons:
+    if args.method != "gomp":
+        if args.groups:
+            raise _usage("--groups is read by --method gomp only")
+    elif not args.groups and not args.augment_singletons:
         raise _usage("gomp needs --groups and/or --augment-singletons")
 
 
@@ -214,7 +216,7 @@ def _fit_options(args, X):
     settings = {f.name: getattr(args, f.name)
                 for f in dataclasses.fields(FitOptions)}
     settings["groups"] = None
-    if args.method == "gomp" and args.groups:
+    if args.groups:  # _check_gomp_usable allows them with gomp only
         settings["groups"] = grouping.load_groups(args.groups, X.n_cols,
                                                   bias_col=X.bias_col)
     return FitOptions(**settings)

@@ -48,7 +48,8 @@ class GroupSelectionRecord:
 
     members_original is the group's composition as provided by the caller
     (overlap removal mutates only working copies); members_added are the
-    indices that actually entered the active set this iteration.
+    indices that actually entered the active set this iteration. The
+    refit's work is recorded as on `omp.SelectionRecord`.
     """
 
     name: str
@@ -56,6 +57,9 @@ class GroupSelectionRecord:
     members_original: tuple
     members_added: tuple
     converged: bool = True
+    n_iter: int = 0
+    cg_steps: int = 0
+    hessian_builds: int = 0
 
 
 def score_group_orthonormal(X, G, r):

@@ -5,10 +5,17 @@
 one bias rule: the only place a penalty weight on the bias is zeroed.
 
 The restricted fit is the inner solver of the greedy selection loops: a
-dense Newton method over the active coordinates with backtracking line
-search, falling back to a gradient step whenever the Hessian solve fails
-or does not yield a descent direction. Active sets stay small (a few
-thousand coordinates), so dense restricted Hessians are affordable.
+Newton method over the active coordinates with backtracking line search,
+falling back to a gradient step when no descent direction is found. A
+`RefitState` carries what consecutive refits of one run share: the dense
+active block, which grows by the entering columns only, and a lagged
+inverse Hessian P = H(w_ref)^-1 taken at some earlier iterate. Each entering
+column borders P through its Schur complement (the bordering of Batch-OMP,
+Rubinstein, Zibulevsky & Elad, 2008), and each Newton system is solved by
+conjugate gradients preconditioned with P (truncated Newton as in TRON,
+Lin, Weng & Keerthi, 2008). Only when CG needs more than `_CG_MAX` steps,
+or P is missing, is the dense Hessian rebuilt at O(n k^2) and inverted, so
+a whole greedy run builds it a handful of times.
 """
 
 from __future__ import annotations
@@ -25,6 +32,14 @@ _MAX_BACKTRACKS = 60
 # A predicted decrease below this fraction of (1 + |objective|) is under the
 # objective's float resolution, so the Armijo test cannot judge the step.
 _NOISE_FLOOR = 1e-10
+# CG stops once its residual norm is at most this times min(0.5, sqrt|g|)|g|
+# (an inexact-Newton forcing term, Nocedal & Wright ch. 7); past _CG_MAX
+# steps the lagged preconditioner is stale and the Hessian is rebuilt.
+_CG_FORCING = 1e-3
+_CG_MAX = 8
+# A Schur complement at most this fraction of its column's own curvature is
+# cancellation noise: the column lies in the span of the active ones.
+_SCHUR_FLOOR = 1e-10
 
 
 class ActiveSet:
@@ -63,7 +78,9 @@ class ActiveSet:
         return sorted(self._members)
 
     def copy(self):
-        return ActiveSet(self._order)
+        other = ActiveSet()
+        other._order, other._members = list(self._order), set(self._members)
+        return other
 
     def n_selected(self, bias_col=None):
         """Active count excluding the bias column."""
@@ -78,7 +95,8 @@ class Model:
     """Weights over all d features, zero off the active set.
 
     converged is False when the inner solver hit its iteration cap; theta
-    then holds the best iterate seen.
+    then holds the best iterate seen. n_iter counts Newton steps; a
+    restricted fit also counts its CG steps and dense Hessian builds.
     """
 
     theta: np.ndarray
@@ -86,6 +104,8 @@ class Model:
     lam: float
     converged: bool = True
     n_iter: int = 0
+    cg_steps: int = 0
+    hessian_builds: int = 0
 
 
 def sigmoid(z):
@@ -171,25 +191,156 @@ def residual(X, theta, y):
 
 
 def _restricted_value(Xd, y, coef, lam, pen_mask):
+    """The restricted objective at coef, and the margins Xd @ coef."""
     z = Xd @ coef
-    return float(np.sum(softplus(-y * z)) + lam * np.sum(pen_mask * coef ** 2))
+    return (float(np.sum(softplus(-y * z))
+                  + lam * np.sum(pen_mask * coef ** 2)), z)
+
+
+class RefitState:
+    """What the restricted refits of one greedy run share.
+
+    block() is the dense active block, columns in insertion order, in a
+    Fortran-order buffer that grows geometrically. inv_hessian is the
+    lagged P = H(w_ref)^-1 over those columns, or None while missing;
+    w_ref holds the curvature weights s(1 - s) it was built at. The state
+    belongs to one design and to the penalty curvature of each column:
+    `sync` starts it afresh when the design or a column's penalty differs
+    (another lam or bias rule), or its columns are not a prefix of the
+    active order.
+    """
+
+    def __init__(self):
+        self._reset(None)
+
+    def _reset(self, X):
+        self.X = X
+        self.order = []
+        self.ridge = np.empty(0)
+        self._buf = np.empty((0 if X is None else X.n_rows, 0), order="F")
+        self.inv_hessian = None
+        self.w_ref = None
+
+    def block(self):
+        return self._buf[:, :len(self.order)]
+
+    def sync(self, X, order, ridge):
+        """Extend the block and P to the active `order`; returns the block.
+
+        ridge[i] is the penalty curvature 2 lam mask of column order[i].
+        """
+        k = len(self.order)
+        if not (self.X is X and order[:k] == self.order
+                and np.array_equal(ridge[:k], self.ridge)):
+            self._reset(X)
+            k = 0
+        if len(order) > k:
+            new = X.densify_columns(order[k:])
+            if len(order) > self._buf.shape[1]:
+                grown = np.empty((X.n_rows, max(len(order),
+                                                2 * self._buf.shape[1])),
+                                 order="F")
+                grown[:, :k] = self._buf[:, :k]
+                self._buf = grown
+            self._buf[:, k:len(order)] = new
+            for i in range(k, len(order)):
+                self._border(i, ridge[i])
+            self.order, self.ridge = list(order), ridge
+        return self.block()
+
+    def _border(self, i, ridge):
+        """Grow P = H(w_ref)^-1 by column i through its Schur complement
+        c - b^T P b, with b = A^T (w_ref x) over the i columns before it."""
+        P = self.inv_hessian
+        if P is None:
+            return
+        x = self._buf[:, i]
+        wx = self.w_ref * x
+        b = self._buf[:, :i].T @ wx
+        c = float(x @ wx) + ridge
+        Pb = P @ b
+        schur = c - float(b @ Pb)
+        if not schur > _SCHUR_FLOOR * c:
+            self.inv_hessian = None  # (numerically) dependent column
+            return
+        u = Pb / schur
+        grown = np.empty((i + 1, i + 1))
+        np.add(P, np.outer(u, Pb), out=grown[:i, :i])
+        grown[:i, i] = grown[i, :i] = -u
+        grown[i, i] = 1.0 / schur
+        self.inv_hessian = grown
+
+    def rebuild(self, w, ridge):
+        """Build the exact Hessian at weights w and invert it into P; P is
+        None when the inverse fails."""
+        A = self.block()
+        H = A.T @ (A * w[:, None])
+        H[np.diag_indices_from(H)] += ridge
+        try:
+            P = np.linalg.inv(H)
+        except np.linalg.LinAlgError:
+            P = None
+        if P is not None and not np.all(np.isfinite(P)):
+            P = None
+        self.inv_hessian, self.w_ref = P, w
+
+
+def _descent(step, grad):
+    """step when it is finite and downhill along -grad, else None."""
+    if step is None or not np.all(np.isfinite(step)) \
+            or float(grad @ step) >= 0.0:
+        return None
+    return step
+
+
+def _preconditioned_cg(A, w, ridge, rhs, P, tol):
+    """Solve (A^T diag(w) A + diag(ridge)) p = rhs by CG preconditioned
+    with P; returns (p, steps taken). p is None when the residual norm is
+    still above tol after _CG_MAX steps, or P or the curvature is not
+    positive along the way."""
+    p = np.zeros_like(rhs)
+    r = rhs.copy()
+    d = P @ r
+    rz = float(r @ d)
+    for steps in range(1, _CG_MAX + 1):
+        Hd = A.T @ (w * (A @ d)) + ridge * d
+        curv = float(d @ Hd)
+        if not (curv > 0.0 and rz > 0.0):
+            return None, steps
+        alpha = rz / curv
+        p += alpha * d
+        r -= alpha * Hd
+        if np.linalg.norm(r) <= tol:
+            return p, steps
+        z = P @ r
+        rz_next = float(r @ z)
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+    return None, _CG_MAX
 
 
 def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
                    max_iter=DEFAULT_MAX_ITER, warm_start=None,
-                   penalize_bias=True):
+                   penalize_bias=True, state=None):
     """Minimize the L2-penalized logistic loss with support restricted to `active`.
 
-    Newton steps on the active coordinates with Armijo backtracking; a
-    plain gradient step is taken when the Hessian solve fails or is not
-    a descent direction. A step whose predicted decrease is below the
-    objective's float resolution is taken whole, since Armijo cannot tell
-    it from rounding. Stops when the restricted gradient infinity-norm
-    drops to `tol`. Non-convergence is flagged on the returned Model, which
-    then carries the best iterate rather than raising.
+    Newton steps on the active coordinates with Armijo backtracking. Each
+    Newton system is solved by CG preconditioned with the lagged inverse
+    Hessian of `state`; the dense Hessian is rebuilt at the current iterate
+    and inverted, giving the exact Newton step, only when CG needs more
+    than `_CG_MAX` steps or P is missing. A plain gradient step is taken
+    when that inverse fails or is not a descent direction. A step whose
+    predicted decrease is below the objective's float resolution is taken
+    whole, since Armijo cannot tell it from rounding. Stops when the
+    restricted gradient infinity-norm drops to `tol`. Non-convergence is
+    flagged on the returned Model, which then carries the best iterate
+    rather than raising.
 
     warm_start: optional full-length weight vector to initialize from
     (off-support entries are ignored; new coordinates start at 0).
+    state: the `RefitState` a greedy run passes to every refit, so the
+    dense block and P carry over; without one a fresh state is built and
+    the first Newton step is the exact dense solve.
     """
     if isinstance(active, ActiveSet):
         active = active.copy()
@@ -200,47 +351,56 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
         raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    idx = active.ascending()
-    for j in idx:
+    order = list(active)
+    for j in order:
         if not 0 <= j < X.n_cols:
             raise IndexError(f"active index {j} out of range")
 
     theta = np.zeros(X.n_cols)
-    if not idx:
+    if not order:
         return Model(theta=theta, active=active, lam=float(lam))
 
-    Xd = X.densify_columns(idx)
-    pen_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)[idx]
-
-    coef = np.zeros(len(idx))
-    if warm_start is not None:
-        coef = np.asarray(warm_start, dtype=np.float64)[idx].copy()
-
     lam = float(lam)
+    pen_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)[order]
+    ridge = 2.0 * lam * pen_mask
+    if state is None:
+        state = RefitState()
+    Xd = state.sync(X, order, ridge)
+
+    coef = np.zeros(len(order))
+    if warm_start is not None:
+        coef = np.asarray(warm_start, dtype=np.float64)[order].copy()
+
     best_coef = coef.copy()
-    best_val = val = _restricted_value(Xd, y, coef, lam, pen_mask)
+    val, z = _restricted_value(Xd, y, coef, lam, pen_mask)
+    best_val = val
     converged = False
-    n_iter = 0
+    n_iter = cg_steps = hessian_builds = 0
 
     for n_iter in range(1, max_iter + 1):
-        z = Xd @ coef
         s = sigmoid(-y * z)
-        grad = Xd.T @ (-y * s) + 2.0 * lam * pen_mask * coef
+        grad = Xd.T @ (-y * s) + ridge * coef
         if np.max(np.abs(grad)) <= tol:
             converged = True
             n_iter -= 1
             break
 
         w = s * (1.0 - s)
-        H = Xd.T @ (Xd * w[:, None])
-        H[np.diag_indices_from(H)] += 2.0 * lam * pen_mask
         step = None
-        try:
-            step = np.linalg.solve(H, -grad)
-            if not np.all(np.isfinite(step)) or float(grad @ step) >= 0.0:
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
+        if state.inv_hessian is not None:
+            gnorm = float(np.linalg.norm(grad))
+            step, used = _preconditioned_cg(
+                Xd, w, ridge, -grad, state.inv_hessian,
+                _CG_FORCING * min(0.5, np.sqrt(gnorm)) * gnorm)
+            cg_steps += used
+            step = _descent(step, grad)
+        if step is None:
+            state.rebuild(w, ridge)
+            hessian_builds += 1
+            if state.inv_hessian is not None:
+                step = _descent(-(state.inv_hessian @ grad), grad)
+                if step is None:
+                    state.inv_hessian = None
         if step is None:
             step = -grad  # fallback: gradient descent direction
 
@@ -248,14 +408,16 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
         below_noise = -slope <= _NOISE_FLOOR * (1.0 + abs(val))
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            cand_val = _restricted_value(Xd, y, coef + t * step, lam, pen_mask)
+            cand_val, cand_z = _restricted_value(Xd, y, coef + t * step,
+                                                 lam, pen_mask)
             if below_noise or cand_val <= val + _ARMIJO_C * t * slope:
                 break
             t *= 0.5
         else:  # cap hit: t was halved past the last evaluated point
-            cand_val = _restricted_value(Xd, y, coef + t * step, lam, pen_mask)
+            cand_val, cand_z = _restricted_value(Xd, y, coef + t * step,
+                                                 lam, pen_mask)
         coef = coef + t * step
-        val = cand_val
+        val, z = cand_val, cand_z
         if val < best_val:
             best_val = val
             best_coef = coef.copy()
@@ -263,6 +425,7 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     if not converged:
         coef = best_coef
 
-    theta[idx] = coef
-    return Model(theta=theta, active=active, lam=lam,
-                 converged=converged, n_iter=n_iter)
+    theta[order] = coef
+    return Model(theta=theta, active=active, lam=lam, converged=converged,
+                 n_iter=n_iter, cg_steps=cg_steps,
+                 hessian_builds=hessian_builds)

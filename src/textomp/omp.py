@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, Model,
-                       fit_restricted, residual)
+                       RefitState, fit_restricted, residual)
 
 CHECKPOINT_INTERVAL = 100
 
@@ -53,11 +53,16 @@ OMPConfig = GreedyConfig  # OMP has no setting of its own
 
 @dataclass
 class SelectionRecord:
-    """One greedy iteration: which column won and with what correlation."""
+    """One greedy iteration: which column won and with what correlation,
+    and the work of the refit that followed (Newton steps, CG steps and
+    dense Hessian builds)."""
 
     index: int
     score: float
     converged: bool = True
+    n_iter: int = 0
+    cg_steps: int = 0
+    hessian_builds: int = 0
 
     @property
     def members_added(self):
@@ -116,7 +121,9 @@ def run_greedy(X, y, cfg, select, on_refit=None):
     select(r, active) returns None when nothing is left, else the winner's
     correlation norm ||X_W^T r|| and a record whose members_added enter
     the active set unless the norm is at most cfg.epsilon. on_refit, when
-    given, is called with the active set after every refit.
+    given, is called with the active set after every refit. Every refit
+    of the run shares one RefitState, so the dense active block and the
+    lagged inverse Hessian carry over from one selection to the next.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.n_rows,):
@@ -124,10 +131,11 @@ def run_greedy(X, y, cfg, select, on_refit=None):
 
     active = ActiveSet([X.bias_col] if X.bias_col is not None else [])
     traj = Trajectory()
+    state = RefitState()
     if active:
         model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
                                max_iter=cfg.max_iter,
-                               penalize_bias=cfg.penalize_bias)
+                               penalize_bias=cfg.penalize_bias, state=state)
     else:
         model = Model(theta=np.zeros(X.n_cols), active=active, lam=cfg.lam)
     r = y.copy()  # first selection correlates against the raw labels
@@ -143,9 +151,12 @@ def run_greedy(X, y, cfg, select, on_refit=None):
         model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
                                max_iter=cfg.max_iter,
                                warm_start=model.theta,
-                               penalize_bias=cfg.penalize_bias)
+                               penalize_bias=cfg.penalize_bias, state=state)
         r = residual(X, model.theta, y)
         record.converged = model.converged
+        record.n_iter = model.n_iter
+        record.cg_steps = model.cg_steps
+        record.hessian_builds = model.hessian_builds
         traj.records.append(record)
         n_sel = active.n_selected(X.bias_col)
         if n_sel >= next_mark:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from textomp import SparseMatrix
+from textomp import SparseMatrix, logistic
 
 
 def random_design(rng, n, d, density=0.6, with_bias=True, scale=1.0):
@@ -25,6 +25,11 @@ def random_labels(rng, n):
     if np.all(y == y[0]):  # force both classes
         y[0] = -y[0]
     return y
+
+
+def stateless_fit_restricted(*args, state=None, **kwargs):
+    """A refit through a fresh state, as a separate call would make it."""
+    return logistic.fit_restricted(*args, **kwargs)
 
 
 @pytest.fixture

@@ -199,6 +199,24 @@ def test_train_rejects_dev_matrix_and_labels_apart(vectorized, tmp_path,
         assert not out.exists()  # rejected before any fit
 
 
+def test_groups_flag_is_rejected_for_every_method_but_gomp(vectorized,
+                                                         tmp_path, capsys):
+    data = ["--matrix", str(vectorized / "train.matrix"),
+            "--labels", str(vectorized / "train.labels")]
+    dev = ["--dev-matrix", str(vectorized / "dev.matrix"),
+           "--dev-labels", str(vectorized / "dev.labels"), "--lambdas", "1"]
+    for sub, extra in (("train", []), ("grid", dev)):
+        for method in ("omp", "lasso"):
+            out = tmp_path / f"{sub}-{method}"
+            # a groups file that does not exist: rejected before any load
+            assert main([sub, "--method", method, *data, *extra,
+                         "--groups", str(tmp_path / "absent.txt"),
+                         "--out-dir", str(out)]) == 1
+            assert "--groups is read by --method gomp only" \
+                in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_grid_takes_no_single_penalty_flag(vectorized, tmp_path):
     for flag in ("--lambda", "--lambda-l1", "--lambda-l2"):
         assert main(["grid", "--matrix", str(vectorized / "train.matrix"),

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from textomp import (GOMPConfig, Group, GroupStructure, OMPConfig,
-                     SparseMatrix, objective, remove_overlap, run_gomp,
+                     SparseMatrix, objective, omp, remove_overlap, run_gomp,
                      run_omp, score_group_averaged, score_group_gram,
                      score_group_orthonormal, select_group)
 
-from conftest import random_design, random_labels
+from conftest import random_design, random_labels, stateless_fit_restricted
 
 
 def explicit_3x3_inverse(M):
@@ -328,6 +328,32 @@ def test_objective_never_increases_across_group_iterations(rng):
     values = [objective(X, y, theta, 0.5) for _, theta in traj.checkpoints]
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 1e-6
+
+
+def test_shared_refit_state_matches_stateless_refits(monkeypatch):
+    groups = GroupStructure([("a", [0, 1, 2]), ("b", [2, 5, 6]),
+                             ("c", [7, 8, 9, 10]), ("d", [10, 11, 12]),
+                             ("e", [13, 14])])
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        _, X = random_design(rng, 80, 30)
+        y = random_labels(rng, 80)
+        for lam in (0.1, 1.0, 10.0):
+            cfg = GOMPConfig(budget=20, lam=lam, criterion="orthonormal",
+                             checkpoint_interval=1)
+            _, shared = run_gomp(X, y, groups, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(omp, "fit_restricted", stateless_fit_restricted)
+                _, fresh = run_gomp(X, y, groups, cfg)
+            assert shared.selected_indices() == fresh.selected_indices()
+            assert any(len(rec.members_added) > 1 for rec in shared.records)
+            assert len(shared.checkpoints) == len(fresh.checkpoints)
+            for (_, a), (_, b) in zip(shared.checkpoints, fresh.checkpoints):
+                assert objective(X, y, a, lam) == pytest.approx(
+                    objective(X, y, b, lam), rel=1e-12, abs=0)
+            assert sum(rec.cg_steps for rec in shared.records) > 0
+            assert sum(rec.hessian_builds for rec in shared.records) \
+                < sum(rec.hessian_builds for rec in fresh.records)
 
 
 def test_records_carry_original_composition(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from textomp import (ActiveSet, SparseMatrix, fit_restricted, gradient, loss,
                      objective, residual, sigmoid, softplus)
+from textomp.logistic import DEFAULT_TOL, RefitState
 
 from conftest import random_design, random_labels
 
@@ -289,6 +290,51 @@ def test_fit_restricted_bias_exempt_flag(rng):
                            penalize_bias=False)
     g = gradient(X, y, model.theta, 5.0, penalize_bias=False)
     assert np.max(np.abs(g)) <= 1e-8
+
+
+def test_fit_restricted_duplicated_column_at_lambda_zero_stays_truthful():
+    # At lambda 0 a duplicated column has a zero Schur complement, so the
+    # lagged inverse cannot be bordered and the Hessian is singular.
+    rng = np.random.default_rng(3)
+    dense = rng.normal(size=(60, 5))
+    dense[:, 3] = dense[:, 1]
+    dense[:, -1] = 1.0
+    X = SparseMatrix.from_dense(dense, bias_col=4)
+    y = random_labels(rng, 60)
+    optimum = fit_restricted(X, y, [4, 0, 1], 0.0).theta
+    for warm in (None, optimum):
+        state = RefitState()
+        fit_restricted(X, y, [4, 0, 1], 0.0, state=state)
+        assert state.inv_hessian is not None
+        model = fit_restricted(X, y, [4, 0, 1, 3], 0.0, warm_start=warm,
+                               state=state)
+        assert np.all(np.isfinite(model.theta))
+        g = gradient(X, y, model.theta, 0.0)
+        assert model.converged == (np.max(np.abs(g[[4, 0, 1, 3]]))
+                                   <= DEFAULT_TOL)
+    # from the optimum no Newton step runs, so P shows the refused border
+    assert model.n_iter == 0 and state.inv_hessian is None
+
+
+def test_fit_restricted_rebuilds_a_state_that_does_not_fit(rng):
+    _, X = random_design(rng, 30, 6)
+    _, other_X = random_design(rng, 30, 6)
+    y = random_labels(rng, 30)
+    built = [5, 0, 2]
+    for design, order, lam in ((X, [5, 0, 2, 3], 10.0),  # another lambda
+                               (X, [5, 2, 0, 3], 1.0),   # not a prefix
+                               (X, [5, 0], 1.0),         # fewer columns
+                               (other_X, [5, 0, 2, 3], 1.0)):
+        state = RefitState()
+        fit_restricted(X, y, built, 1.0, state=state)
+        shared = fit_restricted(design, y, order, lam, state=state)
+        fresh = fit_restricted(design, y, order, lam)
+        np.testing.assert_allclose(shared.theta, fresh.theta, rtol=1e-12,
+                                   atol=1e-15)
+        assert (shared.n_iter, shared.cg_steps, shared.hessian_builds) \
+            == (fresh.n_iter, fresh.cg_steps, fresh.hessian_builds)
+        assert shared.hessian_builds >= 1
+        assert state.order == order
 
 
 def test_active_set_rejects_duplicates_and_preserves_order():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from textomp import (ActiveSet, OMPConfig, SparseMatrix, fit_restricted,
-                     objective, run_omp, select_feature, sigmoid)
+                     logistic, objective, omp, run_omp, select_feature,
+                     sigmoid)
 
-from conftest import random_design, random_labels
+from conftest import random_design, random_labels, stateless_fit_restricted
 
 
 def brute_force_selection(X, r, active, col_norms=None):
@@ -214,6 +215,48 @@ def test_solver_nonconvergence_is_recorded_not_fatal(rng):
     assert len(traj.records) == 4
     assert any(not rec.converged for rec in traj.records)
     assert np.all(np.isfinite(model.theta))
+
+
+def test_shared_refit_state_matches_stateless_refits(monkeypatch):
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        _, X = random_design(rng, 80, 30)
+        y = random_labels(rng, 80)
+        for lam in (0.1, 1.0, 10.0):
+            cfg = OMPConfig(budget=20, lam=lam, checkpoint_interval=1)
+            _, shared = run_omp(X, y, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(omp, "fit_restricted", stateless_fit_restricted)
+                _, fresh = run_omp(X, y, cfg)
+            assert shared.selected_indices() == fresh.selected_indices()
+            assert len(shared.checkpoints) == len(fresh.checkpoints) == 20
+            for (_, a), (_, b) in zip(shared.checkpoints, fresh.checkpoints):
+                assert objective(X, y, a, lam) == pytest.approx(
+                    objective(X, y, b, lam), rel=1e-12, abs=0)
+            assert all(rec.converged for rec in shared.records)
+            # the lagged inverse carried over instead of being rebuilt
+            assert sum(rec.cg_steps for rec in shared.records) > 0
+            assert sum(rec.hessian_builds for rec in shared.records) \
+                < sum(rec.hessian_builds for rec in fresh.records)
+
+
+def test_records_carry_the_work_of_their_refit(monkeypatch, rng):
+    _, X = random_design(rng, 40, 12)
+    y = random_labels(rng, 40)
+    models = []
+
+    def fit(*args, **kwargs):
+        models.append(logistic.fit_restricted(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(omp, "fit_restricted", fit)
+    _, traj = run_omp(X, y, OMPConfig(budget=6, lam=1.0))
+    assert len(models) == len(traj.records) + 1  # after the bias-only fit
+    for rec, model in zip(traj.records, models[1:]):
+        assert (rec.converged, rec.n_iter, rec.cg_steps, rec.hessian_builds) \
+            == (model.converged, model.n_iter, model.cg_steps,
+                model.hessian_builds)
+    assert sum(rec.n_iter for rec in traj.records) > 0
 
 
 def test_config_validation():
