@@ -107,8 +107,8 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         theta, val, grad = cand, cand_val, cand_grad
 
     active = ActiveSet(np.nonzero(theta)[0])
-    return Model(theta=theta, active=active, lam=l2,
-                 converged=converged, n_iter=n_iter)
+    return Model(theta=theta, active=active, converged=converged,
+                 n_iter=n_iter)
 
 
 def sparsity(model, bias_col="last"):

@@ -204,11 +204,18 @@ def _load_design(matrix_path, labels_path):
     return X, y
 
 
-def _check_gomp_usable(args):
-    if args.method != "gomp":
-        if args.groups:
-            raise _usage("--groups is read by --method gomp only")
-    elif not args.groups and not args.augment_singletons:
+def _check_method_settings(args):
+    """Reject a solver flag that the method does not read unless it is left
+    at its FitOptions default, and a gomp run with no group at all."""
+    readers = evaluation.METHOD_SETTINGS
+    for f in dataclasses.fields(FitOptions):
+        value = getattr(args, f.name)
+        if f.name not in readers[args.method] and value != f.default:
+            flag = ("no-" if value is False else "") + f.name.replace("_", "-")
+            methods = " or ".join(m for m in readers if f.name in readers[m])
+            raise _usage(f"--{flag} is read by --method {methods} only")
+    if args.method == "gomp" and not args.groups \
+            and not args.augment_singletons:
         raise _usage("gomp needs --groups and/or --augment-singletons")
 
 
@@ -216,14 +223,14 @@ def _fit_options(args, X):
     settings = {f.name: getattr(args, f.name)
                 for f in dataclasses.fields(FitOptions)}
     settings["groups"] = None
-    if args.groups:  # _check_gomp_usable allows them with gomp only
+    if args.groups:  # _check_method_settings allows them with gomp only
         settings["groups"] = grouping.load_groups(args.groups, X.n_cols,
                                                   bias_col=X.bias_col)
     return FitOptions(**settings)
 
 
 def cmd_train(args):
-    _check_gomp_usable(args)
+    _check_method_settings(args)
     if bool(args.dev_matrix) != bool(args.dev_labels):
         raise _usage("--dev-matrix and --dev-labels go together")
     X, y = _load_design(args.matrix, args.labels)
@@ -236,10 +243,9 @@ def cmd_train(args):
         hp = {} if args.method == "none" else {"lambda": args.lam}
     model, traj, report = evaluation.fit(args.method, hp, X, y,
                                          _fit_options(args, X))
-    if args.method in ("omp", "gomp"):  # a greedy fit records its stop rule
-        report.hyperparams.update(budget=args.budget, epsilon=args.epsilon)
-    if args.method == "gomp":
-        report.hyperparams["criterion"] = args.criterion
+    for name in ("budget", "epsilon", "criterion"):  # a greedy stop rule
+        if name in evaluation.METHOD_SETTINGS[args.method]:
+            report.hyperparams[name] = getattr(args, name)
     if args.dev_matrix:
         X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
         report.dev_accuracy = accuracy(model, X_dev, y_dev)
@@ -274,7 +280,7 @@ def _write_scatter(reports, path):
 
 
 def cmd_grid(args):
-    _check_gomp_usable(args)
+    _check_method_settings(args)
     if bool(args.test_matrix) != bool(args.test_labels):
         raise _usage("--test-matrix and --test-labels go together")
     X, y = _load_design(args.matrix, args.labels)
@@ -382,21 +388,23 @@ def build_parser():
     p.add_argument("--test-corpus", default=None)
     p.add_argument("--label-map", required=True,
                    help="category mapping, e.g. 'med=-1,space=+1'")
-    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--train-fraction", type=float,
+                   default=textpipe.SplitSpec.train_fraction)
     p.add_argument("--min-df", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=textpipe.SplitSpec.seed)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_vectorize)
 
     p = sub.add_parser("group", help="k-means word-embedding groups")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--k", type=int, default=2000)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--k", type=int, default=grouping.KMeansConfig.k)
+    p.add_argument("--max-iter", type=int,
+                   default=grouping.KMeansConfig.max_iter)
     p.add_argument("--neighbors", type=int, default=5)
     p.add_argument("--metric", choices=("euclidean", "cosine"),
                    default="euclidean")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=grouping.KMeansConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_group)
 
@@ -425,7 +433,8 @@ def build_parser():
     p.add_argument("--test-matrix", default=None)
     p.add_argument("--test-labels", default=None)
     p.add_argument("--method", required=True, choices=evaluation.METHODS)
-    p.add_argument("--lambdas", default="0.01,0.1,1,10,100")
+    p.add_argument("--lambdas", default=",".join(
+        f"{v:g}" for v in evaluation.DEFAULT_LAMBDA_GRID))
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_grid)

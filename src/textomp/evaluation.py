@@ -17,7 +17,15 @@ from . import baselines, gomp as gomp_mod, omp as omp_mod
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
-METHODS = ("omp", "gomp", "lasso", "ridge", "elastic", "none")
+# The FitOptions settings each method reads; the others it ignores.
+_EVERY_FIT = ("tol", "max_iter", "penalize_bias")
+_GREEDY = _EVERY_FIT + ("budget", "epsilon", "normalize_columns")
+METHOD_SETTINGS = {
+    "omp": _GREEDY,
+    "gomp": _GREEDY + ("groups", "criterion", "augment_singletons"),
+    **dict.fromkeys(("lasso", "ridge", "elastic", "none"), _EVERY_FIT)}
+
+METHODS = tuple(METHOD_SETTINGS)
 
 
 @dataclass
@@ -62,10 +70,6 @@ class FitReport:
         return self.error is None
 
 
-def _theta_of(model):
-    return model.theta if hasattr(model, "theta") else np.asarray(model)
-
-
 def accuracy(model, X, y):
     """Fraction of samples whose margin sign matches the label.
 
@@ -76,7 +80,7 @@ def accuracy(model, X, y):
         raise ValueError("empty evaluation set")
     if y.shape != (X.n_rows,):
         raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
-    margin = X.mat_vec(_theta_of(model))
+    margin = X.mat_vec(getattr(model, "theta", model))
     pred = np.where(margin >= 0.0, 1.0, -1.0)
     return float(np.mean(pred == y))
 
@@ -93,8 +97,9 @@ class FitOptions:
     vary per fit and travel separately as hyperparameters. Each field is
     one CLI solver flag of train and grid, which the manifests record with
     every other parsed argument. Each default is the one of the greedy
-    config that owns the setting; normalize_columns applies to omp and
-    gomp alike."""
+    config that owns the setting. METHOD_SETTINGS names the fields each
+    method reads; fit ignores the rest, so one FitOptions serves every
+    method of a comparison."""
     budget: int = omp_mod.GreedyConfig.budget
     epsilon: float = omp_mod.GreedyConfig.epsilon
     groups: object = None  # GroupStructure or list of Groups, gomp only

@@ -111,8 +111,6 @@ def select_group(X, groups, r, criterion="averaged", col_norms=None):
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
-    if not isinstance(groups, GroupStructure):
-        groups = GroupStructure(groups)
     sizes = np.diff(groups.offsets)
     live = sizes > 0
     if not live.any():
@@ -134,13 +132,11 @@ def select_group(X, groups, r, criterion="averaged", col_norms=None):
 
 
 def remove_overlap(groups, selected):
-    """Strip the selected indices out of every group.
+    """Strip the selected indices out of every group of a GroupStructure.
 
     Groups that lose all members stay in place (empty) so positions and
     names remain stable; empty groups are never selectable.
     """
-    if not isinstance(groups, GroupStructure):
-        groups = GroupStructure(groups)
     keep = ~np.isin(groups.indices, np.fromiter(selected, dtype=np.int64))
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     return GroupStructure.from_arrays(groups.names(),
@@ -150,6 +146,9 @@ def remove_overlap(groups, selected):
 
 def run_gomp(X, y, groups, cfg, on_iteration=None):
     """Run the group selection loop; returns (final Model, Trajectory).
+
+    groups is a GroupStructure or a list of Groups; the group functions
+    below this one entry point take the structure.
 
     The feature budget is checked after each activation, so the last group
     may overshoot it. The loop ends when the budget is reached, the
@@ -183,5 +182,5 @@ def run_gomp(X, y, groups, cfg, on_iteration=None):
             members_added=winner.members)
 
     report = None if on_iteration is None else lambda active: on_iteration(
-        frozenset(active), working.member_sets())
+        frozenset(active), [set(g.members) for g in working])
     return run_greedy(X, y, cfg, select, on_refit=report)

@@ -52,9 +52,6 @@ class EmbeddingTable:
     def __getitem__(self, tok):
         return self.vectors[tok]
 
-    def __len__(self):
-        return len(self.vectors)
-
 
 def load_embeddings(path):
     """Text format: one "token v1 v2 ... vE" line per token."""
@@ -166,8 +163,8 @@ def kmeans_cluster(emb, vocab, cfg):
     """Cluster the embedded vocabulary into at most k disjoint groups.
 
     Tokens without embeddings are left out entirely. Deterministic for a
-    fixed seed. Clusters that end up empty are dropped. Group members are
-    vocabulary column indices.
+    fixed seed. Empty clusters are dropped; cluster c is named cluster_{c}
+    and holds its vocabulary column indices in ascending order.
     """
     cols, points = _embedded_columns(emb, vocab)
     if len(cols) < cfg.k:
@@ -175,12 +172,12 @@ def kmeans_cluster(emb, vocab, cfg):
             f"k={cfg.k} exceeds the {len(cols)} embedded vocabulary tokens")
     rng = np.random.default_rng(cfg.seed)
     labels, _, _ = _lloyd(points, cfg.k, rng, cfg.max_iter)
-    groups = []
-    for c in range(cfg.k):
-        members = cols[labels == c]
-        if len(members):
-            groups.append(Group.of(f"cluster_{c}", members))
-    return GroupStructure(groups)
+    order = np.argsort(labels, kind="stable")  # columns stay ascending
+    order = order[labels[order] >= 0]  # max_iter 0 assigns no point
+    used, sizes = np.unique(labels[order], return_counts=True)
+    return GroupStructure.from_arrays(
+        [f"cluster_{c}" for c in used.tolist()],
+        np.concatenate(([0], np.cumsum(sizes))), cols[order])
 
 
 def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
@@ -188,52 +185,49 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
 
     Distances are measured in embedding space (Euclidean by default,
     "cosine" optional); candidates are the embedded in-vocabulary words,
-    never the query word itself. Members without embeddings contribute no
+    never the query word itself, and a distance tie goes to the lower
+    column. Each distinct embedded member's neighbors are computed once,
+    however many groups hold it. Members without embeddings contribute no
     neighbors. Original members are always kept, so every input group is a
-    subset of its expansion.
+    subset of its expansion; members come out ascending and duplicate-free.
     """
     if metric not in ("euclidean", "cosine"):
         raise ValueError("metric must be 'euclidean' or 'cosine'")
     if neighbors < 0:
         raise ValueError("neighbors must be >= 0")
-    if neighbors == 0:
-        return GroupStructure([Group(g.name, g.members) for g in groups])
     token_cols, points = _embedded_columns(emb, vocab)
-    col_to_pos = {int(c): p for p, c in enumerate(token_cols)}
     if metric == "cosine":
         norms = np.linalg.norm(points, axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        unit = points / safe[:, None]
+        unit = points / np.where(norms > 0, norms, 1.0)[:, None]
 
-    cache = {}
-
-    def nearest(col):
-        if col in cache:
-            return cache[col]
-        pos = col_to_pos.get(col)
-        if pos is None:
-            cache[col] = ()
-            return ()
+    members = groups.indices
+    owner = np.repeat(np.arange(len(groups)), np.diff(groups.offsets))
+    embedded = np.isin(members, token_cols) & (neighbors > 0)  # 0: no query
+    queries, row = np.unique(np.searchsorted(token_cols, members[embedded]),
+                             return_inverse=True)
+    nearest = np.empty((len(queries), min(neighbors, len(token_cols))),
+                       dtype=np.int64)
+    for q, pos in enumerate(queries):
         if metric == "euclidean":
             dist = np.linalg.norm(points - points[pos], axis=1)
         else:
             dist = 1.0 - unit @ unit[pos]
         dist[pos] = np.inf  # a word is not its own neighbor
-        ranked = np.argsort(dist, kind="stable")[:neighbors]
-        cache[col] = tuple(int(token_cols[p]) for p in ranked)
-        return cache[col]
+        nearest[q] = np.argsort(dist, kind="stable")[:neighbors]
 
-    out = []
-    for g in groups:
-        members = set(g.members)
-        for col in g.members:
-            members.update(nearest(col))
-        out.append(Group.of(g.name, members))
-    return GroupStructure(out)
+    # one sorted, duplicate-free key group * span + column per output member
+    span = int(max(members.max(initial=-1), token_cols.max(initial=-1))) + 1
+    keys = np.unique(np.concatenate((
+        owner * span + members,
+        np.repeat(owner[embedded], nearest.shape[1]) * span
+        + token_cols[nearest[row]].ravel())))
+    return GroupStructure.from_arrays(
+        groups.names(),
+        np.searchsorted(keys, np.arange(len(groups) + 1) * span), keys % span)
 
 
 def augment_singletons(groups, n_cols, bias_col="last"):
-    """Append every non-bias feature as its own one-member group.
+    """Append every non-bias feature as its own group to a GroupStructure.
 
     Existing groups keep their positions; singletons follow in column
     order. Calling this twice would duplicate names and fail, so callers
@@ -241,8 +235,6 @@ def augment_singletons(groups, n_cols, bias_col="last"):
     """
     if bias_col == "last":
         bias_col = n_cols - 1
-    if not isinstance(groups, GroupStructure):
-        groups = GroupStructure(groups)
     singles = np.arange(n_cols, dtype=np.int64)
     if bias_col is not None:
         singles = singles[singles != bias_col]

@@ -33,20 +33,17 @@ class GroupStructure:
     """
 
     def __init__(self, groups=()):
-        names, sizes, indices = [], [], []
+        groups = [g if isinstance(g, Group) else Group.of(*g) for g in groups]
+        self._names = [g.name for g in groups]
         seen = set()
-        for g in groups:
-            if not isinstance(g, Group):
-                g = Group.of(*g)
-            if g.name in seen:
-                raise ValueError(f"duplicate group name {g.name!r}")
-            seen.add(g.name)
-            names.append(g.name)
-            sizes.append(len(g.members))
-            indices.extend(g.members)
-        self._names = names
-        self.offsets = np.cumsum([0] + sizes, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        for name in self._names:
+            if name in seen:
+                raise ValueError(f"duplicate group name {name!r}")
+            seen.add(name)
+        self.offsets = np.cumsum([0] + [len(g) for g in groups],
+                                 dtype=np.int64)
+        self.indices = np.array([j for g in groups for j in g.members],
+                                dtype=np.int64)
 
     @classmethod
     def from_arrays(cls, names, offsets, indices):
@@ -83,6 +80,3 @@ class GroupStructure:
                     raise ValueError(
                         f"group {g.name!r}: bias column {j} cannot be grouped")
         return self
-
-    def member_sets(self):
-        return [set(g.members) for g in self]

@@ -101,7 +101,6 @@ class Model:
 
     theta: np.ndarray
     active: ActiveSet
-    lam: float
     converged: bool = True
     n_iter: int = 0
     cg_steps: int = 0
@@ -358,7 +357,7 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
 
     theta = np.zeros(X.n_cols)
     if not order:
-        return Model(theta=theta, active=active, lam=float(lam))
+        return Model(theta=theta, active=active)
 
     lam = float(lam)
     pen_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)[order]
@@ -426,6 +425,6 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
         coef = best_coef
 
     theta[order] = coef
-    return Model(theta=theta, active=active, lam=lam, converged=converged,
+    return Model(theta=theta, active=active, converged=converged,
                  n_iter=n_iter, cg_steps=cg_steps,
                  hessian_builds=hessian_builds)

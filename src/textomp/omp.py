@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, Model,
-                       RefitState, fit_restricted, residual)
+from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, RefitState,
+                       fit_restricted, residual)
 
 CHECKPOINT_INTERVAL = 100
 
@@ -132,12 +132,10 @@ def run_greedy(X, y, cfg, select, on_refit=None):
     active = ActiveSet([X.bias_col] if X.bias_col is not None else [])
     traj = Trajectory()
     state = RefitState()
-    if active:
-        model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
-                               max_iter=cfg.max_iter,
-                               penalize_bias=cfg.penalize_bias, state=state)
-    else:
-        model = Model(theta=np.zeros(X.n_cols), active=active, lam=cfg.lam)
+    # the bias-only fit; all-zero weights when there is no bias column
+    model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
+                           max_iter=cfg.max_iter,
+                           penalize_bias=cfg.penalize_bias, state=state)
     r = y.copy()  # first selection correlates against the raw labels
 
     next_mark = cfg.checkpoint_interval

@@ -4,10 +4,12 @@ that moves or renames one of those attributes breaks it.
 The traced run wraps textomp functions by attribute name on the module or
 class its caller looks them up on (perfbench/spans.py), and the workloads
 call textomp modules directly (perfbench/workloads.py), for example
-`logistic.gradient` for the final restricted gradient norm."""
+`logistic.gradient` for the final restricted gradient norm. The tracer's
+counters also read some call arguments by position."""
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -15,6 +17,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import spans  # noqa: E402
+from textomp import gomp, grouping, logistic, omp  # noqa: E402
+from textomp.sparse import SparseMatrix  # noqa: E402
 
 
 def test_every_traced_target_is_defined_on_its_owner():
@@ -40,3 +44,22 @@ def test_every_textomp_attribute_the_workloads_read_exists():
                      if not hasattr(importlib.import_module(modules[name]),
                                     attr))
     assert not missing
+
+
+def test_counters_read_the_arguments_they_expect():
+    # (function the tracer wraps, the leading parameters a counter reads
+    # by position); save and load are wrapped as plain functions, so
+    # their first parameter is self or cls
+    expected = [
+        (grouping.kmeans_cluster, ["emb", "vocab", "cfg"]),  # _kmeans_counters
+        (gomp.select_group, ["X", "groups"]),  # _live_groups
+        (omp.fit_restricted, ["X"]),  # _refit_counters
+        (gomp.fit_restricted, ["X"]),
+        (logistic.fit_restricted, ["X"]),
+        (SparseMatrix.correlations, ["self"]),  # _correlation_counters
+        (SparseMatrix.save, ["self", "path"]),  # _file_bytes
+        (SparseMatrix.__dict__["load"].__func__, ["cls", "path"]),
+    ]
+    for fn, names in expected:
+        params = list(inspect.signature(fn).parameters)
+        assert params[:len(names)] == names, (fn.__qualname__, params)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from textomp import FitOptions, SparseMatrix, evaluation, grouping
+from textomp import FitOptions, SparseMatrix, evaluation, grouping, textpipe
 from textomp.cli import build_parser, load_model, main, save_model, top_weights
 from textomp.textpipe import load_labels, load_vocabulary, save_labels
 
@@ -217,6 +217,41 @@ def test_groups_flag_is_rejected_for_every_method_but_gomp(vectorized,
             assert not out.exists()
 
 
+def test_flags_a_method_does_not_read_are_usage_errors(vectorized, tmp_path,
+                                                       capsys):
+    data = ["--matrix", str(vectorized / "train.matrix"),
+            "--labels", str(vectorized / "train.labels")]
+    dev = ["--dev-matrix", str(vectorized / "dev.matrix"),
+           "--dev-labels", str(vectorized / "dev.labels"), "--lambdas", "1"]
+    cases = [
+        ("lasso", ["--lambda", "10", "--budget", "1",
+                   "--criterion", "orthonormal"], "--budget"),
+        ("lasso", ["--criterion", "orthonormal"], "--criterion"),
+        ("omp", ["--no-augment-singletons"], "--no-augment-singletons"),
+        ("omp", ["--criterion", "gram_corrected"], "--criterion"),
+        ("ridge", ["--normalize-columns", "--epsilon", "5"], "--epsilon"),
+        ("ridge", ["--normalize-columns"], "--normalize-columns"),
+        ("none", ["--epsilon", "5"], "--epsilon"),
+    ]
+    for sub, extra in (("train", []), ("grid", dev)):
+        for method, flags, named in cases:
+            if sub == "grid":  # grid takes no single penalty
+                flags = [f for f in flags if f not in ("--lambda", "10")]
+            out = tmp_path / f"{sub}-{method}"
+            assert main([sub, "--method", method, *data, *extra, *flags,
+                         "--out-dir", str(out)]) == 1, (sub, method, flags)
+            err = capsys.readouterr().err
+            assert f"{named} is read by --method " in err, err
+            assert not out.exists()
+    # a flag left at its default, or one the method reads, is accepted
+    for method, flags in (("ridge", ["--budget", str(FitOptions.budget),
+                                     "--augment-singletons"]),
+                          ("omp", ["--budget", "2", "--epsilon", "0.5",
+                                   "--normalize-columns"])):
+        assert main(["train", "--method", method, *data, *flags,
+                     "--out-dir", str(tmp_path / f"ok-{method}")]) == 0
+
+
 def test_grid_takes_no_single_penalty_flag(vectorized, tmp_path):
     for flag in ("--lambda", "--lambda-l1", "--lambda-l2"):
         assert main(["grid", "--matrix", str(vectorized / "train.matrix"),
@@ -236,6 +271,26 @@ def test_solver_flag_defaults_are_the_fit_options_defaults():
         for f in dataclasses.fields(FitOptions):
             assert getattr(args, f.name) == getattr(FitOptions(), f.name), \
                 (method, f.name)
+
+
+def test_other_flag_defaults_are_their_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["vectorize", "--corpus", "c", "--label-map",
+                              "a=-1,b=+1", "--out-dir", "o"])
+    assert (args.train_fraction, args.seed) == (
+        textpipe.SplitSpec.train_fraction, textpipe.SplitSpec.seed)
+    args = parser.parse_args(["group", "--embeddings", "e", "--vocab", "v",
+                              "--out", "o"])
+    cfg = grouping.KMeansConfig()
+    assert (args.k, args.max_iter, args.seed) == (cfg.k, cfg.max_iter,
+                                                  cfg.seed)
+    args = parser.parse_args(["grid", "--matrix", "m", "--labels", "l",
+                              "--dev-matrix", "dm", "--dev-labels", "dl",
+                              "--method", "omp", "--out-dir", "o"])
+    assert args.lambdas == "0.01,0.1,1,10,100"
+    assert evaluation.GridSpec(
+        "omp", [float(v) for v in args.lambdas.split(",")]).lambda_values \
+        == evaluation.DEFAULT_LAMBDA_GRID
 
 
 def test_manifest_config_is_the_inputs_and_every_fit_setting(vectorized,

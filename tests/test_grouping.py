@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -193,6 +194,72 @@ def test_expand_with_cosine_metric():
     gs = GroupStructure([("a", [0])])
     out = expand_overlap(gs, emb, vocab_of(4), neighbors=1, metric="cosine")
     assert set(out[0].members) == {0, 1}  # same direction despite length
+
+
+def exact_rank_key(a, b, metric):
+    """Exact distance order between integer vectors: the squared Euclidean
+    distance, or minus the signed squared cosine (a zero vector has cosine
+    0, as a clamped norm gives)."""
+    if metric == "euclidean":
+        return sum((x - y) ** 2 for x, y in zip(a, b))
+    dot = sum(x * y for x, y in zip(a, b))
+    norms = sum(x * x for x in a) * sum(y * y for y in b)
+    if norms == 0:
+        return Fraction(0)
+    return -Fraction(dot * abs(dot), norms)
+
+
+def brute_force_expansion(vectors, groups, neighbors, metric):
+    """All-pairs oracle: each embedded member adds its `neighbors` closest
+    other embedded columns, exact ties going to the lower column."""
+    out = []
+    for _, members in groups:
+        expanded = set(members)
+        for q in members:
+            if q not in vectors:
+                continue
+            ranked = sorted((exact_rank_key(vectors[q], vectors[c], metric), c)
+                            for c in vectors if c != q)
+            expanded.update(c for _, c in ranked[:neighbors])
+        out.append(tuple(sorted(expanded)))
+    return out
+
+
+def test_expand_matches_brute_force_oracle_on_exact_ties():
+    # power-of-two multiples of a few lattice directions: unit vectors and
+    # distances are exact in floating point, so every tie is exact
+    directions = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, 1, 0),
+                  (-1, -1, 0), (0, 0, 1)]
+    points = [tuple(k * x for x in d) for d in directions for k in (1, 2, 4)]
+    points.append((0, 0, 0))
+    n = len(points) + 3  # three vocabulary words have no embedding
+    cols = np.random.default_rng(4).permutation(n)  # columns not in token order
+    vocab = {f"w{i}": int(cols[i]) for i in range(n)}
+    emb = EmbeddingTable({**{f"w{i}": np.asarray(p, dtype=float)
+                             for i, p in enumerate(points)},
+                          "stray": np.zeros(3)})  # embedded, not in vocab
+    vectors = {int(cols[i]): p for i, p in enumerate(points)}
+    bare = [int(c) for c in cols[len(points):]]
+    shared = int(cols[4])
+    groups = [("a", sorted({int(cols[0]), shared, bare[0]})),
+              ("b", sorted({shared, int(cols[13])})),
+              ("c", [bare[1]]),
+              ("d", sorted({int(cols[21]), int(cols[9]), bare[2]}))]
+    structure = GroupStructure(groups)
+    for metric in ("euclidean", "cosine"):
+        for neighbors in (0, 1, 2, 3, 5, 8, 40):
+            out = expand_overlap(structure, emb, vocab, neighbors=neighbors,
+                                 metric=metric)
+            assert out.names() == ["a", "b", "c", "d"]
+            assert [g.members for g in out] == brute_force_expansion(
+                vectors, groups, neighbors, metric), (metric, neighbors)
+            # a member without an embedding adds no neighbor; both groups
+            # that hold the shared member gain its neighbors
+            assert out[2].members == (bare[1],)
+            gained, = brute_force_expansion(vectors, [("s", [shared])],
+                                            neighbors, metric)
+            assert len(gained) == 1 + min(neighbors, len(points) - 1)
+            assert set(gained) <= set(out[0].members) & set(out[1].members)
 
 
 # -- singleton augmentation -------------------------------------------------------------
