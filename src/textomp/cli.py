@@ -175,6 +175,8 @@ def cmd_vectorize(args):
 def cmd_group(args):
     if args.neighbors < 0:  # before the clustering, which it would waste
         raise _data("--neighbors must be >= 0")
+    if args.max_iter < 1:  # before the embeddings are loaded
+        raise _data("--max-iter must be >= 1")
     emb = grouping.load_embeddings(args.embeddings)
     vocab = textpipe.load_vocabulary(args.vocab)
     n_embedded = sum(1 for tok in vocab if tok in emb)
@@ -204,15 +206,25 @@ def _load_design(matrix_path, labels_path):
     return X, y
 
 
+# train's penalty flags: fit's hp key -> (argument attribute, default)
+_PENALTY_FLAGS = {"lambda": ("lam", 1.0), "lambda_l1": ("lambda_l1", 0.0),
+                  "lambda_l2": ("lambda_l2", 0.0)}
+
+
 def _check_method_settings(args):
-    """Reject a solver flag that the method does not read unless it is left
-    at its FitOptions default, and a gomp run with no group at all."""
-    readers = evaluation.METHOD_SETTINGS
-    for f in dataclasses.fields(FitOptions):
-        value = getattr(args, f.name)
-        if f.name not in readers[args.method] and value != f.default:
-            flag = ("no-" if value is False else "") + f.name.replace("_", "-")
-            methods = " or ".join(m for m in readers if f.name in readers[m])
+    """Reject a solver or penalty flag that the method does not read unless
+    it is left at its default, and a gomp run with no group at all."""
+    settings = [(f.name, getattr(args, f.name), f.default,
+                 evaluation.METHOD_SETTINGS)
+                for f in dataclasses.fields(FitOptions)]
+    if args.subcommand == "train":  # grid's penalties come from --lambdas
+        settings += [(name, getattr(args, attr), default,
+                      evaluation.METHOD_PENALTIES)
+                     for name, (attr, default) in _PENALTY_FLAGS.items()]
+    for name, value, default, readers in settings:
+        if name not in readers[args.method] and value != default:
+            flag = ("no-" if value is False else "") + name.replace("_", "-")
+            methods = " or ".join(m for m in readers if name in readers[m])
             raise _usage(f"--{flag} is read by --method {methods} only")
     if args.method == "gomp" and not args.groups \
             and not args.augment_singletons:
@@ -237,10 +249,8 @@ def cmd_train(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.method == "elastic":
-        hp = {"lambda_l1": args.lambda_l1, "lambda_l2": args.lambda_l2}
-    else:
-        hp = {} if args.method == "none" else {"lambda": args.lam}
+    hp = {name: getattr(args, _PENALTY_FLAGS[name][0])
+          for name in evaluation.METHOD_PENALTIES[args.method]}
     model, traj, report = evaluation.fit(args.method, hp, X, y,
                                          _fit_options(args, X))
     for name in ("budget", "epsilon", "criterion"):  # a greedy stop rule
@@ -415,11 +425,14 @@ def build_parser():
     p.add_argument("--dev-matrix", default=None,
                    help="optional dev split for accuracy and atom curves")
     p.add_argument("--dev-labels", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    p.add_argument("--lambda", dest="lam", type=float,
+                   default=_PENALTY_FLAGS["lambda"][1],
                    help="penalty strength")
-    p.add_argument("--lambda-l1", type=float, default=0.0,
+    p.add_argument("--lambda-l1", type=float,
+                   default=_PENALTY_FLAGS["lambda_l1"][1],
                    help="elastic net L1 strength")
-    p.add_argument("--lambda-l2", type=float, default=0.0,
+    p.add_argument("--lambda-l2", type=float,
+                   default=_PENALTY_FLAGS["lambda_l2"][1],
                    help="elastic net L2 strength")
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)

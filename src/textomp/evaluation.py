@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from itertools import product
 
 import numpy as np
 
@@ -27,6 +28,11 @@ METHOD_SETTINGS = {
 
 METHODS = tuple(METHOD_SETTINGS)
 
+# The penalty strengths (fit's hp keys) each method reads.
+METHOD_PENALTIES = {
+    **dict.fromkeys(("omp", "gomp", "lasso", "ridge"), ("lambda",)),
+    "elastic": ("lambda_l1", "lambda_l2"), "none": ()}
+
 
 @dataclass
 class GridSpec:
@@ -43,14 +49,11 @@ class GridSpec:
             raise ValueError("lambda grid values must be positive")
 
     def points(self):
-        """Hyperparameter dicts in deterministic grid order."""
-        if self.method == "none":
-            return [{}]
-        if self.method == "elastic":
-            return [{"lambda_l1": l1, "lambda_l2": l2}
-                    for l1 in self.lambda_values
-                    for l2 in self.lambda_values]
-        return [{"lambda": v} for v in self.lambda_values]
+        """Hyperparameter dicts in deterministic grid order: every penalty
+        the method reads takes every grid value, the first outermost."""
+        names = METHOD_PENALTIES[self.method]
+        return [dict(zip(names, values))
+                for values in product(self.lambda_values, repeat=len(names))]
 
 
 @dataclass
@@ -120,8 +123,9 @@ def _greedy_config(cls, lam, opts):
 def fit(method, hp, X, y, opts):
     """Fit one model with the solver `method` names.
 
-    hp holds the penalty strengths: "lambda" for omp, gomp, lasso and
-    ridge, "lambda_l1" and "lambda_l2" for elastic, none for "none".
+    hp holds the penalty strengths METHOD_PENALTIES names: "lambda" for
+    omp, gomp, lasso and ridge, "lambda_l1" and "lambda_l2" for elastic,
+    none for "none".
     Returns (model, trajectory or None, FitReport without dev scores); the
     trajectory comes from the greedy methods only.
     """

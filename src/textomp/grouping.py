@@ -26,6 +26,8 @@ class KMeansConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.max_iter < 1:  # zero iterations would assign no point
+            raise ValueError("max_iter must be >= 1")
 
 
 class EmbeddingTable:
@@ -173,11 +175,75 @@ def kmeans_cluster(emb, vocab, cfg):
     rng = np.random.default_rng(cfg.seed)
     labels, _, _ = _lloyd(points, cfg.k, rng, cfg.max_iter)
     order = np.argsort(labels, kind="stable")  # columns stay ascending
-    order = order[labels[order] >= 0]  # max_iter 0 assigns no point
     used, sizes = np.unique(labels[order], return_counts=True)
     return GroupStructure.from_arrays(
         [f"cluster_{c}" for c in used.tolist()],
         np.concatenate(([0], np.cumsum(sizes))), cols[order])
+
+
+# Query rows per GEMM block in the neighbour search: a (block x V) float64
+# temporary stays at most 8 MB.
+_BLOCK_ELEMENTS = 2 ** 20
+
+
+def _nearest(base, queries, width, metric):
+    """Indices of the `width` rows of `base` nearest each query row.
+
+    The reference distance from row q to row c is
+    `np.linalg.norm(base[c] - base[q])` (euclidean) or `1 - base @ base[q]`
+    at c (cosine, on unit rows); q itself counts as infinitely far, and
+    ties go to the lower row. Each block of queries is filtered by one
+    GEMM, and only the rows it keeps are ranked by the reference distance.
+    """
+    n_rows, dim = base.shape
+    sq = np.einsum("ij,ij->i", base, base)
+    # Filter bound, with u = 2^-53, E = dim, S = |q|^2 + max_c |b_c|^2 and
+    # γ_k = k u / (1 - k u). A dot product or squared norm of E terms is off
+    # by at most γ_E times the sum of its absolute terms, and
+    # |q|.|b_c| <= S / 2.
+    # - euclidean: a(c) = |q|^2 + |b_c|^2 - 2 q.b_c lies within 2 γ_{E+2} S
+    #   of the real D(c) = |q - b_c|^2. The reference squares and sums E
+    #   rounded non-negative terms, so its square is D(c)(1 + θ) with
+    #   |θ| <= γ_{E+4}, and D <= 2S. If c is in the reference top `width`
+    #   and c' is among the `width` smallest a but not in that top, then
+    #   ref(c) <= ref(c') gives D(c) <= D(c') + 4.01 γ_{E+4} S, hence
+    #   a(c) <= a(c') + 8.1 (E+4) u S.
+    # - cosine: a(c) = 1 - q.b_c by GEMM and the reference's gemv differ in
+    #   the dot product by at most γ_E S and in rounding 1 - dot by 3.02 u S
+    #   (a nonzero unit query has S > 0.99; a zero query gives exact zeros
+    #   in both), so a(c) <= a(c') + 2 γ_{E+4} S.
+    # Either way every reference-top column lies within 8.1 (E+4) u S of
+    # the width-th smallest a. The margin, 20 (E+4) u S, is over twice
+    # that, plus (E+4) 2^-1070 for rounding among subnormals. The bound
+    # assumes no overflow, so a row with S >= 2^1019 keeps every column. A
+    # large common offset only widens the margin: the filter keeps more
+    # columns, and the result stays exact.
+    scale = sq + sq.max(initial=0.0)
+    margin = (dim + 4) * (20 * 2.0 ** -53 * scale + 2.0 ** -1070)
+    out = np.empty((len(queries), width), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // max(n_rows, 1))
+    for start in range(0, len(queries), step):
+        block = queries[start:start + step]
+        approx = base[block] @ base.T
+        if metric == "euclidean":
+            approx *= -2.0
+            approx += sq
+            approx += sq[block, None]
+        else:
+            np.subtract(1.0, approx, out=approx)
+        approx[np.arange(len(block)), block] = np.inf  # not its own neighbor
+        kth = np.partition(approx, width - 1, axis=1)[:, width - 1]
+        keep = approx <= (kth + margin[block])[:, None]
+        keep[scale[block] >= 2.0 ** 1019] = True
+        for i, pos in enumerate(block):
+            cand = np.flatnonzero(keep[i])  # ascending: ties to the lower
+            if metric == "euclidean":
+                dist = np.linalg.norm(base[cand] - base[pos], axis=1)
+            else:
+                dist = (1.0 - base @ base[pos])[cand]
+            dist[cand == pos] = np.inf
+            out[start + i] = cand[np.argsort(dist, kind="stable")[:width]]
+    return out
 
 
 def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
@@ -190,6 +256,12 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
     however many groups hold it. Members without embeddings contribute no
     neighbors. Original members are always kept, so every input group is a
     subset of its expansion; members come out ascending and duplicate-free.
+
+    The search is exact. Blocks of queries are filtered with one matrix
+    product each, which keeps every word within a proven rounding margin of
+    the n-th nearest; only those are ranked by the reference distance,
+    `np.linalg.norm(points[c] - points[q], axis=1)` or the full-row
+    `1 - unit @ unit[q]`, so the neighbors equal those of a full scan.
     """
     if metric not in ("euclidean", "cosine"):
         raise ValueError("metric must be 'euclidean' or 'cosine'")
@@ -198,22 +270,15 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
     token_cols, points = _embedded_columns(emb, vocab)
     if metric == "cosine":
         norms = np.linalg.norm(points, axis=1)
-        unit = points / np.where(norms > 0, norms, 1.0)[:, None]
+        points = points / np.where(norms > 0, norms, 1.0)[:, None]
 
     members = groups.indices
     owner = np.repeat(np.arange(len(groups)), np.diff(groups.offsets))
     embedded = np.isin(members, token_cols) & (neighbors > 0)  # 0: no query
     queries, row = np.unique(np.searchsorted(token_cols, members[embedded]),
                              return_inverse=True)
-    nearest = np.empty((len(queries), min(neighbors, len(token_cols))),
-                       dtype=np.int64)
-    for q, pos in enumerate(queries):
-        if metric == "euclidean":
-            dist = np.linalg.norm(points - points[pos], axis=1)
-        else:
-            dist = 1.0 - unit @ unit[pos]
-        dist[pos] = np.inf  # a word is not its own neighbor
-        nearest[q] = np.argsort(dist, kind="stable")[:neighbors]
+    nearest = _nearest(points, queries, min(neighbors, len(token_cols)),
+                       metric)
 
     # one sorted, duplicate-free key group * span + column per output member
     span = int(max(members.max(initial=-1), token_cols.max(initial=-1))) + 1

@@ -10,6 +10,8 @@ Per-column sums always run left-to-right over the stored entries, so
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 
@@ -235,34 +237,76 @@ class SparseMatrix:
 
         bias_col: "last" designates the final column as the bias (validated),
         None loads a plain matrix, an int designates an explicit column.
+
+        The body is parsed by one `np.loadtxt` call and checked with array
+        operations. If that fails for any reason, the file is parsed again
+        one line at a time, which either loads it or raises a ValueError
+        that names the first bad line as "path:lineno:". The fast path
+        accepts a subset of what the line parser accepts, with the same
+        values, so the result never depends on which path ran.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                n_rows, n_cols = map(int, fh.readline().split())
-            except ValueError:
-                raise ValueError(
-                    f"{path}:1: expected header 'n_rows n_cols'") from None
-            rows, cols, vals = [], [], []
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 'row col value'")
-                try:
-                    i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad entry ({exc})") from None
-                if not 0 <= i < n_rows or not 0 <= j < n_cols:
-                    raise ValueError(f"{path}:{lineno}: index out of range")
-                if x == 0.0 or not np.isfinite(x):
-                    raise ValueError(f"{path}:{lineno}: value must be finite "
-                                     "and non-zero")
-                rows.append(i)
-                cols.append(j)
-                vals.append(x)
+        n_rows, n_cols, rows, cols, vals = \
+            _parse_fast(path) or _parse_lines(path)
         if bias_col == "last":
             bias_col = n_cols - 1 if n_cols else None
         return cls.from_triplets(n_rows, n_cols, rows, cols, vals,
                                  bias_col=bias_col)
+
+
+# One "row col value" line of the matrix file format.
+_ENTRY = [("r", np.int64), ("c", np.int64), ("v", np.float64)]
+
+
+def _parse_fast(path):
+    """(n_rows, n_cols, rows, cols, vals) of a valid matrix file, or None."""
+    try:
+        # ASCII only: numpy's integer parser reads some non-ASCII letters
+        # as digits, where int() rejects them
+        with open(path, "r", encoding="ascii") as fh:
+            n_rows, n_cols = map(int, fh.readline().split())
+            with warnings.catch_warnings():  # a header-only body
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                entries = np.loadtxt(fh, dtype=_ENTRY, comments=None,
+                                     ndmin=1)
+    except ValueError:
+        return None
+    rows, cols, vals = entries["r"], entries["c"], entries["v"]
+    if not (np.all((rows >= 0) & (rows < n_rows) & (cols >= 0)
+                   & (cols < n_cols))
+            and np.all(np.isfinite(vals)) and np.all(vals != 0.0)):
+        return None
+    return n_rows, n_cols, rows, cols, vals
+
+
+def _parse_lines(path):
+    """(n_rows, n_cols, rows, cols, vals) of a matrix file read one line at
+    a time, or a ValueError that names the first bad line as "path:lineno:".
+    """
+    rows, cols, vals = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            n_rows, n_cols = map(int, fh.readline().split())
+        except ValueError:
+            raise ValueError(
+                f"{path}:1: expected header 'n_rows n_cols'") from None
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'row col value'")
+            try:
+                i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad entry ({exc})") from None
+            if not 0 <= i < n_rows or not 0 <= j < n_cols:
+                raise ValueError(f"{path}:{lineno}: index out of range")
+            if x == 0.0 or not np.isfinite(x):
+                raise ValueError(f"{path}:{lineno}: value must be finite "
+                                 "and non-zero")
+            rows.append(i)
+            cols.append(j)
+            vals.append(x)
+    return n_rows, n_cols, rows, cols, vals

@@ -13,6 +13,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -63,3 +65,27 @@ def test_counters_read_the_arguments_they_expect():
     for fn, names in expected:
         params = list(inspect.signature(fn).parameters)
         assert params[:len(names)] == names, (fn.__qualname__, params)
+
+
+def test_expand_overlap_keeps_the_signature_the_workloads_call():
+    params = list(inspect.signature(grouping.expand_overlap).parameters)
+    assert params == ["groups", "emb", "vocab", "neighbors", "metric"]
+
+
+def test_a_load_is_one_traced_call_whichever_parser_runs(tmp_path):
+    # the line parser re-reads a file the numpy parser rejects; it must not
+    # go through load again, or the file's bytes would be counted twice
+    good = tmp_path / "good.matrix"
+    good.write_text("2 2\n0 0 1.0\n1 1 2.0\n")
+    bad = tmp_path / "bad.matrix"
+    bad.write_text("2 2\n0 0 1.0\n1 1 nan\n")
+    tracer = spans.Tracer().install()
+    try:
+        SparseMatrix.load(good, bias_col=None)
+        with pytest.raises(ValueError, match=r"bad\.matrix:3:"):
+            SparseMatrix.load(bad, bias_col=None)
+    finally:
+        tracer.remove()
+    loads = [span for span in tracer.spans if span.name == "sparse.load"]
+    assert len(loads) == 2
+    assert loads[0].counters == {"bytes": good.stat().st_size}

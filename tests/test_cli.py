@@ -252,6 +252,35 @@ def test_flags_a_method_does_not_read_are_usage_errors(vectorized, tmp_path,
                      "--out-dir", str(tmp_path / f"ok-{method}")]) == 0
 
 
+def test_penalty_flags_a_method_does_not_read_are_usage_errors(
+        vectorized, tmp_path, capsys):
+    data = ["--matrix", str(vectorized / "train.matrix"),
+            "--labels", str(vectorized / "train.labels")]
+    absent = ["--matrix", str(tmp_path / "absent.matrix"),
+              "--labels", str(tmp_path / "absent.labels")]
+    cases = [
+        ("ridge", ["--lambda", "1", "--lambda-l1", "5"], "--lambda-l1"),
+        ("lasso", ["--lambda-l2", "0.5"], "--lambda-l2"),
+        ("omp", ["--budget", "2", "--lambda-l1", "1"], "--lambda-l1"),
+        ("elastic", ["--lambda-l1", "1", "--lambda", "2"], "--lambda"),
+        ("none", ["--lambda", "10"], "--lambda"),
+    ]
+    for method, flags, named in cases:
+        for files in (data, absent):  # rejected before any file is loaded
+            out = tmp_path / f"train-{method}"
+            assert main(["train", "--method", method, *files, *flags,
+                         "--out-dir", str(out)]) == 1, (method, flags)
+            err = capsys.readouterr().err
+            assert f"{named} is read by --method " in err, err
+            assert not out.exists()
+    # a penalty left at its default, or one the method reads, is accepted
+    for method, flags in (("lasso", ["--lambda", "10", "--lambda-l1", "0"]),
+                          ("elastic", ["--lambda", "1", "--lambda-l1", "0.1",
+                                       "--lambda-l2", "1"])):
+        assert main(["train", "--method", method, *data, *flags,
+                     "--out-dir", str(tmp_path / f"ok-{method}")]) == 0
+
+
 def test_grid_takes_no_single_penalty_flag(vectorized, tmp_path):
     for flag in ("--lambda", "--lambda-l1", "--lambda-l2"):
         assert main(["grid", "--matrix", str(vectorized / "train.matrix"),
@@ -458,3 +487,21 @@ def test_group_subcommand_writes_groups(tmp_path, monkeypatch):
     monkeypatch.setattr(grouping, "kmeans_cluster", no_clustering)
     assert main(["group", "--embeddings", str(emb), "--vocab", str(vocab),
                  "--k", "3", "--neighbors", "-1", "--out", str(out)]) == 2
+
+
+def test_group_rejects_max_iter_below_one_before_loading(tmp_path, capsys):
+    # zero Lloyd iterations assign no point: the group file would be empty
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(f"w{i} {float(i)} 0.0\n" for i in range(6)),
+                   encoding="utf-8")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("".join(f"w{i}\n" for i in range(6)), encoding="utf-8")
+    for embeddings in (emb, tmp_path / "absent.txt"):
+        out = tmp_path / "groups.txt"
+        assert main(["group", "--embeddings", str(embeddings),
+                     "--vocab", str(vocab), "--k", "2", "--max-iter", "0",
+                     "--out", str(out)]) == 2
+        assert "--max-iter must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ValueError, match="max_iter"):
+        grouping.KMeansConfig(k=2, max_iter=0)

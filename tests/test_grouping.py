@@ -7,7 +7,8 @@ import pytest
 from textomp import (EmbeddingTable, GroupStructure, KMeansConfig,
                      augment_singletons, expand_overlap, kmeans_cluster,
                      load_embeddings, load_groups, save_groups)
-from textomp.grouping import _lloyd
+from textomp import grouping
+from textomp.grouping import _lloyd, _nearest
 
 
 def embedding_of(points):
@@ -260,6 +261,105 @@ def test_expand_matches_brute_force_oracle_on_exact_ties():
                                             neighbors, metric)
             assert len(gained) == 1 + min(neighbors, len(points) - 1)
             assert set(gained) <= set(out[0].members) & set(out[1].members)
+
+
+def unit_rows(points):
+    norms = np.linalg.norm(points, axis=1)
+    return points / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+def per_query_nearest(points, neighbors, metric):
+    """The reference neighbour table: one full scan and one stable argsort
+    per embedded row, the query itself ranked last (a distance that
+    overflows to inf ties with it)."""
+    if metric == "cosine":
+        points = unit_rows(points)
+    table = []
+    for pos in range(len(points)):
+        if metric == "euclidean":
+            dist = np.linalg.norm(points - points[pos], axis=1)
+        else:
+            dist = 1.0 - points @ points[pos]
+        dist[pos] = np.inf
+        table.append(np.argsort(dist, kind="stable")[:neighbors])
+    return np.array(table, dtype=np.int64).reshape(len(points), -1)
+
+
+def neighbour_search_inputs():
+    rng = np.random.default_rng(23)
+    lattice = np.array(list(product(range(-1, 3), repeat=3)), dtype=float)
+    centres = rng.normal(size=(6, 8))
+    near_dupes = np.repeat(centres, 9, axis=0) \
+        + 1e-9 * rng.normal(size=(54, 8)) * (rng.random((54, 1)) < 0.7)
+    spread = rng.normal(size=(80, 50))
+    zeros = np.vstack((np.zeros((3, 5)), rng.normal(size=(30, 5)),
+                       2.0 * rng.normal(size=(1, 5)).repeat(4, axis=0)))
+    return {"lattice": lattice,  # exact ties in both metrics
+            "scaled lattice": 0.5 * lattice[rng.permutation(len(lattice))],
+            "near duplicates": near_dupes,
+            "offset 1e6": 1e6 + spread[:, :6],
+            "offset 1e8": 1e8 + near_dupes,
+            "spread": spread,
+            "zero vectors": zeros,
+            # squared distances overflow to inf, as in the reference
+            "overflow": np.vstack((1e154 * rng.normal(size=(12, 4)),
+                                   rng.normal(size=(12, 4))))}
+
+
+# the "overflow" input overflows in the reference and in the filter alike
+overflow_warnings_ok = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@overflow_warnings_ok
+def test_blocked_neighbour_search_matches_per_query_reference(monkeypatch,
+                                                               metric):
+    for name, points in neighbour_search_inputs().items():
+        n_rows = len(points)
+        for block_rows in (1, 7, 53):  # queries span several GEMM blocks
+            monkeypatch.setattr(grouping, "_BLOCK_ELEMENTS",
+                                block_rows * n_rows)
+            for neighbors in (1, 3, 5, 8, 12, 40, n_rows - 1, n_rows,
+                              n_rows + 4):
+                width = min(neighbors, n_rows)
+                expected = per_query_nearest(points, width, metric)
+                base = unit_rows(points) if metric == "cosine" else points
+                got = _nearest(base, np.arange(n_rows), width, metric)
+                np.testing.assert_array_equal(
+                    got, expected, err_msg=f"{name} {neighbors} {block_rows}")
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@overflow_warnings_ok
+def test_expand_matches_per_query_reference_across_blocks(monkeypatch,
+                                                          metric):
+    monkeypatch.setattr(grouping, "_BLOCK_ELEMENTS", 1000)
+    rng = np.random.default_rng(5)
+    for name, points in neighbour_search_inputs().items():
+        n = len(points)
+        cols = rng.permutation(n + 5)  # five columns without an embedding
+        emb = EmbeddingTable({f"w{i}": p for i, p in enumerate(points)})
+        vocab = {f"w{i}": int(cols[i]) for i in range(n + 5)}
+        groups = [(f"g{g}", sorted(set(rng.choice(n + 5, 4).tolist())))
+                  for g in range(12)]
+        # embedded row r sits at the r-th smallest embedded column
+        row_col = np.sort(cols[:n])
+        row_of = {int(cols[i]): int(np.searchsorted(row_col, cols[i]))
+                  for i in range(n)}
+        sorted_points = points[np.argsort(cols[:n], kind="stable")]
+        for neighbors in (0, 3, 5, n - 1, n + 2):
+            table = per_query_nearest(sorted_points, min(neighbors, n), metric)
+            out = expand_overlap(GroupStructure(groups), emb, vocab,
+                                 neighbors=neighbors, metric=metric)
+            for (_, members), got in zip(groups, out):
+                expected = set(members)
+                for j in members:
+                    if j in row_of:
+                        expected.update(row_col[table[row_of[j]]].tolist())
+                assert got.members == tuple(sorted(expected)), \
+                    (name, neighbors)
 
 
 # -- singleton augmentation -------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textomp import SparseMatrix
+from textomp.sparse import _parse_fast, _parse_lines
 
 from conftest import random_design
 
@@ -191,6 +192,78 @@ def test_file_rejects_bad_entries(tmp_path):
     p.write_text("2 x\n0 0 1.0\n")
     with pytest.raises(ValueError, match=r"bad\.matrix:1:"):
         SparseMatrix.load(p, bias_col=None)
+
+
+def assert_bitwise_equal(a, b):
+    assert (a.n_rows, a.n_cols, a.bias_col) == (b.n_rows, b.n_cols, b.bias_col)
+    for name in ("indptr", "rows", "vals"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_numpy_and_line_parsers_load_the_same_matrix(tmp_path, rng):
+    _, X = random_design(rng, 40, 25, density=0.3, with_bias=True,
+                         scale=1e3)
+    path = tmp_path / "m.matrix"
+    X.save(path)
+    header, *body = path.read_text().splitlines()
+    # entries in any order, blank lines and trailing spaces between them
+    rng.shuffle(body)
+    path.write_text(header + "\n\n" + "".join(
+        line + (" \t" if k % 3 == 0 else "") + ("\n\n   \n" if k % 5 == 0
+                                                  else "\n")
+        for k, line in enumerate(body)) + "\n \n")
+    assert _parse_fast(path) is not None  # the numpy path loads it
+    loaded = SparseMatrix.load(path)
+    assert_bitwise_equal(loaded, SparseMatrix.from_triplets(
+        *_parse_lines(path), bias_col=X.bias_col))
+    assert_bitwise_equal(loaded, X)
+    resaved = tmp_path / "again.matrix"
+    loaded.save(resaved)
+    X.save(path)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_header_only_file_loads(tmp_path, recwarn):
+    path = tmp_path / "empty.matrix"
+    for body in ("", "\n  \n"):
+        path.write_text("3 4\n" + body)
+        X = SparseMatrix.load(path, bias_col=None)
+        assert (X.shape, X.nnz) == ((3, 4), 0)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 0 1.0\n# comment\n", ":3: expected 'row col value'"),
+    ("# 1 1\n0 0 1.0\n", ":2: bad entry"),
+    ("0 0 1.0 4\n1 1\n", ":2: expected 'row col value'"),
+    ("0 0 1.0\n1 1\n0 1 1.0 4\n", ":3: expected 'row col value'"),
+    ("0 0 1.0\n1 1 nan\n", ":3: value must be finite and non-zero"),
+    ("1 1 -inf\n", ":2: value must be finite and non-zero"),
+    ("0 0 1.0\n1.0 1 2.0\n", ":3: bad entry"),
+    ("0 1.0 2.0\n", ":2: bad entry"),
+    ("0 0 1.0\n1_0 1 2.0\n", ":3: index out of range"),  # int() reads 10
+    ("1 0 x\n", ":2: bad entry"),
+])
+def test_malformed_file_names_its_first_bad_line(tmp_path, body, message):
+    path = tmp_path / "bad.matrix"
+    path.write_text("2 2\n" + body)
+    assert _parse_fast(path) is None
+    with pytest.raises(ValueError) as err:
+        SparseMatrix.load(path, bias_col=None)
+    assert str(err.value).startswith(f"{path}{message}")
+
+
+def test_inputs_only_the_line_parser_reads_load_as_it_reads_them(tmp_path):
+    path = tmp_path / "odd.matrix"
+    # int() and float() read underscores, numpy's parser does not
+    path.write_text("20 20\n1_0 0 1_5.0\n0 1 1.0\n")
+    X = SparseMatrix.load(path, bias_col=None)
+    assert X.col(0)[0].tolist() == [10] and X.col(0)[1].tolist() == [15.0]
+    # numpy's integer parser reads this letter as a digit, int() does not
+    path.write_text("20000 2\n\u01fe0 0 1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"odd\.matrix:2: bad entry"):
+        SparseMatrix.load(path, bias_col=None)
 
 
 @settings(max_examples=60, deadline=None)
