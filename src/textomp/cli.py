@@ -47,6 +47,14 @@ def _data(message):
     return CliError(message, 2)
 
 
+def _check_at_least(args, **lowest):
+    """Reject a numeric flag below its lowest valid value (or NaN) before
+    any file is read or any fit or clustering runs."""
+    for name, low in lowest.items():
+        if not getattr(args, name) >= low:
+            raise _data(f"--{name.replace('_', '-')} must be >= {low}")
+
+
 # -- model files ---------------------------------------------------------------
 
 def save_model(theta, bias_col, path):
@@ -173,10 +181,7 @@ def cmd_vectorize(args):
 # -- group ---------------------------------------------------------------------
 
 def cmd_group(args):
-    if args.neighbors < 0:  # before the clustering, which it would waste
-        raise _data("--neighbors must be >= 0")
-    if args.max_iter < 1:  # before the embeddings are loaded
-        raise _data("--max-iter must be >= 1")
+    _check_at_least(args, neighbors=0, max_iter=1)
     emb = grouping.load_embeddings(args.embeddings)
     vocab = textpipe.load_vocabulary(args.vocab)
     n_embedded = sum(1 for tok in vocab if tok in emb)
@@ -211,6 +216,10 @@ _PENALTY_FLAGS = {"lambda": ("lam", 1.0), "lambda_l1": ("lambda_l1", 0.0),
                   "lambda_l2": ("lambda_l2", 0.0)}
 
 
+# the lowest valid value of each numeric solver flag
+_SOLVER_LOWEST = {"budget": 1, "epsilon": 0, "tol": 0, "max_iter": 1}
+
+
 def _check_method_settings(args):
     """Reject a solver or penalty flag that the method does not read unless
     it is left at its default, and a gomp run with no group at all."""
@@ -243,6 +252,7 @@ def _fit_options(args, X):
 
 def cmd_train(args):
     _check_method_settings(args)
+    _check_at_least(args, **_SOLVER_LOWEST)
     if bool(args.dev_matrix) != bool(args.dev_labels):
         raise _usage("--dev-matrix and --dev-labels go together")
     X, y = _load_design(args.matrix, args.labels)
@@ -291,6 +301,7 @@ def _write_scatter(reports, path):
 
 def cmd_grid(args):
     _check_method_settings(args)
+    _check_at_least(args, **_SOLVER_LOWEST)
     if bool(args.test_matrix) != bool(args.test_labels):
         raise _usage("--test-matrix and --test-labels go together")
     X, y = _load_design(args.matrix, args.labels)
@@ -337,6 +348,8 @@ def cmd_eval(args):
 
 
 def cmd_top_weights(args):
+    if args.n < 0:  # a negative slice would drop the last terms
+        raise _data("-n must be >= 0")
     theta, _ = load_model(args.model)
     vocab = textpipe.load_vocabulary(args.vocab)
     positives, negatives = top_weights(theta, vocab, args.n)

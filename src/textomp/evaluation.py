@@ -8,8 +8,9 @@ tie to the smallest penalty, so the search is fully deterministic.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -213,64 +214,18 @@ def grid_search(X_train, y_train, X_dev, y_dev, spec, opts=None):
 
 # -- report serialization -----------------------------------------------------
 
-_METRIC_KEYS = ("method", "dev_accuracy", "test_accuracy", "sparsity_pct",
-                "n_active", "seconds", "converged", "atoms_curve", "error")
-
-
 def format_report(report):
-    """One tab-separated key=value record; floats use repr so parsing is exact."""
-    parts = [f"method={report.method}"]
-    for key in sorted(report.hyperparams):
-        val = report.hyperparams[key]
-        parts.append(f"{key}={val!r}" if isinstance(val, float)
-                     else f"{key}={val}")
-    for key in _METRIC_KEYS[1:]:
-        val = getattr(report, key)
-        if val is None:
-            continue
-        if key == "atoms_curve":
-            val = ",".join(f"{c}:{a!r}" for c, a in val)
-        elif key == "converged":
-            val = "true" if val else "false"
-        elif isinstance(val, float):
-            val = repr(val)
-        parts.append(f"{key}={val}")
-    return "\t".join(parts)
-
-
-def _parse_value(text):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    """One JSON object of the report's fields, keys sorted; json writes
+    floats with repr, so parse_report gets the same values back."""
+    return json.dumps(asdict(report), sort_keys=True)
 
 
 def parse_report(line):
-    fields = {}
-    for part in line.rstrip("\n").split("\t"):
-        key, _, val = part.partition("=")
-        fields[key] = val
-    report = FitReport(method=fields.pop("method"))
-    for key in _METRIC_KEYS[1:]:
-        if key not in fields:
-            continue
-        raw = fields.pop(key)
-        if key == "atoms_curve":
-            pairs = [p.split(":") for p in raw.split(",") if p]
-            report.atoms_curve = tuple((int(c), float(a)) for c, a in pairs)
-        elif key == "converged":
-            report.converged = raw == "true"
-        elif key == "error":
-            report.error = raw
-        elif key == "n_active":
-            report.n_active = int(raw)
-        else:
-            setattr(report, key, float(raw))
-    report.hyperparams = {k: _parse_value(v) for k, v in fields.items()}
+    """Inverse of format_report."""
+    report = FitReport(**json.loads(line))
+    if report.atoms_curve is not None:
+        report.atoms_curve = tuple((int(count), float(acc))
+                                   for count, acc in report.atoms_curve)
     return report
 
 
@@ -281,8 +236,19 @@ def write_reports(reports, path):
 
 
 def read_reports(path):
+    """Reports of a file write_reports wrote; a line that is not one
+    raises a ValueError naming it as "path:lineno:"."""
+    reports = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [parse_report(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                reports.append(parse_report(line))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: not a fit report ({exc})") from None
+    return reports
 
 
 def human_table(reports):

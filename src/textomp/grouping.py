@@ -262,6 +262,8 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
     the n-th nearest; only those are ranked by the reference distance,
     `np.linalg.norm(points[c] - points[q], axis=1)` or the full-row
     `1 - unit @ unit[q]`, so the neighbors equal those of a full scan.
+    Cosine scales each row to unit norm; a row whose norm overflows is
+    divided by its largest absolute entry first, so it keeps its direction.
     """
     if metric not in ("euclidean", "cosine"):
         raise ValueError("metric must be 'euclidean' or 'cosine'")
@@ -269,7 +271,12 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
         raise ValueError("neighbors must be >= 0")
     token_cols, points = _embedded_columns(emb, vocab)
     if metric == "cosine":
-        norms = np.linalg.norm(points, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(points, axis=1)
+        huge = ~np.isfinite(norms)
+        if huge.any():
+            points[huge] /= np.abs(points[huge]).max(axis=1, keepdims=True)
+            norms[huge] = np.linalg.norm(points[huge], axis=1)
         points = points / np.where(norms > 0, norms, 1.0)[:, None]
 
     members = groups.indices

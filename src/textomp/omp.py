@@ -46,6 +46,10 @@ class GreedyConfig:
             raise ValueError("epsilon must be non-negative")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
+        if self.tol < 0:
+            raise ValueError("tol must be non-negative")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 OMPConfig = GreedyConfig  # OMP has no setting of its own

@@ -226,10 +226,9 @@ class SparseMatrix:
         """
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{self.n_rows} {self.n_cols}\n")
-            for j in range(self.n_cols):
-                r, v = self.col(j)
-                for i, x in zip(r, v):
-                    fh.write(f"{i} {j} {float(x)!r}\n")
+            cols = np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
+            fh.writelines(f"{i} {j} {x!r}\n" for i, j, x in zip(
+                self.rows.tolist(), cols.tolist(), self.vals.tolist()))
 
     @classmethod
     def load(cls, path, bias_col="last"):

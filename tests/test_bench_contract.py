@@ -13,13 +13,15 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import spans  # noqa: E402
-from textomp import gomp, grouping, logistic, omp  # noqa: E402
+from textomp import (cli, evaluation, gomp, grouping, logistic,  # noqa: E402
+                     omp, textpipe)
 from textomp.sparse import SparseMatrix  # noqa: E402
 
 
@@ -70,6 +72,22 @@ def test_counters_read_the_arguments_they_expect():
 def test_expand_overlap_keeps_the_signature_the_workloads_call():
     params = list(inspect.signature(grouping.expand_overlap).parameters)
     assert params == ["groups", "emb", "vocab", "neighbors", "metric"]
+
+
+def test_a_cli_lasso_report_reads_back_with_a_bool_converged(tmp_path):
+    # the cli_pipeline workload counts `not r.converged` over this report
+    X = SparseMatrix.from_dense([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0],
+                                 [1.5, 0.5, 1.0], [0.0, 1.0, 1.0]], bias_col=2)
+    X.save(tmp_path / "x.matrix")
+    textpipe.save_labels(np.array([1.0, -1.0, 1.0, -1.0]),
+                         tmp_path / "x.labels")
+    out = tmp_path / "lasso"
+    assert cli.main(["train", "--matrix", str(tmp_path / "x.matrix"),
+                     "--labels", str(tmp_path / "x.labels"),
+                     "--method", "lasso", "--lambda", "0.1",
+                     "--out-dir", str(out)]) == 0
+    [report] = evaluation.read_reports(out / "report.txt")
+    assert type(report.converged) is bool
 
 
 def test_a_load_is_one_traced_call_whichever_parser_runs(tmp_path):

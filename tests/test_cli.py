@@ -102,8 +102,8 @@ def test_train_ridge_is_dense(vectorized, tmp_path, capsys):
                  "--method", "ridge", "--lambda", "10.0",
                  "--out-dir", str(out)])
     assert code == 0
-    report_line = (out / "report.txt").read_text()
-    assert "sparsity_pct=100.0" in report_line
+    [report] = evaluation.read_reports(out / "report.txt")
+    assert report.sparsity_pct == 100.0
 
 
 def test_train_gomp_with_group_file(vectorized, tmp_path):
@@ -162,13 +162,32 @@ def test_grid_search_cli_end_to_end(vectorized, tmp_path, capsys):
                  "--out-dir", str(out)])
     assert code == 0
     assert (out / "best_model.txt").exists()
-    lines = (out / "reports.txt").read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert "test_accuracy=" in (out / "reports.txt").read_text() \
-        or "test_accuracy" in capsys.readouterr().out
+    reports = evaluation.read_reports(out / "reports.txt")
+    assert len(reports) == 2
+    assert sum(r.test_accuracy is not None for r in reports) == 1  # the best
     scatter = (out / "scatter.csv").read_text().strip().splitlines()
     assert scatter[0] == "method,hyperparams,sparsity_pct,dev_accuracy"
     assert len(scatter) == 3
+
+
+@pytest.mark.parametrize("subcommand", ["train", "grid"])
+@pytest.mark.parametrize("flag,value", [
+    ("--budget", "0"), ("--epsilon", "-1"), ("--tol", "-0.5"),
+    ("--max-iter", "0"), ("--max-iter", "-3")])
+def test_solver_flags_out_of_range_are_rejected_before_loading(
+        vectorized, tmp_path, capsys, subcommand, flag, value):
+    # train --max-iter 0 fitted an all-zero model and exited 0; grid
+    # --budget 0 failed every grid point and exited 3
+    for matrix in (vectorized / "train.matrix", tmp_path / "absent.matrix"):
+        out = tmp_path / "out"
+        code = main([subcommand, "--matrix", str(matrix),
+                     "--labels", str(vectorized / "train.labels"),
+                     "--dev-matrix", str(vectorized / "dev.matrix"),
+                     "--dev-labels", str(vectorized / "dev.labels"),
+                     "--method", "omp", flag, value, "--out-dir", str(out)])
+        assert code == 2
+        assert f"{flag} must be >= " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_grid_rejects_test_matrix_and_labels_apart(vectorized, tmp_path,
@@ -387,6 +406,25 @@ def test_top_weights_ranks_planted_keywords_first(vectorized, tmp_path,
     assert any(w in pos_section for w in SPACE_WORDS)
     neg_section = printed.split("largest negative")[1]
     assert any(w in neg_section for w in MED_WORDS)
+
+
+def test_top_weights_rejects_negative_n_before_loading(vectorized, tmp_path,
+                                                      capsys):
+    # -n -1 sliced [:-1] and dropped the last term of each sign
+    out = tmp_path / "m"
+    main(["train", "--matrix", str(vectorized / "train.matrix"),
+          "--labels", str(vectorized / "train.labels"),
+          "--method", "omp", "--budget", "6", "--out-dir", str(out)])
+    for model in (out / "model.txt", tmp_path / "absent.txt"):
+        capsys.readouterr()
+        assert main(["top-weights", "--model", str(model),
+                     "--vocab", str(vectorized / "vocab.txt"),
+                     "-n", "-1"]) == 2
+        assert "-n must be >= 0" in capsys.readouterr().err
+    assert main(["top-weights", "--model", str(out / "model.txt"),
+                 "--vocab", str(vectorized / "vocab.txt"), "-n", "0"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "largest", "positive", "weights:", "largest", "negative", "weights:"]
 
 
 def test_top_weights_helper_single_weight():

@@ -230,6 +230,40 @@ def test_report_file_round_trip(tmp_path):
     assert read_reports(path) == reports
 
 
+def test_every_report_field_round_trips_through_a_report_file(tmp_path):
+    # every field off its default; the old tab-separated codec split the
+    # error at its tab and read the string "10" back as an int
+    report = FitReport(
+        method="gomp",
+        hyperparams={"lambda": 0.1, "budget": 7, "criterion": "10",
+                     "groups": None},
+        dev_accuracy=0.1 + 0.2, test_accuracy=2 / 3,
+        sparsity_pct=7.7558459301, n_active=3, seconds=1e-7,
+        converged=False, atoms_curve=((1, 0.5), (2, 1 / 3)),
+        error="bad\tx=1\nsecond line")
+    path = tmp_path / "reports.txt"
+    write_reports([report, FitReport(method="none")], path)
+    back, default = read_reports(path)
+    assert back == report and default == FitReport(method="none")
+    assert {k: type(v) for k, v in back.hyperparams.items()} == {
+        "lambda": float, "budget": int, "criterion": str,
+        "groups": type(None)}
+    assert all(type(c) is int and type(a) is float
+               for c, a in back.atoms_curve)
+    assert path.read_text().count("\n") == 2  # one line per report
+
+
+@pytest.mark.parametrize("bad", [
+    "method=omp\tlambda=1.0", "[1, 2]", "{}", '{"method": "omp", "x": 1}',
+    '{"method": "omp", "atoms_curve": [[1]]}'])
+def test_malformed_report_line_names_its_line(tmp_path, bad):
+    path = tmp_path / "reports.txt"
+    path.write_text(format_report(FitReport(method="omp")) + "\n\n" + bad
+                    + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"reports\.txt:3: "):
+        read_reports(path)
+
+
 def test_human_table_renders_all_rows(rng):
     reports = [
         FitReport(method="omp", hyperparams={"lambda": 0.1},

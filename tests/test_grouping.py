@@ -264,7 +264,13 @@ def test_expand_matches_brute_force_oracle_on_exact_ties():
 
 
 def unit_rows(points):
+    """Rows over their L2 norms; a row whose norm overflows is divided by
+    its largest absolute entry first."""
+    points = np.array(points, dtype=float)
     norms = np.linalg.norm(points, axis=1)
+    for r in np.flatnonzero(~np.isfinite(norms)):
+        points[r] /= np.abs(points[r]).max()
+        norms[r] = np.linalg.norm(points[r])
     return points / np.where(norms > 0, norms, 1.0)[:, None]
 
 
@@ -360,6 +366,16 @@ def test_expand_matches_per_query_reference_across_blocks(monkeypatch,
                         expected.update(row_col[table[row_of[j]]].tolist())
                 assert got.members == tuple(sorted(expected)), \
                     (name, neighbors)
+
+
+def test_cosine_expansion_ignores_a_norm_that_overflows():
+    # a = 1e200 * [1, 0] has an inf norm; it must not become a zero vector
+    for scale in (1.0, 1e200):
+        emb = embedding_of([[scale, 0.0], [0.0, 1.0], [-1.0, 0.05],
+                            [0.99, 0.1]])
+        out = expand_overlap(GroupStructure([("a", [0]), ("d", [3])]), emb,
+                             vocab_of(4), neighbors=1, metric="cosine")
+        assert [g.members for g in out] == [(0, 3), (0, 3)], scale
 
 
 # -- singleton augmentation -------------------------------------------------------------

@@ -266,3 +266,8 @@ def test_config_validation():
         OMPConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         OMPConfig(lam=-0.5)
+    with pytest.raises(ValueError, match="tol"):
+        OMPConfig(tol=-1e-9)
+    for max_iter in (0, -3):  # zero Newton steps would fit an all-zero model
+        with pytest.raises(ValueError, match="max_iter"):
+            OMPConfig(max_iter=max_iter)

@@ -175,6 +175,17 @@ def test_file_round_trip(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_file_text_is_column_major_with_repr_values(tmp_path):
+    X = SparseMatrix.from_dense([[0.0, 0.1, 0.0, 1.0],
+                                 [0.0, 0.0, -2.5e-300, 1.0],
+                                 [0.0, 3.0, 1 / 3, 1.0]], bias_col=3)
+    path = tmp_path / "m.matrix"
+    X.save(path)  # column 0 is empty and writes no line
+    assert path.read_text() == ("3 4\n0 1 0.1\n2 1 3.0\n1 2 -2.5e-300\n"
+                                "2 2 0.3333333333333333\n0 3 1.0\n1 3 1.0\n"
+                                "2 3 1.0\n")
+
+
 def test_file_rejects_bad_entries(tmp_path):
     p = tmp_path / "bad.matrix"
     p.write_text("2 2\n0 0 1.0\n5 0 1.0\n")
