@@ -11,7 +11,7 @@ from .baselines import PenaltyConfig, fit_penalized, kkt_violation, sparsity
 from .evaluation import (FitOptions, FitReport, GridSpec, accuracy,
                          atoms_curve, fit, grid_search)
 from .gomp import (GOMPConfig, remove_overlap, run_gomp, score_group_averaged,
-                   score_group_gram, score_group_orthonormal, select_group)
+                   score_group_orthonormal, select_group)
 from .groups import Group, GroupStructure
 from .grouping import (EmbeddingTable, KMeansConfig, augment_singletons,
                        expand_overlap, kmeans_cluster, load_embeddings,
@@ -34,7 +34,7 @@ __all__ = [
     "fit_penalized", "fit_restricted", "gradient", "grid_search",
     "kkt_violation", "kmeans_cluster", "load_embeddings", "load_groups",
     "loss", "objective", "remove_overlap", "residual", "run_gomp",
-    "run_omp", "save_groups", "score_group_averaged", "score_group_gram",
+    "run_omp", "save_groups", "score_group_averaged",
     "score_group_orthonormal", "select_feature", "select_group", "sigmoid",
     "softplus", "sparsity", "stratified_split", "tokenize",
 ]

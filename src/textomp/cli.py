@@ -99,6 +99,8 @@ def top_weights(theta, vocab, n):
     vocab maps token -> column; the model must align with it (its feature
     count is the vocabulary size plus the bias column).
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     theta = np.asarray(theta, dtype=np.float64)
     if len(theta) != len(vocab) + 1:
         raise ValueError(

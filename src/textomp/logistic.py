@@ -202,7 +202,9 @@ class RefitState:
     block() is the dense active block, columns in insertion order, in a
     Fortran-order buffer that grows geometrically. inv_hessian is the
     lagged P = H(w_ref)^-1 over those columns, or None while missing;
-    w_ref holds the curvature weights s(1 - s) it was built at. The state
+    w_ref holds the curvature weights s(1 - s) it was built at. singular
+    is True once the Hessian of the current block failed to invert, so
+    refits skip the O(n k^2) rebuild until a column enters. The state
     belongs to one design and to the penalty curvature of each column:
     `sync` starts it afresh when the design or a column's penalty differs
     (another lam or bias rule), or its columns are not a prefix of the
@@ -219,6 +221,7 @@ class RefitState:
         self._buf = np.empty((0 if X is None else X.n_rows, 0), order="F")
         self.inv_hessian = None
         self.w_ref = None
+        self.singular = False
 
     def block(self):
         return self._buf[:, :len(self.order)]
@@ -245,6 +248,7 @@ class RefitState:
             for i in range(k, len(order)):
                 self._border(i, ridge[i])
             self.order, self.ridge = list(order), ridge
+            self.singular = False
         return self.block()
 
     def _border(self, i, ridge):
@@ -271,7 +275,7 @@ class RefitState:
 
     def rebuild(self, w, ridge):
         """Build the exact Hessian at weights w and invert it into P; P is
-        None when the inverse fails."""
+        None, and the block marked singular, when the inverse fails."""
         A = self.block()
         H = A.T @ (A * w[:, None])
         H[np.diag_indices_from(H)] += ridge
@@ -282,6 +286,7 @@ class RefitState:
         if P is not None and not np.all(np.isfinite(P)):
             P = None
         self.inv_hessian, self.w_ref = P, w
+        self.singular = P is None
 
 
 def _descent(step, grad):
@@ -328,9 +333,10 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     Hessian of `state`; the dense Hessian is rebuilt at the current iterate
     and inverted, giving the exact Newton step, only when CG needs more
     than `_CG_MAX` steps or P is missing. A plain gradient step is taken
-    when that inverse fails or is not a descent direction. A step whose
-    predicted decrease is below the objective's float resolution is taken
-    whole, since Armijo cannot tell it from rounding. Stops when the
+    when that inverse fails or is not a descent direction; after a failed
+    inverse the Hessian is not rebuilt until a column enters. A step
+    whose predicted decrease is below the objective's float resolution is
+    taken whole, since Armijo cannot tell it from rounding. Stops when the
     restricted gradient infinity-norm drops to `tol`. Non-convergence is
     flagged on the returned Model, which then carries the best iterate
     rather than raising.
@@ -393,7 +399,7 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
                 _CG_FORCING * min(0.5, np.sqrt(gnorm)) * gnorm)
             cg_steps += used
             step = _descent(step, grad)
-        if step is None:
+        if step is None and not state.singular:
             state.rebuild(w, ridge)
             hessian_builds += 1
             if state.inv_hessian is not None:

@@ -42,11 +42,12 @@ class GreedyConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.epsilon < 0:
+        # written as `not x >= 0` so that NaN is rejected too
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lambda must be non-negative")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")

@@ -247,7 +247,7 @@ def test_flags_a_method_does_not_read_are_usage_errors(vectorized, tmp_path,
                    "--criterion", "orthonormal"], "--budget"),
         ("lasso", ["--criterion", "orthonormal"], "--criterion"),
         ("omp", ["--no-augment-singletons"], "--no-augment-singletons"),
-        ("omp", ["--criterion", "gram_corrected"], "--criterion"),
+        ("omp", ["--criterion", "orthonormal"], "--criterion"),
         ("ridge", ["--normalize-columns", "--epsilon", "5"], "--epsilon"),
         ("ridge", ["--normalize-columns"], "--normalize-columns"),
         ("none", ["--epsilon", "5"], "--epsilon"),
@@ -269,6 +269,21 @@ def test_flags_a_method_does_not_read_are_usage_errors(vectorized, tmp_path,
                                    "--normalize-columns"])):
         assert main(["train", "--method", method, *data, *flags,
                      "--out-dir", str(tmp_path / f"ok-{method}")]) == 0
+
+
+def test_gram_corrected_criterion_is_a_usage_error(vectorized, tmp_path,
+                                                  capsys):
+    data = ["--matrix", str(vectorized / "train.matrix"),
+            "--labels", str(vectorized / "train.labels")]
+    dev = ["--dev-matrix", str(vectorized / "dev.matrix"),
+           "--dev-labels", str(vectorized / "dev.labels"), "--lambdas", "1"]
+    for sub, extra in (("train", []), ("grid", dev)):
+        out = tmp_path / sub
+        assert main([sub, "--method", "gomp", *data, *extra,
+                     "--criterion", "gram_corrected",
+                     "--out-dir", str(out)]) == 1
+        assert "invalid choice: 'gram_corrected'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_penalty_flags_a_method_does_not_read_are_usage_errors(
@@ -443,6 +458,15 @@ def test_top_weights_all_zero_model():
 def test_top_weights_misaligned_vocab_errors():
     with pytest.raises(ValueError):
         top_weights(np.zeros(4), {"a": 0, "b": 1}, 1)
+
+
+def test_top_weights_helper_rejects_negative_n():
+    # a negative n would slice off the last terms of each sign
+    vocab = {f"w{j}": j for j in range(5)}
+    theta = np.array([1.0, 2.0, -1.0, -2.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        top_weights(theta, vocab, -1)
+    assert top_weights(theta, vocab, 0) == ([], [])
 
 
 def test_model_file_round_trip(tmp_path):

@@ -3,31 +3,10 @@ import pytest
 
 from textomp import (GOMPConfig, Group, GroupStructure, OMPConfig,
                      SparseMatrix, objective, omp, remove_overlap, run_gomp,
-                     run_omp, score_group_averaged, score_group_gram,
-                     score_group_orthonormal, select_group)
+                     run_omp, score_group_averaged, score_group_orthonormal,
+                     select_group)
 
 from conftest import random_design, random_labels, stateless_fit_restricted
-
-
-def explicit_3x3_inverse(M):
-    """Cofactor-expansion inverse, independent of the linalg solver."""
-    a, b, c = M[0]
-    d, e, f = M[1]
-    g, h, i = M[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    adj = np.array([
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ])
-    return adj / det
-
-
-def orthonormal_design(rng, n, k, extra=2):
-    """First k columns orthonormal (QR), then noise columns, then a bias."""
-    q, _ = np.linalg.qr(rng.normal(size=(n, k)))
-    dense = np.column_stack([q, rng.normal(size=(n, extra)), np.ones(n)])
-    return dense, SparseMatrix.from_dense(dense, bias_col=dense.shape[1] - 1)
 
 
 # -- scores ---------------------------------------------------------------------
@@ -59,36 +38,6 @@ def test_empty_group_scores_negative_infinity(rng):
     r = np.ones(4)
     assert score_group_orthonormal(X, Group("g", ()), r) == float("-inf")
     assert score_group_averaged(X, Group("g", ()), r) == float("-inf")
-    assert score_group_gram(X, Group("g", ()), r) == float("-inf")
-
-
-def test_gram_score_equals_orthonormal_score_on_orthonormal_group(rng):
-    dense, X = orthonormal_design(rng, 12, 4)
-    r = rng.normal(size=12)
-    g = Group.of("q", [0, 1, 2, 3])
-    assert score_group_gram(X, g, r) \
-        == pytest.approx(score_group_orthonormal(X, g, r), abs=1e-9)
-
-
-def test_gram_score_duplicated_column_falls_back_to_span(rng):
-    dense, X = random_design(rng, 6, 4)
-    dup = np.column_stack([dense, dense[:, [1]]])
-    Xd = SparseMatrix.from_dense(dup)
-    r = rng.normal(size=6)
-    pair = score_group_gram(Xd, Group.of("g", [1, 4]), r)
-    single = score_group_gram(Xd, Group.of("g", [1]), r)
-    assert pair == pytest.approx(single, rel=1e-6)
-
-
-def test_gram_score_matches_explicit_inverse_oracle(rng):
-    dense, X = random_design(rng, 6, 5)
-    r = rng.normal(size=6)
-    members = [0, 2, 3]
-    Xg = dense[:, members]
-    c = Xg.T @ r
-    expected = float(abs(c @ explicit_3x3_inverse(Xg.T @ Xg) @ c))
-    assert score_group_gram(X, Group.of("g", members), r) \
-        == pytest.approx(expected, abs=1e-9)
 
 
 def test_averaged_score_is_orthonormal_over_size(rng):
@@ -152,8 +101,7 @@ def test_select_group_matches_exhaustive_scan(rng):
     assert len(stripped[0]) == len(stripped[1]) == 0
     for structure in (groups, stripped):
         for criterion, scorer in (("orthonormal", score_group_orthonormal),
-                                  ("averaged", score_group_averaged),
-                                  ("gram_corrected", score_group_gram)):
+                                  ("averaged", score_group_averaged)):
             scores = [scorer(X, g, r) for g in structure]
             expected = int(np.argmax(scores))
             pos, score = select_group(X, structure, r, criterion=criterion)

@@ -294,7 +294,8 @@ def test_fit_restricted_bias_exempt_flag(rng):
 
 def test_fit_restricted_duplicated_column_at_lambda_zero_stays_truthful():
     # At lambda 0 a duplicated column has a zero Schur complement, so the
-    # lagged inverse cannot be bordered and the Hessian is singular.
+    # lagged inverse cannot be bordered and the Hessian is singular. Once
+    # its inverse fails, it is not rebuilt until a column enters.
     rng = np.random.default_rng(3)
     dense = rng.normal(size=(60, 5))
     dense[:, 3] = dense[:, 1]
@@ -312,6 +313,11 @@ def test_fit_restricted_duplicated_column_at_lambda_zero_stays_truthful():
         g = gradient(X, y, model.theta, 0.0)
         assert model.converged == (np.max(np.abs(g[[4, 0, 1, 3]]))
                                    <= DEFAULT_TOL)
+        assert model.hessian_builds <= 1
+        if warm is None:  # an entering column allows a rebuild again
+            grown = fit_restricted(X, y, [4, 0, 1, 3, 2], 0.0,
+                                   warm_start=model.theta, state=state)
+            assert grown.hessian_builds == 1
     # from the optimum no Newton step runs, so P shows the refused border
     assert model.n_iter == 0 and state.inv_hessian is None
 

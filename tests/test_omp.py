@@ -268,6 +268,10 @@ def test_config_validation():
         OMPConfig(lam=-0.5)
     with pytest.raises(ValueError, match="tol"):
         OMPConfig(tol=-1e-9)
+    for name, message in (("epsilon", "epsilon"), ("lam", "lambda"),
+                          ("tol", "tol")):  # `nan < 0` is false
+        with pytest.raises(ValueError, match=message):
+            OMPConfig(**{name: float("nan")})
     for max_iter in (0, -3):  # zero Newton steps would fit an all-zero model
         with pytest.raises(ValueError, match="max_iter"):
             OMPConfig(max_iter=max_iter)
