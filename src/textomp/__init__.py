@@ -2,9 +2,10 @@
 
 Core pieces: a column-major sparse matrix, an L2-penalized restricted
 logistic fit, greedy single-feature selection (matching pursuit with
-refitting), greedy selection over overlapping feature groups, proximal
-baselines (lasso / ridge / elastic net), a text vectorization pipeline,
-embedding-cluster group generation, and a dev-set grid-search harness.
+refitting), greedy selection over overlapping feature groups, penalized
+baselines (lasso / ridge / elastic net) solved by working-set proximal
+Newton, a text vectorization pipeline, embedding-cluster group
+generation, and a dev-set grid-search harness.
 """
 
 from .baselines import PenaltyConfig, fit_penalized, kkt_violation, sparsity

@@ -151,9 +151,8 @@ def fit(method, hp, X, y, opts):
                                           lambda_l2=hp["lambda_l2"])
         else:  # none: unregularized
             pen = baselines.PenaltyConfig(0.0, 0.0)
-        # proximal fits need far more iterations than Newton refits
         model = baselines.fit_penalized(X, y, pen, tol=opts.tol,
-                                        max_iter=max(opts.max_iter, 1000),
+                                        max_iter=opts.max_iter,
                                         penalize_bias=opts.penalize_bias)
     bias = X.bias_col
     report = FitReport(

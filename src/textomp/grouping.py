@@ -137,10 +137,12 @@ def _lloyd(points, k, rng, max_iter):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            members = points[labels == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
+        # member sums in row order, then the mean, as members.mean(axis=0)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        sizes = np.bincount(labels, minlength=k)
+        kept = sizes > 0
+        centers[kept] = sums[kept] / sizes[kept, None]
     return labels, centers, history
 
 

@@ -110,12 +110,8 @@ class Model:
 def sigmoid(z):
     """Logistic function, overflow-safe for any finite input."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(z):

@@ -4,8 +4,11 @@ Every solver's hot loop is "correlate each column with a residual vector",
 so the storage is CSC-like: one contiguous (row, value) run per column.
 Matrices are immutable after construction and safe to share across threads.
 
-Per-column sums always run left-to-right over the stored entries, so
-``col_dot`` and ``correlations`` agree bit-for-bit.
+``col_dot`` and ``correlations`` agree bit-for-bit: both sum a column's
+products with one ``np.add.reduceat`` over its stored entries, whose
+result depends only on those products (reduceat sums a slice pairwise,
+not strictly left-to-right). ``mat_vec`` sums each row in ascending
+column order, by ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ def _column_sums(products, starts, counts):
     out = np.zeros(len(counts))
     nonempty = counts > 0
     if products.size and nonempty.any():
-        # reduceat sums each slice sequentially; empty columns are skipped
-        # because their start offset would alias the next column's run.
+        # one reduceat over every slice; empty columns are skipped because
+        # their start offset would alias the next column's run.
         out[nonempty] = np.add.reduceat(products, starts[nonempty])
     return out
 
@@ -160,7 +163,7 @@ class SparseMatrix:
         if len(r) == 0:
             return 0.0
         p = x * v[r]
-        # same sequential reduction as correlations(); keeps both bit-equal
+        # the reduceat of correlations() over the same slice: bit-equal
         return float(np.add.reduceat(p, np.array([0]))[0])
 
     def correlations(self, v):
@@ -168,7 +171,8 @@ class SparseMatrix:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_rows,):
             raise ValueError(f"vector length {v.shape} != ({self.n_rows},)")
-        products = self.vals * v[self.rows]
+        products = v[self.rows]
+        products *= self.vals
         return _column_sums(products, self.indptr[:-1], np.diff(self.indptr))
 
     def mat_vec(self, theta):
@@ -176,38 +180,59 @@ class SparseMatrix:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.n_cols,):
             raise ValueError(f"theta length {theta.shape} != ({self.n_cols},)")
-        out = np.zeros(self.n_rows)
-        active = np.nonzero(theta)[0]
-        if len(active) == 0:
-            return out
-        if len(active) > 0.25 * self.n_cols:
-            counts = np.diff(self.indptr)
-            products = self.vals * np.repeat(theta, counts)
-            # bincount accumulates in entry order = ascending column order
-            return np.bincount(self.rows, weights=products,
-                               minlength=self.n_rows).astype(np.float64)
-        for j in active:
-            r, v = self.col(j)
-            out[r] += v * theta[j]
-        return out
+        counts = np.diff(self.indptr)
+        if 3 * int(counts[theta != 0].sum()) > self.nnz:
+            # mostly dense: every entry, no gather
+            rows = self.rows
+            products = np.repeat(theta, counts)
+            products *= self.vals
+        else:
+            active = np.flatnonzero(theta)
+            entries = self._entries(active)
+            rows = self.rows[entries]
+            products = np.repeat(theta[active], counts[active])
+            products *= self.vals[entries]
+        # bincount accumulates in entry order = ascending column order; it
+        # returns integers when there is no entry
+        return np.bincount(rows, weights=products, minlength=self.n_rows
+                           ).astype(np.float64, copy=False)
+
+    def _entries(self, cols):
+        """Positions of the stored entries of `cols`, column by column."""
+        starts = self.indptr[cols]
+        counts = self.indptr[cols + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        return np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
 
     def col_norms(self):
         """Euclidean norm of every column."""
         counts = np.diff(self.indptr)
         return np.sqrt(_column_sums(self.vals ** 2, self.indptr[:-1], counts))
 
+    def weighted_sq_norms(self, w):
+        """sum_i w[i] * X[i, j]**2 for every column j."""
+        sq = w[self.rows]
+        sq *= self.vals
+        sq *= self.vals
+        return _column_sums(sq, self.indptr[:-1], np.diff(self.indptr))
+
     # -- structural ops ----------------------------------------------------
 
     def submatrix(self, indices):
         """Columns at the given indices, arranged ascending by original index."""
-        idx = sorted(set(int(j) for j in indices))
-        for j in idx:
-            if not 0 <= j < self.n_cols:
-                raise IndexError(f"column index {j} out of range")
-        cols = [self.col(j) for j in idx]
-        bias = self.bias_col
-        new_bias = idx.index(bias) if bias is not None and bias in idx else None
-        return SparseMatrix.from_columns(self.n_rows, cols, bias_col=new_bias)
+        idx = np.unique(np.fromiter(indices, dtype=np.int64))
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.n_cols):
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            raise IndexError(f"column index {bad} out of range")
+        entries = self._entries(idx)
+        rows, vals = self.rows[entries], self.vals[entries]
+        del entries  # before the constructor's checks allocate
+        new_bias = None
+        if self.bias_col is not None and self.bias_col in idx:
+            new_bias = int(np.searchsorted(idx, self.bias_col))
+        return SparseMatrix(self.n_rows, len(idx), np.concatenate(
+            ([0], np.cumsum(np.diff(self.indptr)[idx]))), rows, vals,
+            bias_col=new_bias)
 
     def densify_columns(self, indices):
         """Dense n_rows x len(indices) block of the given columns, in order."""

@@ -101,22 +101,18 @@ def build_matrix(corpus, docs):
     docs = list(docs)
     n_rows = len(docs)
     bias = corpus.bias_col
-    rows, cols, vals = [], [], []
-    labels = np.zeros(n_rows)
-    for i, doc in enumerate(docs):
-        labels[i] = doc.label
-        counts = Counter(doc.tokens)
-        for tok in sorted(counts):
-            j = vocab.get(tok)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(counts[tok]))
-        rows.append(i)
-        cols.append(bias)
-        vals.append(1.0)
-    X = SparseMatrix.from_triplets(n_rows, bias + 1, rows, cols, vals,
-                                   bias_col=bias)
+    labels = np.array([doc.label for doc in docs], dtype=np.float64)
+    # one key doc * (V + 1) + column per known token, the bias once per doc
+    cols = np.array([vocab.get(tok, -1) for doc in docs for tok in doc.tokens]
+                    + [bias] * n_rows, dtype=np.int64)
+    rows = np.concatenate((
+        np.repeat(np.arange(n_rows), [len(doc.tokens) for doc in docs]),
+        np.arange(n_rows)))
+    known = cols >= 0
+    keys, counts = np.unique(rows[known] * (bias + 1) + cols[known],
+                             return_counts=True)
+    X = SparseMatrix.from_triplets(n_rows, bias + 1, keys // (bias + 1),
+                                   keys % (bias + 1), counts, bias_col=bias)
     return X, labels
 
 

@@ -269,8 +269,19 @@ def test_dev_tie_selects_sparser_model():
             rng.normal(size=(n, 4)), np.ones(n)])
         return SparseMatrix.from_dense(dense, bias_col=6), y
 
+    def with_private_word(X, rows):
+        col = np.zeros(X.n_rows)
+        col[rows] = 1.0
+        return SparseMatrix.from_dense(
+            np.insert(X.to_dense(), -1, col, axis=1), bias_col=X.n_cols)
+
     X, y = separable(40)
     Xd, yd = separable(20)
+    # one mislabeled training document holds a word of its own: the weak
+    # penalty fits it with that word, which no dev document holds, so
+    # both fits classify dev alike with different nonzero counts
+    X, Xd = with_private_word(X, [0]), with_private_word(Xd, [])
+    y[0] = -y[0]
     spec = GridSpec(method="lasso", lambda_values=(0.01, 2.0))
     model, reports = grid_search(X, y, Xd, yd, spec)
     tied = reports[0].dev_accuracy == reports[1].dev_accuracy

@@ -148,3 +148,30 @@ def test_active_set_matches_support(rng):
     model = fit_penalized(X, y, PenaltyConfig(0.5, 0.0))
     assert sorted(model.active.ascending()) \
         == sorted(np.nonzero(model.theta)[0].tolist())
+
+
+def test_zipfian_counts_converge_where_1000_proximal_steps_stall():
+    # Zipfian word counts: the bias and frequent words set the curvature
+    # bound, so a proximal gradient step of 1/L barely moves rare words.
+    # 1000 such steps (the old solver, at the CLI's old iteration floor)
+    # leave the KKT violation at 0.21 here.
+    rng = np.random.default_rng(0)
+    n, d = 120, 60
+    counts = rng.poisson(3.0 / np.arange(1, d) ** 1.1,
+                         size=(n, d - 1)).astype(float)
+    w = np.zeros(d - 1)
+    w[:8] = rng.normal(size=8)
+    y = np.where(counts @ w + rng.normal(size=n) > 0, 1.0, -1.0)
+    dense = np.hstack([counts, np.ones((n, 1))])
+    X = SparseMatrix.from_dense(dense, bias_col=d - 1)
+    model = fit_penalized(X, y, PenaltyConfig(1.0, 0.0), tol=1e-8,
+                          max_iter=100)
+    assert model.converged and model.n_iter <= 30
+    # the optimality conditions, from the dense design
+    s = 1.0 / (1.0 + np.exp(y * (dense @ model.theta)))
+    grad = dense.T @ (-y * s)
+    l1 = np.r_[np.ones(d - 1), 0.0]
+    nz = model.theta != 0
+    assert np.all(np.abs(grad[nz] + l1[nz] * np.sign(model.theta[nz]))
+                  <= 1e-7)
+    assert np.all(np.abs(grad[~nz]) <= l1[~nz] + 1e-7)

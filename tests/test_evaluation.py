@@ -82,9 +82,22 @@ def test_single_point_grid_returns_that_fit(rng):
     assert reports[0].dev_accuracy == accuracy(model, Xd, yd)
 
 
+def with_private_word(X, rows):
+    """X with one more column, before the bias, that is 1 in `rows`."""
+    col = np.zeros(X.n_rows)
+    col[rows] = 1.0
+    return SparseMatrix.from_dense(np.insert(X.to_dense(), -1, col, axis=1),
+                                   bias_col=X.n_cols)
+
+
 def test_equal_dev_accuracy_prefers_sparser_model(rng):
     X, y = separable_instance(rng, 40)
     Xd, yd = separable_instance(rng, 20)
+    # one mislabeled training document holds a word of its own: the weak
+    # penalty fits it with that word, which no dev document holds, so
+    # both fits classify dev alike with different nonzero counts
+    X, Xd = with_private_word(X, [0]), with_private_word(Xd, [])
+    y[0] = -y[0]
     spec = GridSpec(method="lasso", lambda_values=(0.01, 2.0))
     model, reports = grid_search(X, y, Xd, yd, spec)
     assert reports[0].dev_accuracy == reports[1].dev_accuracy == 1.0

@@ -135,6 +135,47 @@ def test_lloyd_never_increases_wcss():
         assert cur <= prev * (1 + 1e-12) + 1e-12
 
 
+def _lloyd_by_cluster_loop(points, k, rng, max_iter):
+    """Lloyd with the per-cluster mean update, the reference for _lloyd."""
+    n = len(points)
+    centers = points[rng.choice(n, size=k, replace=False)].copy()
+    labels = np.full(n, -1)
+    history, emptied = [], 0
+    for _ in range(max_iter):
+        d2 = grouping._sq_dists(points, centers)
+        new_labels = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), new_labels].sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = points[labels == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+            else:
+                emptied += 1
+    return labels, centers, history, emptied
+
+
+def test_lloyd_centre_update_equals_the_per_cluster_mean():
+    rng = np.random.default_rng(4)
+    emptied = 0
+    for shape, k in (((200, 7), 12), ((60, 3), 20), ((500, 50), 40)):
+        points = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        # repeated rows: a centre that ties a lower-indexed copy empties
+        points[1::3] = points[::3][:len(points[1::3])]
+        for seed in range(3):
+            labels, centers, history = _lloyd(
+                points, k, np.random.default_rng(seed), max_iter=20)
+            ref = _lloyd_by_cluster_loop(
+                points, k, np.random.default_rng(seed), max_iter=20)
+            np.testing.assert_array_equal(labels, ref[0])
+            np.testing.assert_array_equal(centers, ref[1])
+            assert history == ref[2]
+            emptied += ref[3]
+    assert emptied > 0  # the emptied-cluster branch was exercised
+
+
 # -- overlap expansion ----------------------------------------------------------------
 
 def test_expand_with_zero_neighbors_is_identity():

@@ -66,6 +66,20 @@ def test_sigmoid_extremes():
     assert sigmoid(0.0) == 0.5
 
 
+def test_sigmoid_is_bit_equal_to_the_two_branch_formula():
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-13, 3, 100000)
+    z = np.concatenate((mags * rng.choice([-1.0, 1.0], mags.size),
+                        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]))
+    ref = np.empty_like(z)
+    pos = z >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    ref[~pos] = ez / (1.0 + ez)
+    np.testing.assert_array_equal(sigmoid(z).view(np.int64),
+                                  ref.view(np.int64))
+
+
 # -- objective ------------------------------------------------------------------
 
 def test_objective_at_zero_weights_is_n_log2(rng):

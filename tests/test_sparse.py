@@ -65,6 +65,31 @@ def test_mat_vec_dense_theta_matches_sparse_theta_path(rng):
                                atol=1e-12)
 
 
+def test_mat_vec_is_bit_equal_to_a_column_by_column_sum(rng):
+    # every active count, so both arms (gather and every entry) are pinned
+    _, X = random_design(rng, 30, 40, density=0.3, with_bias=False)
+    for k in range(41):
+        theta = np.zeros(40)
+        cols = rng.choice(40, size=k, replace=False)
+        theta[cols] = rng.normal(size=k) * 10.0 ** rng.uniform(-8, 8, k)
+        ref = np.zeros(30)
+        for j in range(40):
+            if theta[j] != 0:
+                r, v = X.col(j)
+                ref[r] += v * theta[j]
+        out = X.mat_vec(theta)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+def test_weighted_sq_norms_match_the_dense_sum(rng):
+    dense, X = random_design(rng, 9, 6, with_bias=True)
+    w = rng.random(9)
+    np.testing.assert_allclose(X.weighted_sq_norms(w),
+                               (w[:, None] * dense ** 2).sum(axis=0),
+                               rtol=1e-13)
+
+
 def test_mat_vec_length_mismatch(rng):
     _, X = random_design(rng, 4, 5, with_bias=False)
     with pytest.raises(ValueError):

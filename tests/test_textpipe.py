@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,29 @@ def test_build_matrix_matches_hand_count():
     ]
     assert X.to_dense().tolist() == expected
     assert y.tolist() == [1.0, -1.0, 1.0]
+
+
+def test_build_matrix_equals_a_per_document_counter():
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(40)]
+    train = docs_from((1 if i % 2 else -1, rng.choice(words[:30], 12))
+                      for i in range(20))
+    corpus = Corpus.build(train)
+    docs = docs_from((1, rng.choice(words, rng.integers(0, 15)))
+                     for _ in range(30))
+    docs.append(LabeledDoc(label=-1, tokens=["w35", "w39", "w35", "oov"]))
+    docs.append(LabeledDoc(label=1, tokens=[]))
+    X, y = build_matrix(corpus, docs)
+    ref = np.zeros((len(docs), corpus.n_features))
+    for i, doc in enumerate(docs):
+        for tok, n in Counter(doc.tokens).items():
+            if tok in corpus.vocabulary:
+                ref[i, corpus.vocabulary[tok]] = n
+    ref[:, corpus.bias_col] = 1.0
+    assert any(len(d.tokens) > len(set(d.tokens)) for d in docs)
+    assert not any(ref[-2, :-1]) and not any(ref[-1, :-1])
+    np.testing.assert_array_equal(X.to_dense(), ref)
+    assert y.tolist() == [d.label for d in docs]
 
 
 def test_build_matrix_row_sums_equal_in_vocab_counts():
