@@ -148,8 +148,8 @@ def cmd_vectorize(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    raw_train = textpipe.load_raw_corpus(args.corpus)
-    train_docs = textpipe.map_labels(raw_train, mapping)
+    train_docs = textpipe.map_labels(textpipe.load_raw_corpus(args.corpus),
+                                     mapping)
     if args.dev_corpus:
         dev_docs = textpipe.map_labels(
             textpipe.load_raw_corpus(args.dev_corpus), mapping)
@@ -162,22 +162,27 @@ def cmd_vectorize(args):
     if not corpus.vocabulary:
         raise _data("training corpus produced an empty vocabulary")
 
-    for name, docs in (("train", train_docs), ("dev", dev_docs)):
-        X, y = textpipe.build_matrix(corpus, docs)
-        X.save(out / f"{name}.matrix")
-        textpipe.save_labels(y, out / f"{name}.labels")
+    # Token lists are the bulk of memory: hold one split's at a time.
+    sizes = f"train {len(train_docs)} docs, dev {len(dev_docs)} docs"
+    corpus.documents = []
+    _write_split(corpus, "train", train_docs, out)
+    del train_docs
+    _write_split(corpus, "dev", dev_docs, out)
+    del dev_docs
     if args.test_corpus:
-        test_docs = textpipe.map_labels(
-            textpipe.load_raw_corpus(args.test_corpus), mapping)
-        X, y = textpipe.build_matrix(corpus, test_docs)
-        X.save(out / "test.matrix")
-        textpipe.save_labels(y, out / "test.labels")
+        _write_split(corpus, "test", textpipe.map_labels(
+            textpipe.load_raw_corpus(args.test_corpus), mapping), out)
     textpipe.save_vocabulary(corpus.vocabulary, out / "vocab.txt")
 
     _write_manifest(out / "manifest.json", args)
-    print(f"vocabulary size {len(corpus.vocabulary)}; "
-          f"train {len(train_docs)} docs, dev {len(dev_docs)} docs")
+    print(f"vocabulary size {len(corpus.vocabulary)}; {sizes}")
     return 0
+
+
+def _write_split(corpus, name, docs, out):
+    X, y = textpipe.build_matrix(corpus, docs)
+    X.save(out / f"{name}.matrix")
+    textpipe.save_labels(y, out / f"{name}.labels")
 
 
 # -- group ---------------------------------------------------------------------

@@ -119,21 +119,42 @@ def save_groups(structure, path):
 
 # -- k-means over embeddings --------------------------------------------------
 
+# Rows per GEMM block in k-means assignment and the neighbour search: a
+# (block x k) or (block x V) float64 temporary stays at most 8 MB.
+_BLOCK_ELEMENTS = 2 ** 20
+
+
 def _lloyd(points, k, rng, max_iter):
     """Plain Lloyd iterations; returns (labels, centers, wcss history).
 
     Centers start as a seeded sample of distinct points; a cluster that
     empties keeps its previous center. Assignment ties go to the lowest
-    center index.
+    center index. Points are assigned in row blocks of `_BLOCK_ELEMENTS // k`
+    rows, so memory holds one block of squared distances, never all n x k.
     """
     n = len(points)
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     labels = np.full(n, -1)
     history = []
+    psq = (points ** 2).sum(axis=1)
+    rows = max(1, _BLOCK_ELEMENTS // k)
+    buf = np.empty((min(rows, n), k))
+    nearest = np.empty(n)  # each point's squared distance to its centre
     for _ in range(max_iter):
-        d2 = _sq_dists(points, centers)
-        new_labels = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), new_labels].sum()))
+        csq = (centers ** 2).sum(axis=1)
+        new_labels = np.empty(n, dtype=np.intp)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            # ||p||^2 - 2 p.c + ||c||^2, clipped: cancellation can dip below 0
+            d2 = np.matmul(2.0 * points[start:stop], centers.T,
+                           out=buf[:stop - start])
+            np.subtract(psq[start:stop, None], d2, out=d2)
+            d2 += csq
+            np.maximum(d2, 0.0, out=d2)
+            got = np.argmin(d2, axis=1)
+            new_labels[start:stop] = got
+            nearest[start:stop] = d2[np.arange(stop - start), got]
+        history.append(float(nearest.sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -144,13 +165,6 @@ def _lloyd(points, k, rng, max_iter):
         kept = sizes > 0
         centers[kept] = sums[kept] / sizes[kept, None]
     return labels, centers, history
-
-
-def _sq_dists(points, centers):
-    # ||p||^2 - 2 p.c + ||c||^2, clipped: cancellation can dip below zero
-    d2 = (points ** 2).sum(axis=1)[:, None] \
-        - 2.0 * points @ centers.T + (centers ** 2).sum(axis=1)[None, :]
-    return np.maximum(d2, 0.0)
 
 
 def _embedded_columns(emb, vocab):
@@ -181,11 +195,6 @@ def kmeans_cluster(emb, vocab, cfg):
     return GroupStructure.from_arrays(
         [f"cluster_{c}" for c in used.tolist()],
         np.concatenate(([0], np.cumsum(sizes))), cols[order])
-
-
-# Query rows per GEMM block in the neighbour search: a (block x V) float64
-# temporary stays at most 8 MB.
-_BLOCK_ELEMENTS = 2 ** 20
 
 
 def _nearest(base, queries, width, metric):

@@ -199,12 +199,12 @@ class RefitState:
     Fortran-order buffer that grows geometrically. inv_hessian is the
     lagged P = H(w_ref)^-1 over those columns, or None while missing;
     w_ref holds the curvature weights s(1 - s) it was built at. singular
-    is True once the Hessian of the current block failed to invert, so
-    refits skip the O(n k^2) rebuild until a column enters. The state
-    belongs to one design and to the penalty curvature of each column:
-    `sync` starts it afresh when the design or a column's penalty differs
-    (another lam or bias rule), or its columns are not a prefix of the
-    active order.
+    is True once the Hessian of the current block failed to invert (P is
+    then its pseudo-inverse), so refits skip the O(n k^2) rebuild until a
+    column enters. The state belongs to one design and to the penalty
+    curvature of each column: `sync` starts it afresh when the design or a
+    column's penalty differs (another lam or bias rule), or its columns are
+    not a prefix of the active order.
     """
 
     def __init__(self):
@@ -270,8 +270,10 @@ class RefitState:
         self.inv_hessian = grown
 
     def rebuild(self, w, ridge):
-        """Build the exact Hessian at weights w and invert it into P; P is
-        None, and the block marked singular, when the inverse fails."""
+        """Build the exact Hessian at weights w and invert it into P. When
+        the inverse fails, P is the pseudo-inverse, whose step is the
+        minimum-norm Newton step, and the block is marked singular; P is
+        None only when that fails too."""
         A = self.block()
         H = A.T @ (A * w[:, None])
         H[np.diag_indices_from(H)] += ridge
@@ -279,10 +281,13 @@ class RefitState:
             P = np.linalg.inv(H)
         except np.linalg.LinAlgError:
             P = None
-        if P is not None and not np.all(np.isfinite(P)):
-            P = None
+        self.singular = P is None or not np.all(np.isfinite(P))
+        if self.singular:
+            try:
+                P = np.linalg.pinv(H, hermitian=True)
+            except np.linalg.LinAlgError:  # the eigensolver did not converge
+                P = None
         self.inv_hessian, self.w_ref = P, w
-        self.singular = P is None
 
 
 def _descent(step, grad):
@@ -328,9 +333,10 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     Newton system is solved by CG preconditioned with the lagged inverse
     Hessian of `state`; the dense Hessian is rebuilt at the current iterate
     and inverted, giving the exact Newton step, only when CG needs more
-    than `_CG_MAX` steps or P is missing. A plain gradient step is taken
-    when that inverse fails or is not a descent direction; after a failed
-    inverse the Hessian is not rebuilt until a column enters. A step
+    than `_CG_MAX` steps or P is missing. A singular Hessian gives the
+    minimum-norm Newton step through its pseudo-inverse, and is not rebuilt
+    until a column enters; a plain gradient step is taken when no inverse
+    is at hand or its step is not a descent direction. A step
     whose predicted decrease is below the objective's float resolution is
     taken whole, since Armijo cannot tell it from rounding. Stops when the
     restricted gradient infinity-norm drops to `tol`. Non-convergence is

@@ -236,10 +236,15 @@ class SparseMatrix:
 
     def densify_columns(self, indices):
         """Dense n_rows x len(indices) block of the given columns, in order."""
-        out = np.zeros((self.n_rows, len(indices)))
-        for k, j in enumerate(indices):
-            r, v = self.col(int(j))
-            out[r, k] = v
+        cols = np.asarray(indices, dtype=np.int64)
+        bad = (cols < 0) | (cols >= self.n_cols)
+        if bad.any():
+            raise IndexError(f"column index {cols[bad][0]} out of range")
+        entries = self._entries(cols)
+        out = np.zeros((self.n_rows, len(cols)))
+        out[self.rows[entries], np.repeat(np.arange(len(cols)),
+                                          np.diff(self.indptr)[cols])] = \
+            self.vals[entries]
         return out
 
     # -- file format -------------------------------------------------------
@@ -248,12 +253,17 @@ class SparseMatrix:
         """Write as text: header "n_rows n_cols", then "row col value" lines.
 
         Entries are emitted column-major so save/load round-trips exactly.
+        Lines are formatted `_SAVE_CHUNK` entries at a time, so the Python
+        objects behind them stay bounded whatever the matrix size.
         """
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{self.n_rows} {self.n_cols}\n")
             cols = np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
-            fh.writelines(f"{i} {j} {x!r}\n" for i, j, x in zip(
-                self.rows.tolist(), cols.tolist(), self.vals.tolist()))
+            for s in range(0, self.nnz, _SAVE_CHUNK):
+                e = s + _SAVE_CHUNK
+                fh.writelines(f"{i} {j} {x!r}\n" for i, j, x in zip(
+                    self.rows[s:e].tolist(), cols[s:e].tolist(),
+                    self.vals[s:e].tolist()))
 
     @classmethod
     def load(cls, path, bias_col="last"):
@@ -276,6 +286,9 @@ class SparseMatrix:
         return cls.from_triplets(n_rows, n_cols, rows, cols, vals,
                                  bias_col=bias_col)
 
+
+# Entries formatted per chunk in SparseMatrix.save.
+_SAVE_CHUNK = 2 ** 15
 
 # One "row col value" line of the matrix file format.
 _ENTRY = [("r", np.int64), ("c", np.int64), ("v", np.float64)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -64,17 +65,11 @@ class Corpus:
         for doc in train_docs:
             if doc.label not in (-1, 1):
                 raise ValueError(f"label must be -1 or +1, got {doc.label!r}")
-        order = []
-        seen = set()
-        df = Counter()
-        for doc in train_docs:
-            uniq = set(doc.tokens)
-            df.update(uniq)
-            for tok in doc.tokens:
-                if tok not in seen:
-                    seen.add(tok)
-                    order.append(tok)
+        order = dict.fromkeys(chain.from_iterable(
+            doc.tokens for doc in train_docs))  # keys in first-occurrence order
         if min_df > 1:
+            df = Counter(chain.from_iterable(
+                set(doc.tokens) for doc in train_docs))
             order = [t for t in order if df[t] >= min_df]
         vocab = {tok: j for j, tok in enumerate(order)}
         return cls(train_docs, vocab)
@@ -102,12 +97,16 @@ def build_matrix(corpus, docs):
     n_rows = len(docs)
     bias = corpus.bias_col
     labels = np.array([doc.label for doc in docs], dtype=np.float64)
+    lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64,
+                          count=n_rows)
+    n_tokens = int(lengths.sum())
     # one key doc * (V + 1) + column per known token, the bias once per doc
-    cols = np.array([vocab.get(tok, -1) for doc in docs for tok in doc.tokens]
-                    + [bias] * n_rows, dtype=np.int64)
-    rows = np.concatenate((
-        np.repeat(np.arange(n_rows), [len(doc.tokens) for doc in docs]),
-        np.arange(n_rows)))
+    cols = np.fromiter(chain(
+        map(vocab.get, chain.from_iterable(doc.tokens for doc in docs),
+            repeat(-1)),
+        repeat(bias, n_rows)), dtype=np.int64, count=n_tokens + n_rows)
+    rows = np.concatenate((np.repeat(np.arange(n_rows), lengths),
+                           np.arange(n_rows)))
     known = cols >= 0
     keys, counts = np.unique(rows[known] * (bias + 1) + cols[known],
                              return_counts=True)

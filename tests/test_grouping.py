@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -142,7 +143,10 @@ def _lloyd_by_cluster_loop(points, k, rng, max_iter):
     labels = np.full(n, -1)
     history, emptied = [], 0
     for _ in range(max_iter):
-        d2 = grouping._sq_dists(points, centers)
+        # the full n x k matrix: ||p||^2 - 2 p.c + ||c||^2, clipped at 0
+        d2 = np.maximum((points ** 2).sum(axis=1)[:, None]
+                        - 2.0 * points @ centers.T
+                        + (centers ** 2).sum(axis=1)[None, :], 0.0)
         new_labels = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_labels].sum()))
         if np.array_equal(new_labels, labels):
@@ -174,6 +178,41 @@ def test_lloyd_centre_update_equals_the_per_cluster_mean():
             assert history == ref[2]
             emptied += ref[3]
     assert emptied > 0  # the emptied-cluster branch was exercised
+
+
+def test_blocked_lloyd_equals_the_full_matrix_reference(monkeypatch):
+    rng = np.random.default_rng(5)
+    for shape, k in (((200, 7), 12), ((301, 50), 40), ((97, 3), 20)):
+        points = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        points[1::3] = points[::3][:len(points[1::3])]
+        n = len(points)
+        ref = _lloyd_by_cluster_loop(points, k, np.random.default_rng(0),
+                                     max_iter=20)
+        # 1-row blocks, short blocks with a short tail, a 1-row tail, and
+        # all n in one block
+        for rows in (1, 8, 13, n - 1, n):
+            monkeypatch.setattr(grouping, "_BLOCK_ELEMENTS", rows * k)
+            labels, centers, history = _lloyd(
+                points, k, np.random.default_rng(0), max_iter=20)
+            np.testing.assert_array_equal(labels, ref[0])
+            np.testing.assert_array_equal(centers, ref[1])
+            # a short block can run through another BLAS kernel than the
+            # full GEMM (gemv for one row), which rounds its last bits apart
+            np.testing.assert_allclose(history, ref[2], rtol=1e-13)
+            if rows == n:
+                assert history == ref[2]
+
+
+def test_lloyd_memory_is_bounded_by_its_row_blocks():
+    # the full 20000 x 500 float64 distance matrix alone would be 80 MB
+    points = np.random.default_rng(6).normal(size=(20000, 8))
+    tracemalloc.start()
+    try:
+        _lloyd(points, 500, np.random.default_rng(0), max_iter=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 # -- overlap expansion ----------------------------------------------------------------

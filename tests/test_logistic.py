@@ -308,8 +308,9 @@ def test_fit_restricted_bias_exempt_flag(rng):
 
 def test_fit_restricted_duplicated_column_at_lambda_zero_stays_truthful():
     # At lambda 0 a duplicated column has a zero Schur complement, so the
-    # lagged inverse cannot be bordered and the Hessian is singular. Once
-    # its inverse fails, it is not rebuilt until a column enters.
+    # lagged inverse cannot be bordered and the Hessian is singular. Its
+    # pseudo-inverse gives minimum-norm Newton steps to the optimum, and it
+    # is not rebuilt until a column enters.
     rng = np.random.default_rng(3)
     dense = rng.normal(size=(60, 5))
     dense[:, 3] = dense[:, 1]
@@ -328,10 +329,16 @@ def test_fit_restricted_duplicated_column_at_lambda_zero_stays_truthful():
         assert model.converged == (np.max(np.abs(g[[4, 0, 1, 3]]))
                                    <= DEFAULT_TOL)
         assert model.hessian_builds <= 1
-        if warm is None:  # an entering column allows a rebuild again
+        if warm is None:
+            assert model.converged and state.singular
+            # the entering column borders the pseudo-inverse into a P that
+            # inverts the grown block, which is no longer marked singular
             grown = fit_restricted(X, y, [4, 0, 1, 3, 2], 0.0,
                                    warm_start=model.theta, state=state)
-            assert grown.hessian_builds == 1
+            g = gradient(X, y, grown.theta, 0.0)
+            assert grown.converged == (np.max(np.abs(g[[4, 0, 1, 3, 2]]))
+                                       <= DEFAULT_TOL)
+            assert grown.converged and not state.singular
     # from the optimum no Newton step runs, so P shows the refused border
     assert model.n_iter == 0 and state.inv_hessian is None
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textomp import SparseMatrix
+from textomp import SparseMatrix, sparse
 from textomp.sparse import _parse_fast, _parse_lines
 
 from conftest import random_design
@@ -209,6 +209,44 @@ def test_file_text_is_column_major_with_repr_values(tmp_path):
     assert path.read_text() == ("3 4\n0 1 0.1\n2 1 3.0\n1 2 -2.5e-300\n"
                                 "2 2 0.3333333333333333\n0 3 1.0\n1 3 1.0\n"
                                 "2 3 1.0\n")
+
+
+def test_file_text_across_save_chunks_is_the_per_entry_text(tmp_path,
+                                                             monkeypatch,
+                                                             rng):
+    _, X = random_design(rng, 9, 6, with_bias=True, scale=1e3)
+    cols = np.repeat(np.arange(X.n_cols), np.diff(X.indptr))
+    expected = f"{X.n_rows} {X.n_cols}\n" + "".join(
+        f"{i} {j} {x!r}\n" for i, j, x in zip(X.rows.tolist(), cols.tolist(),
+                                              X.vals.tolist()))
+    path = tmp_path / "m.matrix"
+    for chunk in (1, 7, X.nnz - 1, X.nnz, X.nnz + 1):
+        monkeypatch.setattr(sparse, "_SAVE_CHUNK", chunk)
+        X.save(path)
+        assert path.read_text() == expected, chunk
+
+
+def densify_by_column(X, indices):
+    out = np.zeros((X.n_rows, len(indices)))
+    for k, j in enumerate(indices):
+        r, v = X.col(j)
+        out[r, k] = v
+    return out
+
+
+def test_densify_columns_equals_a_per_column_copy(rng):
+    dense, X = random_design(rng, 8, 6, with_bias=True)
+    dense[:, 2] = 0.0  # an empty column
+    X = SparseMatrix.from_dense(dense, bias_col=5)
+    for indices in ([], [2], [5, 0, 3], [1, 2, 1, 5, 2], range(6),
+                    np.array([4, 4, 5])):
+        got = X.densify_columns(indices)
+        np.testing.assert_array_equal(got, densify_by_column(X, indices))
+        np.testing.assert_array_equal(got, dense[:, list(indices)])
+    np.testing.assert_array_equal(X.to_dense(), dense)
+    for bad in ([6], [0, -1]):
+        with pytest.raises(IndexError):
+            X.densify_columns(bad)
 
 
 def test_file_rejects_bad_entries(tmp_path):

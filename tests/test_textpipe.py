@@ -58,6 +58,33 @@ def test_vocabulary_min_document_frequency():
     assert corpus.vocabulary == {"a": 0, "b": 1}
 
 
+def vocabulary_by_loop(docs, min_df):
+    order, seen, df = [], set(), Counter()
+    for doc in docs:
+        df.update(set(doc.tokens))
+        for tok in doc.tokens:
+            if tok not in seen:
+                seen.add(tok)
+                order.append(tok)
+    if min_df > 1:
+        order = [t for t in order if df[t] >= min_df]
+    return {tok: j for j, tok in enumerate(order)}
+
+
+def test_vocabulary_equals_the_first_occurrence_loop():
+    rng = np.random.default_rng(8)
+    words = [f"w{i}" for i in range(60)]
+    docs = docs_from((1 if i % 3 else -1,
+                      rng.choice(words, rng.integers(0, 20)).tolist())
+                     for i in range(40))
+    for min_df in (1, 2, 3):
+        corpus = Corpus.build(docs, min_df=min_df)
+        expected = vocabulary_by_loop(docs, min_df)
+        assert list(corpus.vocabulary.items()) == list(expected.items())
+    assert len(Corpus.build(docs, min_df=2).vocabulary) < len(
+        Corpus.build(docs).vocabulary)
+
+
 def test_corpus_rejects_bad_labels():
     with pytest.raises(ValueError):
         Corpus.build(docs_from([(2, ["a"])]))
