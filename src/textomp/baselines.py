@@ -17,8 +17,12 @@ diagonal so that each coordinate moves on its own curvature, finds the
 model's face: the signs of its minimizer. Conjugate gradients then solve
 the model on that face, where the L1 term is linear, as an active-set
 Newton method would. Both need only Hessian-vector products, taken from
-W's sparse columns. The step is then cut back until it passes the Armijo
-test on the true objective, so the objective never increases. The
+W's sparse columns. The steps run in `logistic.newton`, the loop the
+greedy refit uses too: each step is cut back until it passes the Armijo
+test on the true objective, so the objective never increases, and when no
+step length decreases it the fit ends unconverged at its last accepted
+iterate. A trial whose objective overflows is halved like any failed
+trial; a curvature or a Newton step that overflows raises. The
 penalty weights follow the one bias rule, `logistic.penalty_mask`: the L1
 penalty never covers the bias, and the L2 penalty covers it unless
 penalize_bias is False.
@@ -31,17 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logistic import (ActiveSet, Model, penalty_mask, sigmoid, softplus,
-                       value_and_gradient)
+from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, Model, cg,
+                       checked_labels, newton, penalty_mask,
+                       value_and_gradient, violations)
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100  # Newton steps
-
-_ARMIJO_C = 1e-4
-_MAX_BACKTRACKS = 60
-# A predicted decrease below this fraction of (1 + |objective|) is under the
-# objective's float resolution, so the Armijo test cannot judge the step.
-_NOISE_FLOOR = 1e-10
 # A Newton step solves its model to a KKT violation of
 # _INNER_FORCING * min(1, v) * v, for the violation v at the current
 # iterate (an inexact-Newton forcing term, Nocedal & Wright ch. 7), in at
@@ -63,22 +60,14 @@ class PenaltyConfig:
     lambda_l2: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_l1 < 0 or self.lambda_l2 < 0:
-            raise ValueError("penalty strengths must be non-negative")
+        if not (0 <= self.lambda_l1 < np.inf
+                and 0 <= self.lambda_l2 < np.inf):
+            raise ValueError("penalty strengths must be finite and "
+                             "non-negative")
 
 
 def _soft_threshold(v, t):
     return v - np.clip(v, -t, t)
-
-
-def _violations(theta, grad, l1_vec):
-    return np.where(theta != 0,
-                    np.abs(grad + l1_vec * np.sign(theta)),
-                    np.maximum(np.abs(grad) - l1_vec, 0.0))
-
-
-def _max_violation(theta, grad, l1_vec):
-    return float(np.max(_violations(theta, grad, l1_vec)))
 
 
 def kkt_violation(X, y, theta, cfg, penalize_bias=True):
@@ -91,7 +80,7 @@ def kkt_violation(X, y, theta, cfg, penalize_bias=True):
     l2_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
     _, grad = value_and_gradient(X, y, theta, cfg.lambda_l2, l2_mask)
     l1_vec = cfg.lambda_l1 * penalty_mask(X.n_cols, X.bias_col, False)
-    return _max_violation(theta, grad, l1_vec)
+    return float(np.max(violations(theta, grad, l1_vec)))
 
 
 def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
@@ -101,13 +90,12 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     Working-set proximal Newton (see the module docstring). Every accepted
     step passes the Armijo test, so the penalized objective never
     increases. Convergence is declared when the KKT violation over every
-    column reaches `tol`; max_iter caps the Newton steps, and hitting it
-    flags the returned Model instead of raising. Raises FloatingPointError
-    when the curvature, a Newton step or a trial objective overflows.
+    column reaches `tol`; max_iter caps the Newton steps, and hitting it,
+    or finding no decrease, flags the returned Model instead of raising.
+    Raises FloatingPointError when the curvature or a Newton step
+    overflows.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n_rows,):
-        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
+    y = checked_labels(X, y)
 
     l1_vec = float(cfg.lambda_l1) * penalty_mask(X.n_cols, X.bias_col, False)
     l2 = float(cfg.lambda_l2)
@@ -116,9 +104,12 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     n_iter = 0
     cols = _working_set(X, y, theta, l1_vec, l2, l2_mask, tol)
     while cols is not None and n_iter < max_iter:
-        theta[cols], steps = _Restricted(X, cols, y, l1_vec, l2, l2_mask) \
-            .solve(theta[cols], tol, max_iter - n_iter)
+        theta[cols], steps, solved = _Restricted(
+            X, cols, y, l1_vec, l2, l2_mask).solve(theta[cols], tol,
+                                                   max_iter - n_iter)
         n_iter += steps
+        if not solved:  # the cap, or no decrease on the working set
+            break
         cols = _working_set(X, y, theta, l1_vec, l2, l2_mask, tol)
     converged = cols is None
 
@@ -131,7 +122,7 @@ def _working_set(X, y, theta, l1_vec, l2, l2_mask, tol):
     """The support, the bias and every column whose KKT violation at theta
     is positive, or None when no violation exceeds tol."""
     _, grad = value_and_gradient(X, y, theta, l2, l2_mask)
-    viol = _violations(theta, grad, l1_vec)
+    viol = violations(theta, grad, l1_vec)
     if np.max(viol) <= tol:
         return None
     work = (theta != 0) | (viol > 0)
@@ -167,31 +158,6 @@ class _Block:
         return self.X.weighted_sq_norms(w)[self.idx]
 
 
-def _cg(hess, rhs, m, tol, max_steps):
-    """Approximate solution of hess(x) = rhs by CG preconditioned with
-    diag(m), from x = 0, until max |residual| <= tol or max_steps."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    z = r / m
-    p = z
-    rz = float(r @ z)
-    for _ in range(max_steps):
-        if np.max(np.abs(r)) <= tol:
-            break
-        Hp = hess(p)
-        curv = float(p @ Hp)
-        if not curv > 0.0:
-            break
-        alpha = rz / curv
-        x += alpha * p
-        r -= alpha * Hp
-        z = r / m
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    return x
-
-
 class _Point(NamedTuple):
     """A point u of a Newton step's model: its value, u, H (u - theta)."""
     val: float
@@ -225,7 +191,7 @@ class _Model:
         return _Point(val, u, Hd)
 
     def violation(self, p):
-        return _max_violation(p.u, self.grad + p.Hd, self.l1)
+        return float(np.max(violations(p.u, self.grad + p.Hd, self.l1)))
 
     def fista(self, start, L, tol):
         """FISTA in the metric M = diag(H) from `start` until its signs hold
@@ -271,9 +237,10 @@ class _Model:
         change and the first halving that lowers the model."""
         sign = np.sign(p.u)
         face = sign != 0
-        e = _cg(lambda d: np.where(face, self.hess(d), 0.0),
-                np.where(face, -(self.grad + p.Hd + self.l1 * sign), 0.0),
-                self.m, tol, _CG_MAX)
+        e = cg(lambda d: np.where(face, self.hess(d), 0.0),
+               lambda r: r / self.m,
+               np.where(face, -(self.grad + p.Hd + self.l1 * sign), 0.0),
+               lambda r: np.max(np.abs(r)) <= tol, _CG_MAX)[0]
 
         def along(alpha):  # p + alpha e, cut back to the orthant
             u = p.u + alpha * e
@@ -306,45 +273,26 @@ class _Restricted:
         self.block = _Block(X, cols)
         self.y, self.l1 = y, l1_vec[cols]
         self.ridge = 2.0 * l2 * l2_mask[cols]  # the L2 term's curvature
-
-    def objective(self, theta):
-        """The penalized objective at theta, and the margins."""
-        z = self.block.mat_vec(theta)
-        val = float(np.sum(softplus(-self.y * z))
-                    + 0.5 * np.sum(self.ridge * theta ** 2)
-                    + np.sum(self.l1 * np.abs(theta)))
-        if not np.isfinite(val):
-            raise FloatingPointError(
-                f"Newton step left the finite range (objective={val!r})")
-        return val, z
+        self.L = 1.0  # FISTA's curvature bound, carried across steps
 
     def solve(self, theta, tol, max_steps):
-        """Newton steps from theta until the violation over the working set
-        is at most tol or max_steps were taken; returns (theta, steps)."""
-        y = self.y
-        val, z = self.objective(theta)
-        L = 1.0
-        for steps in range(max_steps + 1):
-            s = sigmoid(-y * z)
-            grad = self.block.correlations(-y * s) + self.ridge * theta
-            viol = _max_violation(theta, grad, self.l1)
-            if viol <= tol or steps == max_steps:
-                break
-            step, L = self.newton_step(
-                theta, grad, s * (1.0 - s), max(1.0, 0.5 * L),
-                _INNER_FORCING * min(1.0, viol) * viol)
-            theta, val, z = self.line_search(theta, val, grad, step)
-        return theta, steps
+        """`logistic.newton` from theta, with `newton_step` for directions;
+        returns (theta, steps, converged)."""
+        return newton(self.block.mat_vec, self.block.correlations,
+                      self.newton_step, theta, self.y, self.ridge, self.l1,
+                      tol, max_steps)
 
-    def newton_step(self, theta, grad, w, L, tol):
+    def newton_step(self, theta, grad, w, viol):
         """Approximate minimizer d of the model
         grad.d + d.H.d / 2 + |l1 (theta + d)|_1 - |l1 theta|_1, with H the
-        Hessian at curvature weights w, to a KKT violation of tol; returns
-        (d, the last curvature bound L). Each round runs `_Model.fista`,
-        then `_Model.face_step`, from the lowest point so far, so d is a
-        descent direction."""
+        Hessian at curvature weights w, to a KKT violation of
+        _INNER_FORCING * min(1, viol) * viol. Each round runs
+        `_Model.fista`, then `_Model.face_step`, from the lowest point so
+        far, so d is a descent direction."""
+        tol = _INNER_FORCING * min(1.0, viol) * viol
         model = _Model(self.block, w, self.ridge, theta, grad, self.l1)
         point = _Point(0.0, theta, np.zeros_like(theta))
+        L = max(1.0, 0.5 * self.L)
         for _ in range(_ROUNDS):
             point, L = model.fista(point, L, tol)
             if model.violation(point) <= tol:
@@ -352,26 +300,11 @@ class _Restricted:
             point = model.face_step(point, tol)
             if model.violation(point) <= tol:
                 break
+        self.L = L
         step = point.u - theta
         if not np.all(np.isfinite(step)):
             raise FloatingPointError("Newton step overflowed")
-        return step, L
-
-    def line_search(self, theta, val, grad, step):
-        """theta + t step for the first t = 1, 1/2, ... passing the Armijo
-        test on the true objective; returns (theta, objective, margins).
-        A predicted decrease below float resolution is taken whole."""
-        delta = float(grad @ step + self.l1 @ (np.abs(theta + step)
-                                               - np.abs(theta)))
-        below_noise = -delta <= _NOISE_FLOOR * (1.0 + abs(val))
-        t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            cand = theta + t * step
-            cand_val, cand_z = self.objective(cand)
-            if below_noise or cand_val <= val + _ARMIJO_C * t * delta:
-                return cand, cand_val, cand_z
-            t *= 0.5
-        return theta, val, self.block.mat_vec(theta)  # no decrease found
+        return step
 
 
 def sparsity(model, bias_col="last"):

@@ -72,6 +72,8 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d, bias_col = map(int, fh.readline().split())
+            if d < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(
                 f"{path}:1: expected header 'd bias_col'") from None
@@ -262,12 +264,15 @@ def cmd_train(args):
     _check_at_least(args, **_SOLVER_LOWEST)
     if bool(args.dev_matrix) != bool(args.dev_labels):
         raise _usage("--dev-matrix and --dev-labels go together")
+    hp = {name: getattr(args, _PENALTY_FLAGS[name][0])
+          for name in evaluation.METHOD_PENALTIES[args.method]}
+    for name, value in hp.items():
+        if not 0 <= value < np.inf:
+            raise _data(f"--{name.replace('_', '-')} must be finite and >= 0")
     X, y = _load_design(args.matrix, args.labels)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    hp = {name: getattr(args, _PENALTY_FLAGS[name][0])
-          for name in evaluation.METHOD_PENALTIES[args.method]}
     model, traj, report = evaluation.fit(args.method, hp, X, y,
                                          _fit_options(args, X))
     for name in ("budget", "epsilon", "criterion"):  # a greedy stop rule
@@ -311,13 +316,13 @@ def cmd_grid(args):
     _check_at_least(args, **_SOLVER_LOWEST)
     if bool(args.test_matrix) != bool(args.test_labels):
         raise _usage("--test-matrix and --test-labels go together")
+    spec = GridSpec(method=args.method, lambda_values=[
+        float(v) for v in args.lambdas.split(",") if v])
     X, y = _load_design(args.matrix, args.labels)
     X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lambdas = [float(v) for v in args.lambdas.split(",") if v]
-    spec = GridSpec(method=args.method, lambda_values=lambdas)
     try:
         best_model, reports = evaluation.grid_search(
             X, y, X_dev, y_dev, spec, _fit_options(args, X))

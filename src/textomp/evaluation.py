@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from . import baselines, gomp as gomp_mod, omp as omp_mod
+from . import baselines, gomp as gomp_mod, logistic, omp as omp_mod
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -46,8 +46,8 @@ class GridSpec:
         self.lambda_values = tuple(float(v) for v in self.lambda_values)
         if not self.lambda_values:
             raise ValueError("lambda grid is empty")
-        if any(v <= 0 for v in self.lambda_values):
-            raise ValueError("lambda grid values must be positive")
+        if not all(0 < v < np.inf for v in self.lambda_values):
+            raise ValueError("lambda grid values must be finite and positive")
 
     def points(self):
         """Hyperparameter dicts in deterministic grid order: every penalty
@@ -79,11 +79,9 @@ def accuracy(model, X, y):
 
     A zero margin predicts +1. Raises on an empty evaluation set.
     """
-    y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise ValueError("empty evaluation set")
-    if y.shape != (X.n_rows,):
-        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
+    y = logistic.checked_labels(X, y)
     margin = X.mat_vec(getattr(model, "theta", model))
     pred = np.where(margin >= 0.0, 1.0, -1.0)
     return float(np.mean(pred == y))

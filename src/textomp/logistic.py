@@ -4,18 +4,23 @@
 `objective`, `gradient` and the `baselines` solvers. `penalty_mask` is the
 one bias rule: the only place a penalty weight on the bias is zeroed.
 
-The restricted fit is the inner solver of the greedy selection loops: a
-Newton method over the active coordinates with backtracking line search,
-falling back to a gradient step when no descent direction is found. A
-`RefitState` carries what consecutive refits of one run share: the dense
-active block, which grows by the entering columns only, and a lagged
-inverse Hessian P = H(w_ref)^-1 taken at some earlier iterate. Each entering
-column borders P through its Schur complement (the bordering of Batch-OMP,
-Rubinstein, Zibulevsky & Elad, 2008), and each Newton system is solved by
-conjugate gradients preconditioned with P (truncated Newton as in TRON,
-Lin, Weng & Keerthi, 2008). Only when CG needs more than `_CG_MAX` steps,
-or P is missing, is the dense Hessian rebuilt at O(n k^2) and inverted, so
-a whole greedy run builds it a handful of times.
+`newton` is the one damped-Newton loop, and `cg` the one conjugate-gradient
+solver, of the refit below and of the `baselines`: truncated Newton with
+backtracking (TRON, Lin, Weng & Keerthi, 2008; newGLMNET, Yuan, Ho & Lin,
+2012). A caller supplies only how a step's direction is found. The loop
+never accepts a step that fails Armijo: when no step length decreases the
+objective the fit ends unconverged at its last accepted iterate, and a
+trial whose objective overflows is halved like any other failed trial.
+
+The restricted fit, the inner solver of the greedy loops, runs `newton`
+over the active coordinates. A `RefitState` carries what consecutive
+refits of one run share: the dense active block, which grows by the
+entering columns only, and a lagged inverse Hessian P = H(w_ref)^-1 taken
+at some earlier iterate. Each entering column borders P through its Schur
+complement (the bordering of Batch-OMP, Rubinstein, Zibulevsky & Elad,
+2008), and P preconditions `cg`. Only when CG needs more than `_CG_MAX`
+steps, or P is missing, is the dense Hessian rebuilt at O(n k^2) and
+inverted, so a whole greedy run builds it a handful of times.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
+DEFAULT_MAX_ITER = 100  # Newton steps
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -94,8 +99,9 @@ class ActiveSet:
 class Model:
     """Weights over all d features, zero off the active set.
 
-    converged is False when the inner solver hit its iteration cap; theta
-    then holds the best iterate seen. n_iter counts Newton steps; a
+    converged is False when the solver stopped short of its tolerance, at
+    its iteration cap or for want of a decrease; theta then holds the last
+    accepted iterate. n_iter counts Newton steps; a
     restricted fit also counts its CG steps and dense Hessian builds.
     """
 
@@ -150,12 +156,18 @@ def value_and_gradient(X, y, theta, lam, mask):
     return val, grad
 
 
-def _as_checked(X, y, theta):
-    """y and theta as float64 arrays, checked against X's shape."""
+def checked_labels(X, y):
+    """y as a float64 array, checked to hold one label per row of X."""
     y = np.asarray(y, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
     if y.shape != (X.n_rows,):
         raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
+    return y
+
+
+def _as_checked(X, y, theta):
+    """y and theta as float64 arrays, checked against X's shape."""
+    y = checked_labels(X, y)
+    theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (X.n_cols,):
         raise ValueError(f"theta length {theta.shape} != ({X.n_cols},)")
     return y, theta
@@ -183,13 +195,6 @@ def residual(X, theta, y):
     """Prediction residual sigma(X theta) - 1[y == +1], componentwise in (-1, 1)."""
     y, theta = _as_checked(X, y, theta)
     return sigmoid(X.mat_vec(theta)) - (y > 0).astype(np.float64)
-
-
-def _restricted_value(Xd, y, coef, lam, pen_mask):
-    """The restricted objective at coef, and the margins Xd @ coef."""
-    z = Xd @ coef
-    return (float(np.sum(softplus(-y * z))
-                  + lam * np.sum(pen_mask * coef ** 2)), z)
 
 
 class RefitState:
@@ -298,30 +303,92 @@ def _descent(step, grad):
     return step
 
 
-def _preconditioned_cg(A, w, ridge, rhs, P, tol):
-    """Solve (A^T diag(w) A + diag(ridge)) p = rhs by CG preconditioned
-    with P; returns (p, steps taken). p is None when the residual norm is
-    still above tol after _CG_MAX steps, or P or the curvature is not
-    positive along the way."""
+def violations(x, grad, l1):
+    """Per-coordinate KKT violation at x of a smooth part with gradient
+    grad plus sum(l1 * |x|): |grad + l1 sign(x)| where x is nonzero and
+    max(|grad| - l1, 0) where it is zero; |grad| itself when l1 is 0."""
+    return np.where(x != 0, np.abs(grad + l1 * np.sign(x)),
+                    np.maximum(np.abs(grad) - l1, 0.0))
+
+
+def cg(hess, precond, rhs, small, max_steps):
+    """Conjugate gradients for hess(p) = rhs from p = 0, preconditioned by
+    precond(r); returns (p, Hessian products taken, solved). solved is True
+    once small(residual) holds; CG gives up after max_steps products, or
+    when the curvature along a direction or r^T precond(r) is not positive,
+    and p is then its last iterate."""
     p = np.zeros_like(rhs)
-    r = rhs.copy()
-    d = P @ r
+    r = rhs  # never updated in place: precond(r) may return r itself
+    if small(r):
+        return p, 0, True
+    d = precond(r)
     rz = float(r @ d)
-    for steps in range(1, _CG_MAX + 1):
-        Hd = A.T @ (w * (A @ d)) + ridge * d
+    for steps in range(1, max_steps + 1):
+        Hd = hess(d)
         curv = float(d @ Hd)
         if not (curv > 0.0 and rz > 0.0):
-            return None, steps
+            return p, steps, False
         alpha = rz / curv
         p += alpha * d
-        r -= alpha * Hd
-        if np.linalg.norm(r) <= tol:
-            return p, steps
-        z = P @ r
+        r = r - alpha * Hd
+        if small(r):
+            return p, steps, True
+        z = precond(r)
         rz_next = float(r @ z)
         d = z + (rz_next / rz) * d
         rz = rz_next
-    return None, _CG_MAX
+    return p, max_steps, False
+
+
+def newton(mat_vec, correlations, direction, x, y, ridge, l1, tol,
+           max_steps):
+    """Damped Newton from x on the block objective of columns B,
+    sum(softplus(-y * B x)) + sum(ridge * x**2) / 2 + sum(l1 * |x|).
+
+    mat_vec(x) is B x and correlations(v) is B^T v. direction(x, grad, w,
+    viol) gives the step at x, for the gradient grad of the smooth part,
+    the curvature weights w = s(1 - s) and the largest KKT violation viol.
+    A step is cut back from t = 1 by halving until it passes the Armijo
+    test; a trial whose objective is not finite fails it. A step whose
+    predicted decrease is below the objective's float resolution is taken
+    whole, since Armijo cannot tell it from rounding. Stops converged once
+    no violation exceeds tol, tested after the last allowed step too; stops
+    unconverged at max_steps, on an uphill step, or when _MAX_BACKTRACKS
+    halvings find no decrease. Returns (x, steps taken, converged); raises
+    FloatingPointError when the objective at the start is not finite.
+    """
+    def value(x):
+        z = mat_vec(x)
+        return float(np.sum(softplus(-y * z)) + 0.5 * np.sum(ridge * x ** 2)
+                     + np.sum(l1 * np.abs(x))), z
+
+    val, z = value(x)
+    if not np.isfinite(val):
+        raise FloatingPointError(f"objective is not finite ({val!r})")
+    for steps in range(max_steps + 1):
+        s = sigmoid(-y * z)
+        grad = correlations(-y * s) + ridge * x
+        viol = float(np.max(violations(x, grad, l1)))
+        if viol <= tol:
+            return x, steps, True
+        if steps == max_steps:
+            break
+        step = direction(x, grad, s * (1.0 - s), viol)
+        slope = float(grad @ step + l1 @ (np.abs(x + step) - np.abs(x)))
+        if not slope <= 0.0:  # uphill: no step length decreases it
+            break
+        below_noise = -slope <= _NOISE_FLOOR * (1.0 + abs(val))
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            cand_val, cand_z = value(x + t * step)
+            if cand_val <= val + _ARMIJO_C * t * slope \
+                    or below_noise and cand_val < np.inf:
+                break
+            t *= 0.5
+        else:
+            break  # no decrease found
+        x, val, z = x + t * step, cand_val, cand_z
+    return x, steps, False
 
 
 def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
@@ -329,19 +396,15 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
                    penalize_bias=True, state=None):
     """Minimize the L2-penalized logistic loss with support restricted to `active`.
 
-    Newton steps on the active coordinates with Armijo backtracking. Each
-    Newton system is solved by CG preconditioned with the lagged inverse
-    Hessian of `state`; the dense Hessian is rebuilt at the current iterate
-    and inverted, giving the exact Newton step, only when CG needs more
-    than `_CG_MAX` steps or P is missing. A singular Hessian gives the
-    minimum-norm Newton step through its pseudo-inverse, and is not rebuilt
-    until a column enters; a plain gradient step is taken when no inverse
-    is at hand or its step is not a descent direction. A step
-    whose predicted decrease is below the objective's float resolution is
-    taken whole, since Armijo cannot tell it from rounding. Stops when the
-    restricted gradient infinity-norm drops to `tol`. Non-convergence is
-    flagged on the returned Model, which then carries the best iterate
-    rather than raising.
+    `newton` on the active coordinates until the restricted gradient
+    infinity-norm drops to `tol`. Its direction is CG preconditioned with
+    the lagged inverse Hessian of `state`; the dense Hessian is rebuilt at
+    the current iterate and inverted, giving the exact Newton step, only
+    when CG needs more than `_CG_MAX` steps or P is missing. A singular
+    Hessian gives the minimum-norm Newton step through its pseudo-inverse,
+    and is not rebuilt until a column enters; a gradient step is taken when
+    no inverse is at hand or its step is not a descent direction.
+    Non-convergence is flagged on the returned Model, not raised.
 
     warm_start: optional full-length weight vector to initialize from
     (off-support entries are ignored; new coordinates start at 0).
@@ -349,15 +412,11 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     dense block and P carry over; without one a fresh state is built and
     the first Newton step is the exact dense solve.
     """
-    if isinstance(active, ActiveSet):
-        active = active.copy()
-    else:
-        active = ActiveSet(active)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n_rows,):
-        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    active = active.copy() if isinstance(active, ActiveSet) \
+        else ActiveSet(active)
+    y = checked_labels(X, y)
+    if not 0 <= lam < np.inf:
+        raise ValueError("lambda must be finite and non-negative")
     order = list(active)
     for j in order:
         if not 0 <= j < X.n_cols:
@@ -367,40 +426,27 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     if not order:
         return Model(theta=theta, active=active)
 
-    lam = float(lam)
-    pen_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)[order]
-    ridge = 2.0 * lam * pen_mask
+    ridge = 2.0 * float(lam) \
+        * penalty_mask(X.n_cols, X.bias_col, penalize_bias)[order]
     if state is None:
         state = RefitState()
-    Xd = state.sync(X, order, ridge)
+    A = state.sync(X, order, ridge)
+    coef = np.zeros(len(order)) if warm_start is None \
+        else np.asarray(warm_start, dtype=np.float64)[order]
+    cg_steps = hessian_builds = 0
 
-    coef = np.zeros(len(order))
-    if warm_start is not None:
-        coef = np.asarray(warm_start, dtype=np.float64)[order].copy()
-
-    best_coef = coef.copy()
-    val, z = _restricted_value(Xd, y, coef, lam, pen_mask)
-    best_val = val
-    converged = False
-    n_iter = cg_steps = hessian_builds = 0
-
-    for n_iter in range(1, max_iter + 1):
-        s = sigmoid(-y * z)
-        grad = Xd.T @ (-y * s) + ridge * coef
-        if np.max(np.abs(grad)) <= tol:
-            converged = True
-            n_iter -= 1
-            break
-
-        w = s * (1.0 - s)
+    def direction(coef, grad, w, viol):
+        nonlocal cg_steps, hessian_builds
         step = None
-        if state.inv_hessian is not None:
+        P = state.inv_hessian
+        if P is not None:
             gnorm = float(np.linalg.norm(grad))
-            step, used = _preconditioned_cg(
-                Xd, w, ridge, -grad, state.inv_hessian,
-                _CG_FORCING * min(0.5, np.sqrt(gnorm)) * gnorm)
+            forcing = _CG_FORCING * min(0.5, np.sqrt(gnorm)) * gnorm
+            p, used, solved = cg(
+                lambda d: A.T @ (w * (A @ d)) + ridge * d, lambda r: P @ r,
+                -grad, lambda r: np.linalg.norm(r) <= forcing, _CG_MAX)
             cg_steps += used
-            step = _descent(step, grad)
+            step = _descent(p, grad) if solved else None
         if step is None and not state.singular:
             state.rebuild(w, ridge)
             hessian_builds += 1
@@ -408,30 +454,11 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
                 step = _descent(-(state.inv_hessian @ grad), grad)
                 if step is None:
                     state.inv_hessian = None
-        if step is None:
-            step = -grad  # fallback: gradient descent direction
+        return -grad if step is None else step  # fallback: gradient step
 
-        slope = float(grad @ step)
-        below_noise = -slope <= _NOISE_FLOOR * (1.0 + abs(val))
-        t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            cand_val, cand_z = _restricted_value(Xd, y, coef + t * step,
-                                                 lam, pen_mask)
-            if below_noise or cand_val <= val + _ARMIJO_C * t * slope:
-                break
-            t *= 0.5
-        else:  # cap hit: t was halved past the last evaluated point
-            cand_val, cand_z = _restricted_value(Xd, y, coef + t * step,
-                                                 lam, pen_mask)
-        coef = coef + t * step
-        val, z = cand_val, cand_z
-        if val < best_val:
-            best_val = val
-            best_coef = coef.copy()
-
-    if not converged:
-        coef = best_coef
-
+    coef, n_iter, converged = newton(
+        lambda c: A @ c, lambda v: A.T @ v, direction, coef, y, ridge,
+        np.zeros(len(order)), tol, max_iter)
     theta[order] = coef
     return Model(theta=theta, active=active, converged=converged,
                  n_iter=n_iter, cg_steps=cg_steps,

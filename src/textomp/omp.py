@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, RefitState,
-                       fit_restricted, residual)
+                       checked_labels, fit_restricted, residual)
 
 CHECKPOINT_INTERVAL = 100
 
@@ -45,8 +45,8 @@ class GreedyConfig:
         # written as `not x >= 0` so that NaN is rejected too
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
-        if not self.lam >= 0:
-            raise ValueError("lambda must be non-negative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be finite and non-negative")
         if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
         if self.max_iter < 1:
@@ -130,10 +130,7 @@ def run_greedy(X, y, cfg, select, on_refit=None):
     of the run shares one RefitState, so the dense active block and the
     lagged inverse Hessian carry over from one selection to the next.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n_rows,):
-        raise ValueError(f"y length {y.shape} != ({X.n_rows},)")
-
+    y = checked_labels(X, y)
     active = ActiveSet([X.bias_col] if X.bias_col is not None else [])
     traj = Trajectory()
     state = RefitState()
@@ -179,7 +176,7 @@ def run_omp(X, y, cfg):
     """Run greedy single-feature selection; returns (final Model, Trajectory).
 
     Solver non-convergence on an iteration is recorded on that iteration's
-    trajectory entry and the loop continues with the best iterate.
+    trajectory entry and the loop continues with the last accepted iterate.
     """
     col_norms = X.col_norms() if cfg.normalize_columns else None
 

@@ -301,6 +301,8 @@ def _parse_fast(path):
         # as digits, where int() rejects them
         with open(path, "r", encoding="ascii") as fh:
             n_rows, n_cols = map(int, fh.readline().split())
+            if min(n_rows, n_cols) < 0:
+                return None
             with warnings.catch_warnings():  # a header-only body
                 warnings.filterwarnings(
                     "ignore", "loadtxt: input contained no data", UserWarning)
@@ -324,6 +326,8 @@ def _parse_lines(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             n_rows, n_cols = map(int, fh.readline().split())
+            if min(n_rows, n_cols) < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(
                 f"{path}:1: expected header 'n_rows n_cols'") from None

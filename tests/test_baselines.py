@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from textomp import (ActiveSet, PenaltyConfig, SparseMatrix, fit_penalized,
-                     fit_restricted, kkt_violation, sparsity)
+from textomp import (ActiveSet, GridSpec, OMPConfig, PenaltyConfig,
+                     SparseMatrix, fit_penalized, fit_restricted,
+                     kkt_violation, sparsity)
 
 from conftest import random_design, random_labels
 
@@ -140,6 +141,22 @@ def test_penalty_config_rejects_negative_strengths():
         PenaltyConfig(lambda_l1=-1.0)
     with pytest.raises(ValueError):
         PenaltyConfig(lambda_l2=-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_penalty_strengths_must_be_finite_and_non_negative(rng, bad):
+    # NaN and inf passed every check that was written as `x < 0`
+    _, X = random_design(rng, 6, 3)
+    y = random_labels(rng, 6)
+    for make in (lambda: PenaltyConfig(lambda_l1=bad),
+                 lambda: PenaltyConfig(lambda_l2=bad),
+                 lambda: OMPConfig(lam=bad),
+                 lambda: GridSpec("lasso", (1.0, bad)),
+                 lambda: fit_restricted(X, y, [0, 2], bad)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    with pytest.raises(ValueError, match="finite and positive"):
+        GridSpec("omp", (0.0,))
 
 
 def test_active_set_matches_support(rng):

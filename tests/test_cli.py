@@ -190,6 +190,30 @@ def test_solver_flags_out_of_range_are_rejected_before_loading(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["omp", "lasso", "ridge", "elastic"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_penalties_not_finite_and_non_negative_are_rejected_before_loading(
+        vectorized, tmp_path, capsys, method, value):
+    # train --method lasso --lambda nan failed its fit and exited 3, and
+    # grid --method omp --lambdas inf fitted every point and exited 0
+    flags = ["--lambda-l1", "--lambda-l2"] if method == "elastic" \
+        else ["--lambda"]
+    for matrix in (vectorized / "train.matrix", tmp_path / "absent.matrix"):
+        data = ["--matrix", str(matrix),
+                "--labels", str(vectorized / "train.labels"),
+                "--method", method, "--out-dir", str(tmp_path / "out")]
+        for flag in flags:
+            assert main(["train", *data, flag, value]) == 2
+            assert f"{flag} must be finite and >= 0" \
+                in capsys.readouterr().err
+        assert main(["grid", *data, "--lambdas", f"1,{value}",
+                     "--dev-matrix", str(vectorized / "dev.matrix"),
+                     "--dev-labels", str(vectorized / "dev.labels")]) == 2
+        assert "lambda grid values must be finite and positive" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_grid_rejects_test_matrix_and_labels_apart(vectorized, tmp_path,
                                                    capsys):
     base = ["grid", "--matrix", str(vectorized / "train.matrix"),
@@ -488,6 +512,10 @@ def test_model_file_rejects_bad_entry_with_its_line(tmp_path):
         load_model(path)
     path.write_text("3 b\n0 1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"model\.txt:1:"):
+        load_model(path)
+    # a negative count was "negative dimensions are not allowed"
+    path.write_text("-3 -1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"model\.txt:1: expected header"):
         load_model(path)
 
 

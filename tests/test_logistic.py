@@ -5,7 +5,7 @@ import pytest
 
 from textomp import (ActiveSet, SparseMatrix, fit_restricted, gradient, loss,
                      objective, residual, sigmoid, softplus)
-from textomp.logistic import DEFAULT_TOL, RefitState
+from textomp.logistic import DEFAULT_TOL, RefitState, cg, newton
 
 from conftest import random_design, random_labels
 
@@ -362,6 +362,90 @@ def test_fit_restricted_rebuilds_a_state_that_does_not_fit(rng):
             == (fresh.n_iter, fresh.cg_steps, fresh.hessian_builds)
         assert shared.hessian_builds >= 1
         assert state.order == order
+
+
+def test_fit_restricted_capped_at_its_step_count_is_the_uncapped_fit():
+    # convergence is tested after the last allowed step too: the loop used
+    # to stop there untested, so this fit reported converged=False
+    rng = np.random.default_rng(0)
+    _, X = random_design(rng, 50, 5)
+    y = random_labels(rng, 50)
+    full = fit_restricted(X, y, range(5), 0.5)
+    capped = fit_restricted(X, y, range(5), 0.5, max_iter=full.n_iter)
+    assert full.converged and capped.converged
+    assert capped.n_iter == full.n_iter == 4
+    np.testing.assert_array_equal(capped.theta, full.theta)
+
+
+# -- the shared Newton loop and CG ---------------------------------------------
+
+def dense_newton(dense, y, direction, x, ridge, tol=1e-8, max_steps=20):
+    return newton(lambda c: dense @ c, lambda v: dense.T @ v, direction,
+                  x, y, ridge, np.zeros(len(x)), tol, max_steps)
+
+
+def test_newton_with_an_uphill_direction_keeps_its_start(rng):
+    dense, _ = random_design(rng, 10, 3)
+    y = random_labels(rng, 10)
+    start = np.array([0.1, -0.2, 0.3])
+    x, steps, converged = dense_newton(
+        dense, y, lambda x, grad, w, viol: grad, start, np.full(3, 2.0))
+    np.testing.assert_array_equal(x, start)
+    assert steps == 0 and not converged
+
+
+def test_newton_raises_only_on_a_start_that_is_not_finite():
+    dense = np.array([[1e-154]])
+    y = np.array([1.0])
+    ridge = np.array([1e-310])  # sum(ridge * x**2) / 2 overflows in x**2
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        dense_newton(dense, y, None, np.array([1.5e154]), ridge)
+    # the whole step's objective overflows; its half decreases it
+    with np.errstate(over="ignore"):
+        x, steps, converged = dense_newton(
+            dense, y, lambda x, grad, w, viol: np.array([1.5e154]),
+            np.zeros(1), ridge, tol=0.0, max_steps=1)
+    assert x.tolist() == [0.75e154] and steps == 1 and not converged
+
+
+def test_newton_agrees_with_fit_restricted_on_a_dense_block(rng):
+    dense, X = random_design(rng, 30, 4)
+    y = random_labels(rng, 30)
+    ridge = np.full(4, 2.0)
+
+    def exact(x, grad, w, viol):
+        return -np.linalg.solve(dense.T @ (dense * w[:, None])
+                                + np.diag(ridge), grad)
+
+    x, steps, converged = dense_newton(dense, y, exact, np.zeros(4), ridge)
+    model = fit_restricted(X, y, range(4), 1.0)
+    assert converged and 1 <= steps <= 10
+    np.testing.assert_allclose(x, model.theta, atol=1e-8)
+
+
+def test_cg_matches_a_direct_solve_under_every_preconditioner(rng):
+    M = rng.normal(size=(6, 6))
+    H = M @ M.T + 0.5 * np.eye(6)
+    b = rng.normal(size=6)
+    tol = 1e-12 * np.linalg.norm(b)
+    for precond in (lambda r: r, lambda r: r / np.diag(H),
+                    lambda r: np.linalg.inv(H) @ r):
+        p, steps, solved = cg(lambda d: H @ d, precond, b,
+                              lambda r: np.linalg.norm(r) <= tol, 50)
+        assert solved and 1 <= steps <= 50
+        np.testing.assert_allclose(p, np.linalg.solve(H, b), rtol=1e-9)
+    assert steps == 1  # the exact inverse solves in one step
+    p, steps, solved = cg(lambda d: H @ d, lambda r: r, np.zeros(6),
+                          lambda r: np.linalg.norm(r) <= 0.0, 50)
+    assert solved and steps == 0 and not p.any()
+
+
+def test_cg_gives_up_on_non_positive_curvature():
+    H = np.diag([1.0, -1.0, -1.0])
+    for rhs in (np.ones(3), np.array([1.0, 1.0, 0.0])):  # curvature -1, 0
+        p, steps, solved = cg(lambda d: H @ d, lambda r: r, rhs,
+                              lambda r: np.linalg.norm(r) <= 1e-12, 10)
+        assert not solved and steps == 1 and not p.any()
 
 
 def test_active_set_rejects_duplicates_and_preserves_order():

@@ -328,6 +328,19 @@ def test_malformed_file_names_its_first_bad_line(tmp_path, body, message):
     assert str(err.value).startswith(f"{path}{message}")
 
 
+@pytest.mark.parametrize("header", ["-2 3", "2 -3", "-1 -1"])
+def test_negative_header_counts_name_the_header_line(tmp_path, header):
+    # "-2 3" said the bias column must be 1.0 in every row, and "2 -3"
+    # leaked numpy's "'minlength' must not be negative"
+    path = tmp_path / "neg.matrix"
+    path.write_text(header + "\n0 0 1.0\n")
+    assert _parse_fast(path) is None
+    for bias_col in ("last", None):
+        with pytest.raises(ValueError) as err:
+            SparseMatrix.load(path, bias_col=bias_col)
+        assert str(err.value) == f"{path}:1: expected header 'n_rows n_cols'"
+
+
 def test_inputs_only_the_line_parser_reads_load_as_it_reads_them(tmp_path):
     path = tmp_path / "odd.matrix"
     # int() and float() read underscores, numpy's parser does not
