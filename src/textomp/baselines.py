@@ -96,6 +96,8 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     overflows.
     """
     y = checked_labels(X, y)
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and non-negative")
 
     l1_vec = float(cfg.lambda_l1) * penalty_mask(X.n_cols, X.bias_col, False)
     l2 = float(cfg.lambda_l2)

@@ -225,8 +225,12 @@ _PENALTY_FLAGS = {"lambda": ("lam", 1.0), "lambda_l1": ("lambda_l1", 0.0),
                   "lambda_l2": ("lambda_l2", 0.0)}
 
 
-# the lowest valid value of each numeric solver flag
-_SOLVER_LOWEST = {"budget": 1, "epsilon": 0, "tol": 0, "max_iter": 1}
+def _check_solver_flags(args):
+    """Reject a numeric solver flag below its lowest valid value, and an
+    infinite --tol, which every fit would meet at its start."""
+    _check_at_least(args, budget=1, epsilon=0, tol=0, max_iter=1)
+    if args.tol == np.inf:
+        raise _data("--tol must be finite")
 
 
 def _check_method_settings(args):
@@ -261,7 +265,7 @@ def _fit_options(args, X):
 
 def cmd_train(args):
     _check_method_settings(args)
-    _check_at_least(args, **_SOLVER_LOWEST)
+    _check_solver_flags(args)
     if bool(args.dev_matrix) != bool(args.dev_labels):
         raise _usage("--dev-matrix and --dev-labels go together")
     hp = {name: getattr(args, _PENALTY_FLAGS[name][0])
@@ -313,7 +317,7 @@ def _write_scatter(reports, path):
 
 def cmd_grid(args):
     _check_method_settings(args)
-    _check_at_least(args, **_SOLVER_LOWEST)
+    _check_solver_flags(args)
     if bool(args.test_matrix) != bool(args.test_labels):
         raise _usage("--test-matrix and --test-labels go together")
     spec = GridSpec(method=args.method, lambda_values=[

@@ -356,11 +356,17 @@ def newton(mat_vec, correlations, direction, x, y, ridge, l1, tol,
     unconverged at max_steps, on an uphill step, or when _MAX_BACKTRACKS
     halvings find no decrease. Returns (x, steps taken, converged); raises
     FloatingPointError when the objective at the start is not finite.
+    An all-zero l1 (the refit's, ridge's) skips the L1 terms, which would
+    only add 0.0.
     """
+    has_l1 = bool(np.any(l1))
+
     def value(x):
         z = mat_vec(x)
-        return float(np.sum(softplus(-y * z)) + 0.5 * np.sum(ridge * x ** 2)
-                     + np.sum(l1 * np.abs(x))), z
+        val = np.sum(softplus(-y * z)) + 0.5 * np.sum(ridge * x ** 2)
+        if has_l1:
+            val += np.sum(l1 * np.abs(x))
+        return float(val), z
 
     val, z = value(x)
     if not np.isfinite(val):
@@ -368,13 +374,17 @@ def newton(mat_vec, correlations, direction, x, y, ridge, l1, tol,
     for steps in range(max_steps + 1):
         s = sigmoid(-y * z)
         grad = correlations(-y * s) + ridge * x
-        viol = float(np.max(violations(x, grad, l1)))
+        viol = float(np.max(violations(x, grad, l1) if has_l1
+                            else np.abs(grad)))
         if viol <= tol:
             return x, steps, True
         if steps == max_steps:
             break
         step = direction(x, grad, s * (1.0 - s), viol)
-        slope = float(grad @ step + l1 @ (np.abs(x + step) - np.abs(x)))
+        slope = grad @ step
+        if has_l1:
+            slope += l1 @ (np.abs(x + step) - np.abs(x))
+        slope = float(slope)
         if not slope <= 0.0:  # uphill: no step length decreases it
             break
         below_noise = -slope <= _NOISE_FLOOR * (1.0 + abs(val))

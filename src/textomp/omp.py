@@ -47,8 +47,8 @@ class GreedyConfig:
             raise ValueError("epsilon must be non-negative")
         if not 0 <= self.lam < np.inf:
             raise ValueError("lambda must be finite and non-negative")
-        if not self.tol >= 0:
-            raise ValueError("tol must be non-negative")
+        if not 0 <= self.tol < np.inf:  # inf calls the all-zero start optimal
+            raise ValueError("tol must be finite and non-negative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

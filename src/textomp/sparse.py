@@ -18,17 +18,6 @@ import warnings
 import numpy as np
 
 
-def _column_sums(products, starts, counts):
-    """Sum ``products`` over the slices [starts[j], starts[j]+counts[j])."""
-    out = np.zeros(len(counts))
-    nonempty = counts > 0
-    if products.size and nonempty.any():
-        # one reduceat over every slice; empty columns are skipped because
-        # their start offset would alias the next column's run.
-        out[nonempty] = np.add.reduceat(products, starts[nonempty])
-    return out
-
-
 class SparseMatrix:
     """N x d design matrix stored by column.
 
@@ -50,9 +39,16 @@ class SparseMatrix:
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.vals = np.asarray(vals, dtype=np.float64)
+        # contiguous: a strided view (a field of the loader's records)
+        # would slow every gather and bincount over the entries
+        self.rows = np.ascontiguousarray(rows, dtype=np.int64)
+        self.vals = np.ascontiguousarray(vals, dtype=np.float64)
         self.bias_col = None if bias_col is None else int(bias_col)
+        # the column layout the kernels share; reduceat skips the empty
+        # columns, whose start offset would alias the next column's run
+        self._counts = np.diff(self.indptr)
+        self._nonempty = self._counts > 0
+        self._nonempty_starts = self.indptr[:-1][self._nonempty]
         self._validate()
 
     # -- construction ------------------------------------------------------
@@ -61,7 +57,9 @@ class SparseMatrix:
     def from_triplets(cls, n_rows, n_cols, rows, cols, vals, bias_col=None):
         """Build from parallel (row, column, value) arrays in any order.
 
-        Entries are sorted by column, then row. The sort is stable, so a
+        Entries are ordered by column, then row, by one stable sort on the
+        column-major key col * n_rows + row, which is skipped when the
+        entries already come in that order (as `save` writes them). A
         repeated (row, column) pair is kept and fails validation.
         """
         rows = np.asarray(rows, dtype=np.int64)
@@ -71,11 +69,16 @@ class SparseMatrix:
             raise ValueError("row/column/value length mismatch")
         if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of range")
-        order = np.lexsort((rows, cols))  # by column, then row; stable
+        if int(n_rows) * int(n_cols) >= 2 ** 63:
+            raise ValueError("n_rows * n_cols overflows the int64 entry key")
+        key = cols * n_rows + rows
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            rows, vals = rows[order], vals[order]
+        del key  # before the constructor's copies allocate
         indptr = np.concatenate(([0], np.cumsum(np.bincount(
             cols, minlength=n_cols))))
-        return cls(n_rows, n_cols, indptr, rows[order], vals[order],
-                   bias_col=bias_col)
+        return cls(n_rows, n_cols, indptr, rows, vals, bias_col=bias_col)
 
     @classmethod
     def from_columns(cls, n_rows, columns, bias_col=None):
@@ -105,7 +108,7 @@ class SparseMatrix:
             raise ValueError("indptr length must be n_cols + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != len(self.rows):
             raise ValueError("indptr does not span the stored entries")
-        if np.any(np.diff(self.indptr) < 0):
+        if np.any(self._counts < 0):
             raise ValueError("indptr must be non-decreasing")
         if len(self.rows) != len(self.vals):
             raise ValueError("rows/vals length mismatch")
@@ -173,14 +176,14 @@ class SparseMatrix:
             raise ValueError(f"vector length {v.shape} != ({self.n_rows},)")
         products = v[self.rows]
         products *= self.vals
-        return _column_sums(products, self.indptr[:-1], np.diff(self.indptr))
+        return self._column_sums(products)
 
     def mat_vec(self, theta):
         """Dense product X @ theta, accumulated in ascending column order."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.n_cols,):
             raise ValueError(f"theta length {theta.shape} != ({self.n_cols},)")
-        counts = np.diff(self.indptr)
+        counts = self._counts
         if 3 * int(counts[theta != 0].sum()) > self.nnz:
             # mostly dense: every entry, no gather
             rows = self.rows
@@ -204,17 +207,24 @@ class SparseMatrix:
         offsets = np.cumsum(counts) - counts
         return np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
 
+    def _column_sums(self, products):
+        """Per-column sums of `products`, one per stored entry."""
+        out = np.zeros(self.n_cols)
+        if products.size:
+            out[self._nonempty] = np.add.reduceat(products,
+                                                  self._nonempty_starts)
+        return out
+
     def col_norms(self):
         """Euclidean norm of every column."""
-        counts = np.diff(self.indptr)
-        return np.sqrt(_column_sums(self.vals ** 2, self.indptr[:-1], counts))
+        return np.sqrt(self._column_sums(self.vals ** 2))
 
     def weighted_sq_norms(self, w):
         """sum_i w[i] * X[i, j]**2 for every column j."""
         sq = w[self.rows]
         sq *= self.vals
         sq *= self.vals
-        return _column_sums(sq, self.indptr[:-1], np.diff(self.indptr))
+        return self._column_sums(sq)
 
     # -- structural ops ----------------------------------------------------
 
@@ -231,7 +241,7 @@ class SparseMatrix:
         if self.bias_col is not None and self.bias_col in idx:
             new_bias = int(np.searchsorted(idx, self.bias_col))
         return SparseMatrix(self.n_rows, len(idx), np.concatenate(
-            ([0], np.cumsum(np.diff(self.indptr)[idx]))), rows, vals,
+            ([0], np.cumsum(self._counts[idx]))), rows, vals,
             bias_col=new_bias)
 
     def densify_columns(self, indices):
@@ -243,7 +253,7 @@ class SparseMatrix:
         entries = self._entries(cols)
         out = np.zeros((self.n_rows, len(cols)))
         out[self.rows[entries], np.repeat(np.arange(len(cols)),
-                                          np.diff(self.indptr)[cols])] = \
+                                          self._counts[cols])] = \
             self.vals[entries]
         return out
 
@@ -252,18 +262,26 @@ class SparseMatrix:
     def save(self, path):
         """Write as text: header "n_rows n_cols", then "row col value" lines.
 
-        Entries are emitted column-major so save/load round-trips exactly.
-        Lines are formatted `_SAVE_CHUNK` entries at a time, so the Python
-        objects behind them stay bounded whatever the matrix size.
+        Entries are emitted column-major so save/load round-trips exactly;
+        a value is written as its repr. Each line is three pieces looked up
+        in string tables: one "i " per row, one "j" per column, and, per
+        chunk of `_SAVE_CHUNK` entries, one " value\\n" per distinct value.
+        A chunk is written by one join, so memory is bounded by the chunk
+        and the shape whatever the entry count.
         """
+        row_text = _strings(range(self.n_rows), "{} ")
+        col_text = _strings(range(self.n_cols), "{}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{self.n_rows} {self.n_cols}\n")
-            cols = np.repeat(np.arange(self.n_cols), np.diff(self.indptr))
             for s in range(0, self.nnz, _SAVE_CHUNK):
-                e = s + _SAVE_CHUNK
-                fh.writelines(f"{i} {j} {x!r}\n" for i, j, x in zip(
-                    self.rows[s:e].tolist(), cols[s:e].tolist(),
-                    self.vals[s:e].tolist()))
+                e = min(s + _SAVE_CHUNK, self.nnz)
+                uniq, inv = np.unique(self.vals[s:e], return_inverse=True)
+                pieces = np.empty((e - s, 3), dtype=object)
+                pieces[:, 0] = row_text[self.rows[s:e]]
+                pieces[:, 1] = col_text[np.searchsorted(
+                    self.indptr, np.arange(s, e), side="right") - 1]
+                pieces[:, 2] = _strings(uniq.tolist(), " {!r}\n")[inv]
+                fh.write("".join(pieces.ravel().tolist()))
 
     @classmethod
     def load(cls, path, bias_col="last"):
@@ -289,6 +307,12 @@ class SparseMatrix:
 
 # Entries formatted per chunk in SparseMatrix.save.
 _SAVE_CHUNK = 2 ** 15
+
+
+def _strings(items, fmt):
+    """Object array of fmt.format(item) for each item."""
+    return np.array([fmt.format(x) for x in items], dtype=object)
+
 
 # One "row col value" line of the matrix file format.
 _ENTRY = [("r", np.int64), ("c", np.int64), ("v", np.float64)]

@@ -100,7 +100,8 @@ def build_matrix(corpus, docs):
     lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64,
                           count=n_rows)
     n_tokens = int(lengths.sum())
-    # one key doc * (V + 1) + column per known token, the bias once per doc
+    # one column-major key, column * n_rows + doc, per known token and the
+    # bias once per doc: the sorted unique keys are in storage order
     cols = np.fromiter(chain(
         map(vocab.get, chain.from_iterable(doc.tokens for doc in docs),
             repeat(-1)),
@@ -108,10 +109,11 @@ def build_matrix(corpus, docs):
     rows = np.concatenate((np.repeat(np.arange(n_rows), lengths),
                            np.arange(n_rows)))
     known = cols >= 0
-    keys, counts = np.unique(rows[known] * (bias + 1) + cols[known],
+    keys, counts = np.unique(cols[known] * n_rows + rows[known],
                              return_counts=True)
-    X = SparseMatrix.from_triplets(n_rows, bias + 1, keys // (bias + 1),
-                                   keys % (bias + 1), counts, bias_col=bias)
+    cols, rows = np.divmod(keys, n_rows)
+    X = SparseMatrix.from_triplets(n_rows, bias + 1, rows, cols, counts,
+                                   bias_col=bias)
     return X, labels
 
 

@@ -159,6 +159,15 @@ def test_penalty_strengths_must_be_finite_and_non_negative(rng, bad):
         GridSpec("omp", (0.0,))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_tol_must_be_finite_and_non_negative(rng, tol):
+    # tol=inf returned the all-zero start flagged converged
+    _, X = random_design(rng, 6, 3)
+    y = random_labels(rng, 6)
+    with pytest.raises(ValueError, match="tol"):
+        fit_penalized(X, y, PenaltyConfig(1.0, 0.0), tol=tol)
+
+
 def test_active_set_matches_support(rng):
     _, X = random_design(rng, 15, 7)
     y = random_labels(rng, 15)

@@ -107,3 +107,44 @@ def test_a_load_is_one_traced_call_whichever_parser_runs(tmp_path):
     loads = [span for span in tracer.spans if span.name == "sparse.load"]
     assert len(loads) == 2
     assert loads[0].counters == {"bytes": good.stat().st_size}
+
+
+def test_a_traced_cli_chain_records_every_file_layer(tmp_path, capsys):
+    # the cli_pipeline layer metrics come from these spans; a writer or
+    # reader that stopped going through save, load or build_matrix would
+    # leave them missing from the traced run
+    rng = np.random.default_rng(0)
+    words = ["orbit", "rocket", "patient", "doctor", "the", "new", "study"]
+    for name, n in (("corpus.tsv", 16), ("test.tsv", 6)):
+        (tmp_path / name).write_text("".join(
+            f"{'space' if i % 2 else 'med'}\t{' '.join(rng.choice(words, 5))}"
+            "\n" for i in range(n)), encoding="utf-8")
+    vec, fit = tmp_path / "vec", tmp_path / "fit"
+    tracer = spans.Tracer().install()
+    try:
+        assert cli.main(["vectorize", "--corpus", str(tmp_path / "corpus.tsv"),
+                         "--test-corpus", str(tmp_path / "test.tsv"),
+                         "--label-map", "med=-1,space=+1",
+                         "--out-dir", str(vec)]) == 0
+        assert cli.main(["train", "--matrix", str(vec / "train.matrix"),
+                         "--labels", str(vec / "train.labels"),
+                         "--dev-matrix", str(vec / "dev.matrix"),
+                         "--dev-labels", str(vec / "dev.labels"),
+                         "--method", "omp", "--budget", "2",
+                         "--out-dir", str(fit)]) == 0
+        assert cli.main(["eval", "--model", str(fit / "model.txt"),
+                         "--matrix", str(vec / "test.matrix"),
+                         "--labels", str(vec / "test.labels")]) == 0
+    finally:
+        tracer.remove()
+    capsys.readouterr()
+    sizes = sorted((vec / f"{split}.matrix").stat().st_size
+                   for split in ("train", "dev", "test"))
+    by_name = {}
+    for span in tracer.spans:
+        by_name.setdefault(span.name, []).append(span)
+    # one save per split written, one load per matrix read: train and dev
+    # by train, test by eval
+    for name in ("sparse.save", "sparse.load"):
+        assert sorted(s.counters["bytes"] for s in by_name[name]) == sizes
+    assert len(by_name["textpipe.build_matrix"]) >= 1

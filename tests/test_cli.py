@@ -190,6 +190,24 @@ def test_solver_flags_out_of_range_are_rejected_before_loading(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["train", "grid"])
+@pytest.mark.parametrize("method", ["omp", "lasso"])
+def test_an_infinite_tol_is_rejected_before_loading(
+        vectorized, tmp_path, capsys, subcommand, method):
+    # train --tol inf wrote an all-zero model whose report said converged
+    for matrix in (vectorized / "train.matrix", tmp_path / "absent.matrix"):
+        out = tmp_path / "out"
+        code = main([subcommand, "--matrix", str(matrix),
+                     "--labels", str(vectorized / "train.labels"),
+                     "--dev-matrix", str(vectorized / "dev.matrix"),
+                     "--dev-labels", str(vectorized / "dev.labels"),
+                     "--method", method, "--tol", "inf",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "--tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["omp", "lasso", "ridge", "elastic"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_penalties_not_finite_and_non_negative_are_rejected_before_loading(

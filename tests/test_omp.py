@@ -266,8 +266,9 @@ def test_config_validation():
         OMPConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         OMPConfig(lam=-0.5)
-    with pytest.raises(ValueError, match="tol"):
-        OMPConfig(tol=-1e-9)
+    for tol in (-1e-9, np.inf):  # inf called the all-zero start converged
+        with pytest.raises(ValueError, match="tol"):
+            OMPConfig(tol=tol)
     for name, message in (("epsilon", "epsilon"), ("lam", "lambda"),
                           ("tol", "tol")):  # `nan < 0` is false
         with pytest.raises(ValueError, match=message):

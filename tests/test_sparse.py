@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,8 @@ def test_file_round_trip(tmp_path, rng):
     loaded = SparseMatrix.load(path)
     np.testing.assert_array_equal(loaded.to_dense(), dense)
     assert loaded.bias_col == 4
+    # not strided views of the parser's records, which slow every kernel
+    assert loaded.rows.flags.c_contiguous and loaded.vals.flags.c_contiguous
     # byte-identical on re-save
     path2 = tmp_path / "m2.matrix"
     loaded.save(path2)
@@ -224,6 +228,86 @@ def test_file_text_across_save_chunks_is_the_per_entry_text(tmp_path,
         monkeypatch.setattr(sparse, "_SAVE_CHUNK", chunk)
         X.save(path)
         assert path.read_text() == expected, chunk
+
+
+def per_entry_text(X):
+    """The matrix file as the per-entry formatting writes it."""
+    cols = np.repeat(np.arange(X.n_cols), np.diff(X.indptr))
+    return f"{X.n_rows} {X.n_cols}\n" + "".join(
+        f"{i} {j} {x!r}\n" for i, j, x in zip(X.rows.tolist(), cols.tolist(),
+                                              X.vals.tolist()))
+
+
+def test_file_text_of_distinct_and_extreme_values_is_the_per_entry_text(
+        tmp_path, monkeypatch, rng):
+    # more than one default chunk of distinct values, then extremes and
+    # repeats that straddle small chunks
+    n_rows, n_cols = 300, 150
+    nnz = sparse._SAVE_CHUNK + 1000
+    keys = rng.choice(n_rows * n_cols, nnz, replace=False)
+    vals = rng.standard_normal(nnz) * 10.0 ** rng.integers(-20, 20, nnz)
+    assert len(np.unique(vals)) == nnz
+    X = SparseMatrix.from_triplets(n_rows, n_cols, keys % n_rows,
+                                   keys // n_rows, vals)
+    path = tmp_path / "m.matrix"
+    X.save(path)
+    assert path.read_text() == per_entry_text(X)
+    extremes = [5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1e300, -1e300,
+                1.7976931348623157e308, -0.1, 0.1, 1.0, -1.0, 3.0, 1 / 3]
+    vals = np.resize(extremes, 97)
+    X = SparseMatrix.from_triplets(10, 12, np.arange(97) % 10,
+                                   np.arange(97) // 10 + 1, vals)
+    for chunk in (1, 5, 14, 96, 97, 98):
+        monkeypatch.setattr(sparse, "_SAVE_CHUNK", chunk)
+        X.save(path)
+        assert path.read_text() == per_entry_text(X), chunk
+
+
+def test_save_memory_does_not_grow_with_the_entry_count(tmp_path,
+                                                      monkeypatch, rng):
+    # a 1000 x 200 matrix with 4k, then 100k entries, in chunks of 512;
+    # an nnz-sized array of column indices would add 800 kB
+    monkeypatch.setattr(sparse, "_SAVE_CHUNK", 512)
+    peaks = []
+    for nnz in (4000, 100000):
+        keys = rng.choice(200_000, nnz, replace=False)
+        X = SparseMatrix.from_triplets(1000, 200, keys % 1000, keys // 1000,
+                                       rng.standard_normal(nnz))
+        tracemalloc.start()
+        try:
+            X.save(tmp_path / "m.matrix")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 100_000, peaks
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+def test_from_triplets_orders_entries_as_a_lexsort_does(rng, order):
+    dense = np.where(rng.random((9, 7)) < 0.5, rng.standard_normal((9, 7)),
+                     0.0)
+    rows, cols = np.nonzero(dense.T)[::-1]  # column-major
+    perm = {"sorted": np.arange(rows.size),
+            "reversed": np.arange(rows.size)[::-1],
+            "shuffled": rng.permutation(rows.size)}[order]
+    rows, cols = rows[perm], cols[perm]
+    vals = dense[rows, cols]
+    X = SparseMatrix.from_triplets(9, 7, rows, cols, vals)
+    ref = np.lexsort((rows, cols))
+    np.testing.assert_array_equal(X.rows, rows[ref])
+    np.testing.assert_array_equal(X.vals, vals[ref])
+    np.testing.assert_array_equal(
+        X.indptr, np.concatenate(([0], np.cumsum(np.bincount(cols,
+                                                             minlength=7)))))
+    assert X.rows.flags.c_contiguous and X.vals.flags.c_contiguous
+
+
+def test_from_triplets_rejects_a_repeat_in_sorted_input_and_a_huge_shape():
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SparseMatrix.from_triplets(3, 2, [0, 1, 1, 2], [0, 0, 0, 1],
+                                   [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="overflow"):
+        SparseMatrix.from_triplets(2 ** 32, 2 ** 31, [0], [0], [1.0])
 
 
 def densify_by_column(X, indices):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textomp import Corpus, LabeledDoc, SplitSpec, build_matrix, tokenize
+from textomp import (Corpus, LabeledDoc, SparseMatrix, SplitSpec, build_matrix,
+                     tokenize)
 from textomp.textpipe import (load_labels, load_raw_corpus, load_vocabulary,
                               map_labels, save_labels, save_vocabulary,
                               stratified_split)
@@ -104,6 +105,35 @@ def test_build_matrix_oov_document_keeps_only_bias():
     corpus = Corpus.build(docs_from([(1, ["a"])]))
     X, _ = build_matrix(corpus, docs_from([(-1, ["zz", "qq"])]))
     assert X.to_dense().tolist() == [[0.0, 1.0]]
+
+
+def test_build_matrix_on_no_documents_and_on_all_oov_documents():
+    corpus = Corpus.build(docs_from([(1, ["a", "b"]), (-1, ["b"])]))
+    X, y = build_matrix(corpus, [])
+    assert (X.shape, X.nnz, X.bias_col, y.shape) == ((0, 3), 0, 2, (0,))
+    X, y = build_matrix(corpus, docs_from([(1, ["zz"]), (-1, []),
+                                           (1, ["qq", "zz", "qq"])]))
+    assert X.to_dense().tolist() == [[0.0, 0.0, 1.0]] * 3
+    assert y.tolist() == [1.0, -1.0, 1.0]
+
+
+def test_build_matrix_passes_its_entries_in_storage_order(monkeypatch):
+    # column-major keys need no sort in from_triplets
+    seen = []
+    build = SparseMatrix.from_triplets
+
+    def spy(n_rows, n_cols, rows, cols, vals, bias_col=None):
+        seen.append(np.asarray(cols) * n_rows + np.asarray(rows))
+        return build(n_rows, n_cols, rows, cols, vals, bias_col=bias_col)
+
+    monkeypatch.setattr(SparseMatrix, "from_triplets", spy)
+    corpus = Corpus.build(docs_from([(1, ["a", "b", "a"]), (-1, ["c", "b"])]))
+    X, _ = build_matrix(corpus, docs_from([(1, ["c", "a", "zz", "c"]),
+                                           (-1, ["b", "a"])]))
+    [key] = seen
+    assert np.all(np.diff(key) > 0)
+    assert X.to_dense().tolist() == [[1.0, 0.0, 2.0, 1.0],
+                                     [1.0, 1.0, 0.0, 1.0]]
 
 
 def test_build_matrix_matches_hand_count():
