@@ -215,27 +215,24 @@ def test_file_text_is_column_major_with_repr_values(tmp_path):
                                 "2 3 1.0\n")
 
 
-def test_file_text_across_save_chunks_is_the_per_entry_text(tmp_path,
-                                                             monkeypatch,
-                                                             rng):
-    _, X = random_design(rng, 9, 6, with_bias=True, scale=1e3)
-    cols = np.repeat(np.arange(X.n_cols), np.diff(X.indptr))
-    expected = f"{X.n_rows} {X.n_cols}\n" + "".join(
-        f"{i} {j} {x!r}\n" for i, j, x in zip(X.rows.tolist(), cols.tolist(),
-                                              X.vals.tolist()))
-    path = tmp_path / "m.matrix"
-    for chunk in (1, 7, X.nnz - 1, X.nnz, X.nnz + 1):
-        monkeypatch.setattr(sparse, "_SAVE_CHUNK", chunk)
-        X.save(path)
-        assert path.read_text() == expected, chunk
-
-
 def per_entry_text(X):
     """The matrix file as the per-entry formatting writes it."""
     cols = np.repeat(np.arange(X.n_cols), np.diff(X.indptr))
     return f"{X.n_rows} {X.n_cols}\n" + "".join(
         f"{i} {j} {x!r}\n" for i, j, x in zip(X.rows.tolist(), cols.tolist(),
                                               X.vals.tolist()))
+
+
+def test_file_text_across_save_chunks_is_the_per_entry_text(tmp_path,
+                                                             monkeypatch,
+                                                             rng):
+    _, X = random_design(rng, 9, 6, with_bias=True, scale=1e3)
+    expected = per_entry_text(X)
+    path = tmp_path / "m.matrix"
+    for chunk in (1, 7, X.nnz - 1, X.nnz, X.nnz + 1):
+        monkeypatch.setattr(sparse, "_SAVE_CHUNK", chunk)
+        X.save(path)
+        assert path.read_text() == expected, chunk
 
 
 def test_file_text_of_distinct_and_extreme_values_is_the_per_entry_text(
