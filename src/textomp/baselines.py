@@ -309,6 +309,14 @@ class _Restricted:
         return step
 
 
+def n_nonzero(theta, bias_col=None):
+    """Nonzero weights of theta, the bias not counted."""
+    nz = int(np.count_nonzero(theta))
+    if bias_col is not None and theta[bias_col] != 0:
+        nz -= 1
+    return nz
+
+
 def sparsity(model, bias_col="last"):
     """Percentage of non-zero non-bias weights: 100 * nnz / (d - 1).
 
@@ -319,11 +327,7 @@ def sparsity(model, bias_col="last"):
     d = len(theta)
     if bias_col == "last":
         bias_col = d - 1
-    nz = int(np.count_nonzero(theta))
-    denom = d
-    if bias_col is not None:
-        nz -= 1 if theta[bias_col] != 0 else 0
-        denom -= 1
+    denom = d - (bias_col is not None)
     if denom <= 0:
         return 0.0
-    return 100.0 * nz / denom
+    return 100.0 * n_nonzero(theta, bias_col) / denom

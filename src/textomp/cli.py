@@ -226,11 +226,14 @@ _PENALTY_FLAGS = {"lambda": ("lam", 1.0), "lambda_l1": ("lambda_l1", 0.0),
 
 
 def _check_solver_flags(args):
-    """Reject a numeric solver flag below its lowest valid value, and an
-    infinite --tol, which every fit would meet at its start."""
+    """Reject a numeric solver flag below its lowest valid value, an
+    infinite --tol, which every fit would meet at its start, and an
+    infinite --epsilon, which would select nothing and put "Infinity",
+    not valid JSON, into the report."""
     _check_at_least(args, budget=1, epsilon=0, tol=0, max_iter=1)
-    if args.tol == np.inf:
-        raise _data("--tol must be finite")
+    for name in ("epsilon", "tol"):
+        if getattr(args, name) == np.inf:
+            raise _data(f"--{name} must be finite")
 
 
 def _check_method_settings(args):
@@ -284,10 +287,8 @@ def cmd_train(args):
             report.hyperparams[name] = getattr(args, name)
     if args.dev_matrix:
         X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
-        report.dev_accuracy = accuracy(model, X_dev, y_dev)
-        if traj is not None and traj.checkpoints:
-            report.atoms_curve = tuple(
-                evaluation.atoms_curve(traj, X_dev, y_dev))
+        evaluation.score_on_dev(report, model, traj, X_dev, y_dev)
+        if report.atoms_curve:
             _write_curve(report.atoms_curve, out / "curve.csv")
 
     save_model(model.theta, X.bias_col, out / "model.txt")

@@ -93,6 +93,14 @@ def atoms_curve(trajectory, X_dev, y_dev):
             for count, theta in trajectory.checkpoints]
 
 
+def score_on_dev(report, model, trajectory, X_dev, y_dev):
+    """Fill in report's dev_accuracy and, when the trajectory holds
+    checkpoints, its atoms_curve; train and grid score a fit this way."""
+    report.dev_accuracy = accuracy(model, X_dev, y_dev)
+    if trajectory is not None and trajectory.checkpoints:
+        report.atoms_curve = tuple(atoms_curve(trajectory, X_dev, y_dev))
+
+
 @dataclass
 class FitOptions:
     """Solver settings shared by every fit of a run; the penalty strengths
@@ -152,14 +160,11 @@ def fit(method, hp, X, y, opts):
         model = baselines.fit_penalized(X, y, pen, tol=opts.tol,
                                         max_iter=opts.max_iter,
                                         penalize_bias=opts.penalize_bias)
-    bias = X.bias_col
     report = FitReport(
         method=method,
         hyperparams=dict(hp),
-        sparsity_pct=baselines.sparsity(model, bias_col=bias),
-        n_active=int(np.count_nonzero(model.theta)
-                     - (1 if bias is not None and model.theta[bias] != 0
-                        else 0)),
+        sparsity_pct=baselines.sparsity(model, bias_col=X.bias_col),
+        n_active=baselines.n_nonzero(model.theta, X.bias_col),
         seconds=time.perf_counter() - started,
         converged=model.converged,
     )
@@ -197,9 +202,7 @@ def grid_search(X_train, y_train, X_dev, y_dev, spec, opts=None):
                                      seconds=time.perf_counter() - started,
                                      error=str(exc) or repr(exc)))
             continue
-        report.dev_accuracy = accuracy(model, X_dev, y_dev)
-        if traj is not None and traj.checkpoints:
-            report.atoms_curve = tuple(atoms_curve(traj, X_dev, y_dev))
+        score_on_dev(report, model, traj, X_dev, y_dev)
         reports.append(report)
         if best is None or selection_key(report) < selection_key(best):
             best = report

@@ -71,12 +71,6 @@ def score_group_orthonormal(X, G, r):
     return float(np.sum([X.col_dot(j, r) ** 2 for j in members]))
 
 
-def score_group_averaged(X, G, r):
-    """||X_G^T r||_2^2 / |G|; -inf for an empty group."""
-    members = G.members if isinstance(G, Group) else tuple(G)
-    return score_group_orthonormal(X, members, r) / max(len(members), 1)
-
-
 def select_group(X, groups, r, criterion="averaged", col_norms=None):
     """Best-scoring non-empty group: (position, score); ties take the
     lowest position. Raises when every group is empty (exhaustion).

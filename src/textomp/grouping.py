@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, GroupStructure
+from .groups import Group, GroupStructure, member_error
 
 
 @dataclass
@@ -99,14 +99,9 @@ def load_groups(path, n_cols, bias_col="last"):
                     f"{path}:{lineno}: indices must be integers") from None
             if not idx:
                 raise ValueError(f"{path}:{lineno}: empty group {name!r}")
-            for j in idx:
-                if not 0 <= j < n_cols:
-                    raise ValueError(
-                        f"{path}:{lineno}: index {j} out of range "
-                        f"for {n_cols} features")
-                if bias_col is not None and j == bias_col:
-                    raise ValueError(
-                        f"{path}:{lineno}: bias column {j} cannot be grouped")
+            error = member_error(idx, n_cols, bias_col)
+            if error is not None:
+                raise ValueError(f"{path}:{lineno}: {error[1]}")
             groups.append(Group.of(name, idx))
     return GroupStructure(groups)
 

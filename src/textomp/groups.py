@@ -70,13 +70,21 @@ class GroupStructure:
 
     def validate_indices(self, n_cols, bias_col=None):
         """Check every member index against the feature count and bias."""
-        for g in self:
-            for j in g.members:
-                if not 0 <= j < n_cols:
-                    raise ValueError(
-                        f"group {g.name!r}: index {j} out of range for "
-                        f"{n_cols} features")
-                if bias_col is not None and j == bias_col:
-                    raise ValueError(
-                        f"group {g.name!r}: bias column {j} cannot be grouped")
+        error = member_error(self.indices.tolist(), n_cols, bias_col)
+        if error is not None:
+            pos, message = error
+            owner = int(np.searchsorted(self.offsets, pos, side="right")) - 1
+            raise ValueError(f"group {self._names[owner]!r}: {message}")
         return self
+
+
+def member_error(indices, n_cols, bias_col=None):
+    """(position, message) of the first index that is out of range for
+    n_cols features or is the bias column, which no group may hold; None
+    when every index may be grouped."""
+    for pos, j in enumerate(indices):
+        if not 0 <= j < n_cols:
+            return pos, f"index {j} out of range for {n_cols} features"
+        if j == bias_col:
+            return pos, f"bias column {j} cannot be grouped"
+    return None

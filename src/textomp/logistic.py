@@ -126,13 +126,6 @@ def softplus(z):
     return np.where(z > 35.0, z, np.log1p(np.exp(np.minimum(z, 35.0))))
 
 
-def loss(theta, x, y):
-    """Per-sample logistic loss log(1 + exp(-y * theta^T x)), y in {-1,+1}."""
-    margin = float(np.dot(np.asarray(theta, dtype=np.float64),
-                          np.asarray(x, dtype=np.float64)))
-    return float(softplus(-y * margin))
-
-
 def penalty_mask(n_cols, bias_col, penalize_bias):
     """Penalty weights: 1.0, or 0.0 at the bias unless penalize_bias.
 

@@ -111,8 +111,7 @@ def select_feature(X, r, active, col_norms=None):
     mask = np.ones(X.n_cols, dtype=bool)
     if X.bias_col is not None:
         mask[X.bias_col] = False
-    for j in active:
-        mask[j] = False
+    mask[list(active)] = False
     if not mask.any():
         raise ValueError("no inactive candidate columns remain")
     ranked = np.where(mask, np.abs(per_unit_norm(scores, col_norms)), -1.0)

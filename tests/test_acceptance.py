@@ -17,13 +17,15 @@ import numpy as np
 import pytest
 
 import textomp.omp as omp_mod
-from textomp import (ActiveSet, FitOptions, GOMPConfig, GridSpec, Group,
-                     GroupStructure, OMPConfig, PenaltyConfig, SparseMatrix,
-                     fit_penalized, fit_restricted, gradient, grid_search,
-                     kkt_violation, run_gomp, run_omp, score_group_averaged,
-                     score_group_orthonormal, select_feature, sigmoid)
+from textomp import (FitOptions, GOMPConfig, GridSpec, GroupStructure,
+                     OMPConfig, PenaltyConfig, SparseMatrix, fit_penalized,
+                     grid_search, run_gomp, run_omp)
+from textomp.baselines import kkt_violation
 from textomp.cli import main as cli_main
 from textomp.evaluation import accuracy, selection_key, write_reports
+from textomp.gomp import select_group
+from textomp.logistic import ActiveSet, fit_restricted, gradient, sigmoid
+from textomp.omp import select_feature
 
 # the benchmark's seeded corpus generator, shared at test size
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -150,9 +152,9 @@ def test_group_score_criteria_reduce_to_each_other():
     X = SparseMatrix.from_dense(dense, bias_col=9)
     r = rng.normal(size=16)
 
-    singleton = Group.of("s", [7])
-    gap_avg = abs(score_group_averaged(X, singleton, r)
-                  - score_group_orthonormal(X, singleton, r))
+    singleton = GroupStructure([("s", [7])])
+    gap_avg = abs(select_group(X, singleton, r, criterion="averaged")[1]
+                  - select_group(X, singleton, r, criterion="orthonormal")[1])
 
     _, Xr, y = random_instance(np.random.default_rng(8), 25, 10)
     singles = GroupStructure([(f"s{j}", [j]) for j in range(9)])

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from textomp import (ActiveSet, GridSpec, OMPConfig, PenaltyConfig,
-                     SparseMatrix, fit_penalized, fit_restricted,
-                     kkt_violation, sparsity)
+from textomp import (GridSpec, OMPConfig, PenaltyConfig, SparseMatrix,
+                     fit_penalized, sparsity)
+from textomp.baselines import kkt_violation
+from textomp.logistic import ActiveSet, fit_restricted
 
 from conftest import random_design, random_labels
 

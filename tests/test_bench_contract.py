@@ -148,3 +148,24 @@ def test_a_traced_cli_chain_records_every_file_layer(tmp_path, capsys):
     for name in ("sparse.save", "sparse.load"):
         assert sorted(s.counters["bytes"] for s in by_name[name]) == sizes
     assert len(by_name["textpipe.build_matrix"]) >= 1
+
+
+def test_run_gomp_scores_every_activated_group_through_the_traced_scorer():
+    # the traced gomp_overlap run reports gomp.score_group_orthonormal.self_s;
+    # a run_gomp that computed its epsilon norm another way would leave
+    # that layer metric missing
+    rng = np.random.default_rng(0)
+    dense = np.column_stack([rng.poisson(0.5, size=(30, 12)).astype(float),
+                             np.ones(30)])
+    X = SparseMatrix.from_dense(dense, bias_col=12)
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    groups = [(f"g{p}", [p, p + 1, p + 2]) for p in range(0, 10, 2)]
+    tracer = spans.Tracer().install()
+    try:
+        _, traj = gomp.run_gomp(X, y, groups, gomp.GOMPConfig(budget=6))
+    finally:
+        tracer.remove()
+    scored = sum(span.name == "gomp.score_group_orthonormal"
+                 for span in tracer.spans)
+    assert traj.records
+    assert scored >= len(traj.records)

@@ -191,20 +191,26 @@ def test_solver_flags_out_of_range_are_rejected_before_loading(
 
 
 @pytest.mark.parametrize("subcommand", ["train", "grid"])
-@pytest.mark.parametrize("method", ["omp", "lasso"])
+@pytest.mark.parametrize("method,flag", [
+    pytest.param("omp", "--tol", id="omp"),
+    pytest.param("lasso", "--tol", id="lasso"),
+    pytest.param("omp", "--epsilon", id="omp-epsilon"),
+    pytest.param("gomp", "--epsilon", id="gomp-epsilon")])
 def test_an_infinite_tol_is_rejected_before_loading(
-        vectorized, tmp_path, capsys, subcommand, method):
-    # train --tol inf wrote an all-zero model whose report said converged
+        vectorized, tmp_path, capsys, subcommand, method, flag):
+    # train --tol inf wrote an all-zero model whose report said converged;
+    # train --epsilon inf selected nothing and wrote "epsilon": Infinity,
+    # which strict JSON rejects, into its report
     for matrix in (vectorized / "train.matrix", tmp_path / "absent.matrix"):
         out = tmp_path / "out"
         code = main([subcommand, "--matrix", str(matrix),
                      "--labels", str(vectorized / "train.labels"),
                      "--dev-matrix", str(vectorized / "dev.matrix"),
                      "--dev-labels", str(vectorized / "dev.labels"),
-                     "--method", method, "--tol", "inf",
+                     "--method", method, flag, "inf",
                      "--out-dir", str(out)])
         assert code == 2
-        assert "--tol must be finite" in capsys.readouterr().err
+        assert f"{flag} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 

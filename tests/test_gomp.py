@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from textomp import (GOMPConfig, Group, GroupStructure, OMPConfig,
-                     SparseMatrix, objective, omp, remove_overlap, run_gomp,
-                     run_omp, score_group_averaged, score_group_orthonormal,
-                     select_group)
+                     SparseMatrix, omp, run_gomp, run_omp)
+from textomp.gomp import remove_overlap, score_group_orthonormal, select_group
+from textomp.logistic import objective, residual
 
 from conftest import random_design, random_labels, stateless_fit_restricted
 
@@ -37,18 +37,23 @@ def test_empty_group_scores_negative_infinity(rng):
     _, X = random_design(rng, 4, 3)
     r = np.ones(4)
     assert score_group_orthonormal(X, Group("g", ()), r) == float("-inf")
-    assert score_group_averaged(X, Group("g", ()), r) == float("-inf")
+
+
+def averaged_score(X, G, r):
+    """The "averaged" criterion by its definition: the orthonormal score
+    over the group size."""
+    return score_group_orthonormal(X, G, r) / max(len(G), 1)
 
 
 def test_averaged_score_is_orthonormal_over_size(rng):
     dense, X = random_design(rng, 7, 8)
     r = rng.normal(size=7)
     g = Group.of("g", [0, 3, 5])
-    assert score_group_averaged(X, g, r) \
-        == pytest.approx(score_group_orthonormal(X, g, r) / 3, rel=1e-12)
     s = Group.of("s", [6])
-    assert score_group_averaged(X, s, r) \
-        == score_group_orthonormal(X, s, r)
+    for structure in (GroupStructure([g]), GroupStructure([s])):
+        _, score = select_group(X, structure, r, criterion="averaged")
+        _, energy = select_group(X, structure, r, criterion="orthonormal")
+        assert score == pytest.approx(energy / len(structure[0]), rel=1e-12)
 
 
 def test_averaged_score_prefers_small_informative_group():
@@ -64,10 +69,13 @@ def test_averaged_score_prefers_small_informative_group():
     X = SparseMatrix.from_dense(dense, bias_col=102)
     small = Group.of("small", [0, 1])
     big = Group.of("big", range(102))
-    s_small = score_group_averaged(X, small, r)
-    s_big = score_group_averaged(X, big, r)
     assert score_group_orthonormal(X, small, r) \
         == pytest.approx(score_group_orthonormal(X, big, r))
+    pos, s_small = select_group(X, GroupStructure([big, small]), r,
+                                criterion="averaged")
+    assert pos == 1
+    _, s_big = select_group(X, GroupStructure([big]), r,
+                            criterion="averaged")
     assert s_small == pytest.approx(51.0 * s_big, rel=1e-12)
 
 
@@ -101,7 +109,7 @@ def test_select_group_matches_exhaustive_scan(rng):
     assert len(stripped[0]) == len(stripped[1]) == 0
     for structure in (groups, stripped):
         for criterion, scorer in (("orthonormal", score_group_orthonormal),
-                                  ("averaged", score_group_averaged)):
+                                  ("averaged", averaged_score)):
             scores = [scorer(X, g, r) for g in structure]
             expected = int(np.argmax(scores))
             pos, score = select_group(X, structure, r, criterion=criterion)
@@ -207,7 +215,6 @@ def test_overlapping_groups_share_predictive_feature():
     if len(traj.records) > 1:
         rec = traj.records[1]
         r1_theta = traj.checkpoints[0][1]
-        from textomp import residual
         r1 = residual(X, r1_theta, y)
         assert rec.name == "b"
         assert rec.score == pytest.approx(float(col_n2 @ r1) ** 2, rel=1e-10)

@@ -52,6 +52,25 @@ def test_load_groups_rejects_bias_membership(tmp_path):
         load_groups(p, n_cols=4)
 
 
+@pytest.mark.parametrize("member,message", [
+    (99, "index 99 out of range for 10 features"),
+    (-1, "index -1 out of range for 10 features"),
+    (9, "bias column 9 cannot be grouped")])
+def test_a_group_file_and_a_structure_reject_a_member_alike(
+        tmp_path, member, message):
+    p = tmp_path / "groups.txt"
+    p.write_text(f"ok\t0\nbad\t1 {member}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_groups(p, n_cols=10)
+    assert str(err.value) == f"{p}:2: {message}"
+    # an empty group before the bad one must not take the blame
+    structure = GroupStructure([("ok", [0]), ("empty", []),
+                                ("bad", [1, member])])
+    with pytest.raises(ValueError) as err:
+        structure.validate_indices(10, bias_col=9)
+    assert str(err.value) == f"group 'bad': {message}"
+
+
 def test_group_file_round_trip(tmp_path):
     gs = GroupStructure([("a", [0, 2]), ("b", [1, 2, 4])])
     path = tmp_path / "g.txt"

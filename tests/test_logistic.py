@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from textomp import (ActiveSet, SparseMatrix, fit_restricted, gradient, loss,
-                     objective, residual, sigmoid, softplus)
-from textomp.logistic import DEFAULT_TOL, RefitState, cg, newton
+from textomp import SparseMatrix
+from textomp.logistic import (DEFAULT_TOL, ActiveSet, RefitState, cg,
+                              fit_restricted, gradient, newton, objective,
+                              residual, sigmoid, softplus)
 
 from conftest import random_design, random_labels
 
 # log(1 + exp(-1)) via 40-digit arithmetic, frozen
-LOSS_AT_UNIT_MARGIN = 0.3132616875182228
+SOFTPLUS_AT_MINUS_ONE = 0.3132616875182228
 
 
 def scalar_objective(dense, y, theta, lam, bias_col=None, penalize_bias=True):
@@ -39,25 +40,13 @@ def central_difference_gradient(dense, y, theta, lam, h=1e-6,
     return g
 
 
-# -- loss ---------------------------------------------------------------------
-
-def test_loss_at_decision_boundary():
-    assert loss([0.0, 0.0], [1.0, -2.0], +1) == pytest.approx(math.log(2))
-
-
-def test_loss_vanishes_for_confident_correct_prediction():
-    assert loss([50.0], [1.0], +1) < 1e-20
-
-
-def test_loss_at_unit_margin_matches_high_precision_value():
-    assert loss([1.0], [1.0], +1) == pytest.approx(LOSS_AT_UNIT_MARGIN,
-                                                   abs=1e-12)
-
+# -- elementwise kernels --------------------------------------------------------
 
 def test_softplus_extremes_are_finite_and_tight():
     assert softplus(1000.0) == 1000.0
     assert softplus(-1000.0) == 0.0
     assert softplus(0.0) == pytest.approx(math.log(2))
+    assert softplus(-1.0) == pytest.approx(SOFTPLUS_AT_MINUS_ONE, abs=1e-12)
 
 
 def test_sigmoid_extremes():

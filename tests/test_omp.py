@@ -3,9 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from textomp import (ActiveSet, OMPConfig, SparseMatrix, fit_restricted,
-                     logistic, objective, omp, run_omp, select_feature,
-                     sigmoid)
+from textomp import OMPConfig, SparseMatrix, logistic, omp, run_omp
+from textomp.logistic import ActiveSet, fit_restricted, objective, sigmoid
+from textomp.omp import select_feature
 
 from conftest import random_design, random_labels, stateless_fit_restricted
 
