@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, Model, cg,
-                       checked_labels, newton, penalty_mask,
-                       value_and_gradient, violations)
+                       check_non_negative, checked_labels, newton,
+                       penalty_mask, value_and_gradient, violations)
 
 # A Newton step solves its model to a KKT violation of
 # _INNER_FORCING * min(1, v) * v, for the violation v at the current
@@ -60,10 +60,8 @@ class PenaltyConfig:
     lambda_l2: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.lambda_l1 < np.inf
-                and 0 <= self.lambda_l2 < np.inf):
-            raise ValueError("penalty strengths must be finite and "
-                             "non-negative")
+        check_non_negative("lambda_l1", self.lambda_l1)
+        check_non_negative("lambda_l2", self.lambda_l2)
 
 
 def _soft_threshold(v, t):
@@ -96,8 +94,7 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     overflows.
     """
     y = checked_labels(X, y)
-    if not 0 <= tol < np.inf:
-        raise ValueError("tol must be finite and non-negative")
+    check_non_negative("tol", tol)
 
     l1_vec = float(cfg.lambda_l1) * penalty_mask(X.n_cols, X.bias_col, False)
     l2 = float(cfg.lambda_l2)
@@ -115,9 +112,8 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         cols = _working_set(X, y, theta, l1_vec, l2, l2_mask, tol)
     converged = cols is None
 
-    active = ActiveSet(np.nonzero(theta)[0])
-    return Model(theta=theta, active=active, converged=converged,
-                 n_iter=n_iter)
+    return Model(theta=theta, active=ActiveSet(np.flatnonzero(theta).tolist()),
+                 converged=converged, n_iter=n_iter)
 
 
 def _working_set(X, y, theta, l1_vec, l2, l2_mask, tol):

@@ -329,12 +329,11 @@ def cmd_grid(args):
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        best_model, reports = evaluation.grid_search(
+        best_model, best, reports = evaluation.grid_search(
             X, y, X_dev, y_dev, spec, _fit_options(args, X))
     except RuntimeError as exc:
         raise CliError(str(exc), 3) from exc
 
-    best = min((r for r in reports if r.ok()), key=evaluation.selection_key)
     if args.test_matrix:
         X_test, y_test = _load_design(args.test_matrix, args.test_labels)
         best.test_accuracy = accuracy(best_model, X_test, y_test)

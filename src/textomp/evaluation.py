@@ -181,7 +181,8 @@ def selection_key(report):
 
 
 def grid_search(X_train, y_train, X_dev, y_dev, spec, opts=None):
-    """Fit the whole grid; returns (best model, reports in grid order).
+    """Fit the whole grid; returns (best model, its report, every report in
+    grid order).
 
     opts: FitOptions shared by every grid point (defaults if None).
     Individual fit failures are recorded on their report and the search
@@ -209,7 +210,7 @@ def grid_search(X_train, y_train, X_dev, y_dev, spec, opts=None):
             best_model = model
     if best_model is None:
         raise RuntimeError("every grid point failed") from last_exc
-    return best_model, reports
+    return best_model, best, reports
 
 
 # -- report serialization -----------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grouping
-from .groups import Group, GroupStructure
+from .groups import GroupStructure
 # unused here; kept because the benchmark tracer wraps them on this module
 from .logistic import fit_restricted, residual  # noqa: F401
 from .omp import GreedyConfig, per_unit_norm, run_greedy
@@ -63,10 +63,10 @@ class GroupSelectionRecord:
     hessian_builds: int = 0
 
 
-def score_group_orthonormal(X, G, r):
-    """||X_G^T r||_2^2; -inf for an empty group so it can never win."""
-    members = G.members if isinstance(G, Group) else tuple(G)
-    if not members:
+def score_group_orthonormal(X, members, r):
+    """||X_G^T r||_2^2 over the member indices of a group G; -inf for an
+    empty group so it can never win."""
+    if not len(members):
         return float("-inf")
     return float(np.sum([X.col_dot(j, r) ** 2 for j in members]))
 
@@ -131,23 +131,24 @@ def run_gomp(X, y, groups, cfg, on_iteration=None):
     if cfg.augment_singletons:
         groups = grouping.augment_singletons(groups, X.n_cols,
                                              bias_col=X.bias_col)
-    working = groups
+    working, names = groups, groups.names()
     col_norms = X.col_norms() if cfg.normalize_columns else None
 
-    def select(r, active):
+    def select(r, candidates):
         nonlocal working
         if not working.indices.size:
             return None  # exhausted: every index already active or stripped
         pos, score = select_group(X, working, r, criterion=cfg.criterion,
                                   col_norms=col_norms)
-        winner = working[pos]
-        norm = np.sqrt(score_group_orthonormal(X, winner, r))
-        working = remove_overlap(working, winner.members)
+        members = tuple(working.members(pos).tolist())
+        norm = np.sqrt(score_group_orthonormal(X, members, r))
+        working = remove_overlap(working, members)
         return norm, GroupSelectionRecord(
-            name=winner.name, score=score,
-            members_original=groups[pos].members,
-            members_added=winner.members)
+            name=names[pos], score=score,
+            members_original=tuple(groups.members(pos).tolist()),
+            members_added=members)
 
     report = None if on_iteration is None else lambda active: on_iteration(
-        frozenset(active), [set(g.members) for g in working])
+        frozenset(active), [set(working.members(pos).tolist())
+                            for pos in range(len(working))])
     return run_greedy(X, y, cfg, select, on_refit=report)

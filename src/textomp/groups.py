@@ -1,7 +1,8 @@
 """Named, possibly overlapping sets of feature indices.
 
 A GroupStructure is one flat incidence array: group p owns members
-indices[offsets[p]:offsets[p + 1]]. Group objects are built on demand.
+indices[offsets[p]:offsets[p + 1]], which `members(p)` returns as a view.
+Group objects are built on demand, at the file and API boundary only.
 """
 
 from __future__ import annotations
@@ -62,8 +63,12 @@ class GroupStructure:
 
     def __getitem__(self, pos):
         pos = range(len(self._names))[pos]
-        lo, hi = self.offsets[pos], self.offsets[pos + 1]
-        return Group(self._names[pos], tuple(self.indices[lo:hi].tolist()))
+        return Group(self._names[pos], tuple(self.members(pos).tolist()))
+
+    def members(self, pos):
+        """Member indices of the group at non-negative position pos, as a
+        view of the flat array."""
+        return self.indices[self.offsets[pos]:self.offsets[pos + 1]]
 
     def names(self):
         return list(self._names)

@@ -13,14 +13,18 @@ objective the fit ends unconverged at its last accepted iterate, and a
 trial whose objective overflows is halved like any other failed trial.
 
 The restricted fit, the inner solver of the greedy loops, runs `newton`
-over the active coordinates. A `RefitState` carries what consecutive
-refits of one run share: the dense active block, which grows by the
-entering columns only, and a lagged inverse Hessian P = H(w_ref)^-1 taken
-at some earlier iterate. Each entering column borders P through its Schur
-complement (the bordering of Batch-OMP, Rubinstein, Zibulevsky & Elad,
-2008), and P preconditions `cg`. Only when CG needs more than `_CG_MAX`
-steps, or P is missing, is the dense Hessian rebuilt at O(n k^2) and
-inverted, so a whole greedy run builds it a handful of times.
+over the active coordinates. It does not own the support: it takes the
+caller's sequence of distinct indices (`omp.run_greedy` keeps the one
+index list of a greedy run) and hands it back on the Model as an
+`ActiveSet`, a read-only tuple in entry order. A `RefitState` carries
+what consecutive refits of one run share: the dense active block, which
+grows by the entering columns only, and a lagged inverse Hessian
+P = H(w_ref)^-1 taken at some earlier iterate. Each entering column
+borders P through its Schur complement (the bordering of Batch-OMP,
+Rubinstein, Zibulevsky & Elad, 2008), and P preconditions `cg`. Only
+when CG needs more than `_CG_MAX` steps, or P is missing, is the dense
+Hessian rebuilt at O(n k^2) and inverted, so a whole greedy run builds
+it a handful of times.
 """
 
 from __future__ import annotations
@@ -47,52 +51,25 @@ _CG_MAX = 8
 _SCHUR_FLOOR = 1e-10
 
 
-class ActiveSet:
-    """Ordered, duplicate-free set of feature indices.
+class ActiveSet(tuple):
+    """A fitted model's support: its feature indices, read-only, in the
+    order they entered. ``ascending()`` gives the sorted view."""
 
-    Iteration follows insertion order; ``ascending()`` gives the sorted
-    view used to arrange restricted design matrices.
-    """
-
-    def __init__(self, indices=()):
-        self._order = []
-        self._members = set()
-        for j in indices:
-            self.add(j)
-
-    def add(self, j):
-        j = int(j)
-        if j in self._members:
-            raise ValueError(f"index {j} already active")
-        self._members.add(j)
-        self._order.append(j)
-
-    def __contains__(self, j):
-        return int(j) in self._members
-
-    def __len__(self):
-        return len(self._order)
-
-    def __iter__(self):
-        return iter(self._order)
-
-    def __repr__(self):
-        return f"ActiveSet({self._order!r})"
+    __slots__ = ()
 
     def ascending(self):
-        return sorted(self._members)
-
-    def copy(self):
-        other = ActiveSet()
-        other._order, other._members = list(self._order), set(self._members)
-        return other
+        return sorted(self)
 
     def n_selected(self, bias_col=None):
         """Active count excluding the bias column."""
-        n = len(self._order)
-        if bias_col is not None and bias_col in self._members:
-            n -= 1
-        return n
+        return len(self) - (bias_col is not None and bias_col in self)
+
+
+def check_non_negative(name, value):
+    """Raise unless value is finite and non-negative; written as a range
+    test so that NaN is rejected too."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass
@@ -415,25 +392,26 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     dense block and P carry over; without one a fresh state is built and
     the first Newton step is the exact dense solve.
     """
-    active = active.copy() if isinstance(active, ActiveSet) \
-        else ActiveSet(active)
     y = checked_labels(X, y)
-    if not 0 <= lam < np.inf:
-        raise ValueError("lambda must be finite and non-negative")
-    order = list(active)
-    for j in order:
-        if not 0 <= j < X.n_cols:
-            raise IndexError(f"active index {j} out of range")
+    check_non_negative("lambda", lam)
+    order = np.asarray(active, dtype=np.int64)
+    out_of_range = order[(order < 0) | (order >= X.n_cols)]
+    if out_of_range.size:
+        raise IndexError(f"active index {out_of_range[0]} out of range")
+    values, counts = np.unique(order, return_counts=True)
+    if values.size < order.size:
+        raise ValueError(f"index {values[counts > 1][0]} already active")
+    active = ActiveSet(order.tolist())
 
     theta = np.zeros(X.n_cols)
-    if not order:
+    if not active:
         return Model(theta=theta, active=active)
 
     ridge = 2.0 * float(lam) \
         * penalty_mask(X.n_cols, X.bias_col, penalize_bias)[order]
     if state is None:
         state = RefitState()
-    A = state.sync(X, order, ridge)
+    A = state.sync(X, list(active), ridge)
     coef = np.zeros(len(order)) if warm_start is None \
         else np.asarray(warm_start, dtype=np.float64)[order]
     cg_steps = hessian_builds = 0

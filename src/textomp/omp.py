@@ -5,6 +5,10 @@ to the active set, refit the L2-penalized logistic model on the enlarged
 support, recompute the residual, repeat until the feature budget is hit,
 the winning correlation falls to the precision threshold, or no candidate
 columns remain. `run_greedy` is this loop, with the pick left to a step.
+It is the one owner of the support: an index list in entry order, which
+every refit receives, and a mask of the columns still able to enter,
+which every pick ranks on. The refit returns the list on its Model as a
+read-only `ActiveSet`.
 
 The bias column is active from the start and never counted against the
 budget; the first selection correlates against the raw labels.
@@ -16,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, RefitState,
-                       checked_labels, fit_restricted, residual)
+from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, RefitState,
+                       check_non_negative, checked_labels, fit_restricted,
+                       residual)
 
 CHECKPOINT_INTERVAL = 100
 
@@ -45,12 +50,13 @@ class GreedyConfig:
         # written as `not x >= 0` so that NaN is rejected too
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("lambda must be finite and non-negative")
-        if not 0 <= self.tol < np.inf:  # inf calls the all-zero start optimal
-            raise ValueError("tol must be finite and non-negative")
+        check_non_negative("lambda", self.lam)
+        # an infinite tol would call the all-zero start optimal
+        check_non_negative("tol", self.tol)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be >= 1")
 
 
 OMPConfig = GreedyConfig  # OMP has no setting of its own
@@ -100,21 +106,20 @@ def per_unit_norm(scores, col_norms):
         return np.where(col_norms > 0, scores / col_norms, 0.0)
 
 
-def select_feature(X, r, active, col_norms=None):
-    """Inactive column with the largest |X_j^T r|; ties go to the lowest index.
+def select_feature(X, r, candidates, col_norms=None):
+    """Candidate column with the largest |X_j^T r|; ties go to the lowest
+    index.
 
-    The bias column never competes (it is always active). col_norms, when
-    given, rescales each score by 1/col_norms[j] (unit-L2 column scaling).
-    Returns (index, signed correlation). Raises when no candidate remains.
+    candidates is a boolean mask over X's columns; only columns where it
+    is True compete. col_norms, when given, rescales each score by
+    1/col_norms[j] (unit-L2 column scaling). Returns (index, signed
+    correlation). Raises when no candidate remains.
     """
-    scores = X.correlations(r)
-    mask = np.ones(X.n_cols, dtype=bool)
-    if X.bias_col is not None:
-        mask[X.bias_col] = False
-    mask[list(active)] = False
-    if not mask.any():
+    if not candidates.any():
         raise ValueError("no inactive candidate columns remain")
-    ranked = np.where(mask, np.abs(per_unit_norm(scores, col_norms)), -1.0)
+    scores = X.correlations(r)
+    ranked = np.where(candidates, np.abs(per_unit_norm(scores, col_norms)),
+                      -1.0)
     j = int(np.argmax(ranked))
     return j, float(scores[j])
 
@@ -122,32 +127,38 @@ def select_feature(X, r, active, col_norms=None):
 def run_greedy(X, y, cfg, select, on_refit=None):
     """The loop of OMP and group OMP; returns (final Model, Trajectory).
 
-    select(r, active) returns None when nothing is left, else the winner's
-    correlation norm ||X_W^T r|| and a record whose members_added enter
-    the active set unless the norm is at most cfg.epsilon. on_refit, when
-    given, is called with the active set after every refit. Every refit
+    The loop keeps the support as `order`, the active indices in entry
+    order, and `candidates`, a mask over X's columns that is False at the
+    bias from the start and at each index once it enters.
+    select(r, candidates) returns None when nothing is left, else the
+    winner's correlation norm ||X_W^T r|| and a record whose members_added
+    enter the support unless the norm is at most cfg.epsilon. on_refit,
+    when given, is called with the refit Model's ActiveSet. Every refit
     of the run shares one RefitState, so the dense active block and the
     lagged inverse Hessian carry over from one selection to the next.
     """
     y = checked_labels(X, y)
-    active = ActiveSet([X.bias_col] if X.bias_col is not None else [])
+    order = [] if X.bias_col is None else [X.bias_col]
+    n_bias = len(order)
+    candidates = np.ones(X.n_cols, dtype=bool)
+    candidates[order] = False
     traj = Trajectory()
     state = RefitState()
     # the bias-only fit; all-zero weights when there is no bias column
-    model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
+    model = fit_restricted(X, y, order, cfg.lam, tol=cfg.tol,
                            max_iter=cfg.max_iter,
                            penalize_bias=cfg.penalize_bias, state=state)
     r = y.copy()  # first selection correlates against the raw labels
 
     next_mark = cfg.checkpoint_interval
-    while active.n_selected(X.bias_col) < cfg.budget:
-        chosen = select(r, active)
+    while len(order) - n_bias < cfg.budget:
+        chosen = select(r, candidates)
         if chosen is None or chosen[0] <= cfg.epsilon:
             break
         record = chosen[1]
-        for j in record.members_added:
-            active.add(j)
-        model = fit_restricted(X, y, active, cfg.lam, tol=cfg.tol,
+        order.extend(record.members_added)
+        candidates[list(record.members_added)] = False
+        model = fit_restricted(X, y, order, cfg.lam, tol=cfg.tol,
                                max_iter=cfg.max_iter,
                                warm_start=model.theta,
                                penalize_bias=cfg.penalize_bias, state=state)
@@ -157,15 +168,15 @@ def run_greedy(X, y, cfg, select, on_refit=None):
         record.cg_steps = model.cg_steps
         record.hessian_builds = model.hessian_builds
         traj.records.append(record)
-        n_sel = active.n_selected(X.bias_col)
+        n_sel = len(order) - n_bias
         if n_sel >= next_mark:
             traj.checkpoints.append((n_sel, model.theta.copy()))
             next_mark = (n_sel // cfg.checkpoint_interval + 1) \
                 * cfg.checkpoint_interval
         if on_refit is not None:
-            on_refit(active)
+            on_refit(model.active)
 
-    n_sel = active.n_selected(X.bias_col)
+    n_sel = len(order) - n_bias
     if not traj.checkpoints or traj.checkpoints[-1][0] != n_sel:
         traj.checkpoints.append((n_sel, model.theta.copy()))
     return model, traj
@@ -179,10 +190,10 @@ def run_omp(X, y, cfg):
     """
     col_norms = X.col_norms() if cfg.normalize_columns else None
 
-    def select(r, active):
-        if len(active) == X.n_cols:
+    def select(r, candidates):
+        if not candidates.any():
             return None  # every non-bias column is already active
-        j, corr = select_feature(X, r, active, col_norms=col_norms)
+        j, corr = select_feature(X, r, candidates, col_norms=col_norms)
         return abs(corr), SelectionRecord(index=j, score=corr)
 
     return run_greedy(X, y, cfg, select)

@@ -22,7 +22,7 @@ from textomp import (FitOptions, GOMPConfig, GridSpec, GroupStructure,
                      grid_search, run_gomp, run_omp)
 from textomp.baselines import kkt_violation
 from textomp.cli import main as cli_main
-from textomp.evaluation import accuracy, selection_key, write_reports
+from textomp.evaluation import accuracy, write_reports
 from textomp.gomp import select_group
 from textomp.logistic import ActiveSet, fit_restricted, gradient, sigmoid
 from textomp.omp import select_feature
@@ -112,19 +112,19 @@ def test_greedy_selection_matches_exhaustive_scan_and_never_repeats(
     real = select_feature
     mismatches = []
 
-    def exhaustive(X, r, active):
+    def exhaustive(X, r, candidates):
         best = None
         for j in range(X.n_cols):
-            if j == X.bias_col or j in active:
+            if j == X.bias_col or not candidates[j]:
                 continue
             s = abs(X.col_dot(j, r))
             if best is None or s > best[1]:
                 best = (j, s)
         return best[0]
 
-    def checked(X, r, active, col_norms=None):
-        j, corr = real(X, r, active, col_norms=col_norms)
-        jb = exhaustive(X, r, active)
+    def checked(X, r, candidates, col_norms=None):
+        j, corr = real(X, r, candidates, col_norms=col_norms)
+        jb = exhaustive(X, r, candidates)
         if j != jb:
             mismatches.append((j, jb))
         return j, corr
@@ -285,9 +285,8 @@ def test_dev_tie_selects_sparser_model():
     X, Xd = with_private_word(X, [0]), with_private_word(Xd, [])
     y[0] = -y[0]
     spec = GridSpec(method="lasso", lambda_values=(0.01, 2.0))
-    model, reports = grid_search(X, y, Xd, yd, spec)
+    model, best, reports = grid_search(X, y, Xd, yd, spec)
     tied = reports[0].dev_accuracy == reports[1].dev_accuracy
-    best = min(reports, key=selection_key)
     sparser_won = best.n_active == min(r.n_active for r in reports) \
         and best.hyperparams["lambda"] == 2.0 \
         and int(np.count_nonzero(model.theta[:-1])) == best.n_active
@@ -326,9 +325,8 @@ def test_reference_corpus_reproduction(tmp_path):
 
     budget = int(os.environ.get("TEXTOMP_ACCEPT_BUDGET", "2000"))
     spec = GridSpec(method="omp")
-    best_model, reports = grid_search(X, y, Xd, yd, spec,
-                                      FitOptions(budget=budget))
-    best = min((r for r in reports if r.ok()), key=selection_key)
+    best_model, best, reports = grid_search(X, y, Xd, yd, spec,
+                                            FitOptions(budget=budget))
     from textomp import accuracy
     best.test_accuracy = accuracy(best_model, Xt, yt)
     out = tmp_path / "reference_reports.txt"

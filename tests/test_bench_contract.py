@@ -20,8 +20,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import spans  # noqa: E402
-from textomp import (cli, evaluation, gomp, grouping, logistic,  # noqa: E402
-                     omp, textpipe)
+from textomp import (baselines, cli, evaluation, gomp,  # noqa: E402
+                     grouping, logistic, omp, textpipe)
 from textomp.sparse import SparseMatrix  # noqa: E402
 
 
@@ -169,3 +169,37 @@ def test_run_gomp_scores_every_activated_group_through_the_traced_scorer():
                  for span in tracer.spans)
     assert traj.records
     assert scored >= len(traj.records)
+
+
+def test_fits_hand_back_the_active_set_and_records_the_benchmark_reads():
+    # spans._refit_counters takes len(model.active); the workloads count
+    # model.active.n_selected(bias_col), index the final gradient with
+    # model.active.ascending(), and tell an OMP fit from a group OMP fit
+    # by the type of its records
+    rng = np.random.default_rng(3)
+    dense = np.column_stack([rng.poisson(0.5, size=(30, 8)).astype(float),
+                             np.ones(30)])
+    X = SparseMatrix.from_dense(dense, bias_col=8)
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    omp_model, omp_traj = omp.run_omp(X, y, omp.OMPConfig(budget=3))
+    gomp_model, gomp_traj = gomp.run_gomp(X, y, [("g", [0, 1, 2])],
+                                          gomp.GOMPConfig(budget=3))
+    lasso = baselines.fit_penalized(X, y, baselines.PenaltyConfig(1.0, 0.0))
+    for model in (omp_model, gomp_model, lasso):
+        support = np.flatnonzero(model.theta).tolist()
+        assert len(model.active) >= len(support)
+        assert model.active.ascending() == sorted(model.active)
+        assert set(support) <= set(model.active.ascending())
+        assert model.active.n_selected(X.bias_col) \
+            == len(model.active) - (X.bias_col in model.active)
+    assert omp_model.active.n_selected(X.bias_col) == 3
+    assert gomp_model.active.n_selected(X.bias_col) >= 3
+    assert lasso.active.ascending() == np.flatnonzero(lasso.theta).tolist()
+
+    assert omp_traj.records and gomp_traj.records
+    assert all(isinstance(r, omp.SelectionRecord)
+               and not isinstance(r, gomp.GroupSelectionRecord)
+               for r in omp_traj.records)
+    assert all(isinstance(r, gomp.GroupSelectionRecord)
+               and not isinstance(r, omp.SelectionRecord)
+               for r in gomp_traj.records)

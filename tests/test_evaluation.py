@@ -6,7 +6,7 @@ import pytest
 from textomp import (FitReport, GridSpec, SparseMatrix, accuracy,
                      atoms_curve, grid_search, run_omp, OMPConfig)
 from textomp.evaluation import (format_report, human_table, parse_report,
-                                read_reports, selection_key, write_reports)
+                                read_reports, write_reports)
 
 from conftest import random_design, random_labels
 
@@ -76,8 +76,8 @@ def test_single_point_grid_returns_that_fit(rng):
     X, y = separable_instance(rng, 30)
     Xd, yd = separable_instance(rng, 12)
     spec = GridSpec(method="ridge", lambda_values=(1.0,))
-    model, reports = grid_search(X, y, Xd, yd, spec)
-    assert len(reports) == 1
+    model, best, reports = grid_search(X, y, Xd, yd, spec)
+    assert len(reports) == 1 and best is reports[0]
     assert reports[0].hyperparams == {"lambda": 1.0}
     assert reports[0].dev_accuracy == accuracy(model, Xd, yd)
 
@@ -99,10 +99,9 @@ def test_equal_dev_accuracy_prefers_sparser_model(rng):
     X, Xd = with_private_word(X, [0]), with_private_word(Xd, [])
     y[0] = -y[0]
     spec = GridSpec(method="lasso", lambda_values=(0.01, 2.0))
-    model, reports = grid_search(X, y, Xd, yd, spec)
+    model, best, reports = grid_search(X, y, Xd, yd, spec)
     assert reports[0].dev_accuracy == reports[1].dev_accuracy == 1.0
     assert reports[1].n_active < reports[0].n_active
-    best = min(reports, key=selection_key)
     assert best.hyperparams["lambda"] == 2.0
     assert int(np.count_nonzero(model.theta[:-1])) == best.n_active
 
@@ -111,9 +110,8 @@ def test_overpenalized_lambda_loses_on_dev_accuracy(rng):
     X, y = separable_instance(rng, 40, redundant=False)
     Xd, yd = separable_instance(rng, 20, redundant=False)
     spec = GridSpec(method="lasso", lambda_values=(0.1, 100.0))
-    _, reports = grid_search(X, y, Xd, yd, spec)
+    _, best, reports = grid_search(X, y, Xd, yd, spec)
     assert reports[1].n_active == 0  # lambda=100 shrinks everything away
-    best = min(reports, key=selection_key)
     assert best.hyperparams["lambda"] == 0.1
     assert best.dev_accuracy > reports[1].dev_accuracy
 
@@ -122,8 +120,7 @@ def test_winner_dominates_every_report(rng):
     X, y = separable_instance(rng, 30)
     Xd, yd = separable_instance(rng, 15)
     spec = GridSpec(method="lasso", lambda_values=(0.01, 0.1, 1.0, 10.0))
-    _, reports = grid_search(X, y, Xd, yd, spec)
-    best = min(reports, key=selection_key)
+    _, best, reports = grid_search(X, y, Xd, yd, spec)
     for r in reports:
         assert best.dev_accuracy >= r.dev_accuracy
         if r.dev_accuracy == best.dev_accuracy:
@@ -145,9 +142,9 @@ def test_failed_points_are_recorded_and_search_continues(rng, monkeypatch):
 
     monkeypatch.setattr(ev.baselines, "fit_penalized", sometimes_fails)
     spec = GridSpec(method="ridge", lambda_values=(0.1, 1.0))
-    model, reports = grid_search(X, y, Xd, yd, spec)
+    _, best, reports = grid_search(X, y, Xd, yd, spec)
     assert reports[0].error == "synthetic failure"
-    assert reports[1].ok()
+    assert reports[1].ok() and best is reports[1]
 
 
 def test_all_points_failing_raises(rng, monkeypatch):

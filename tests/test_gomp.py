@@ -14,7 +14,7 @@ from conftest import random_design, random_labels, stateless_fit_restricted
 def test_orthonormal_score_of_singleton_is_squared_correlation(rng):
     dense, X = random_design(rng, 5, 6)
     r = rng.normal(size=5)
-    assert score_group_orthonormal(X, Group.of("g", [2]), r) \
+    assert score_group_orthonormal(X, [2], r) \
         == pytest.approx(X.col_dot(2, r) ** 2, rel=1e-12)
 
 
@@ -22,27 +22,27 @@ def test_orthonormal_score_zero_when_group_orthogonal_to_residual():
     dense = np.column_stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     X = SparseMatrix.from_dense(dense)
     r = np.array([0.0, 0.0, 5.0])
-    assert score_group_orthonormal(X, Group.of("g", [0, 1]), r) == 0.0
+    assert score_group_orthonormal(X, [0, 1], r) == 0.0
 
 
 def test_orthonormal_score_matches_two_term_recomputation(rng):
     dense, X = random_design(rng, 5, 6)
     r = rng.normal(size=5)
     expected = float((dense[:, 1] @ r) ** 2 + (dense[:, 4] @ r) ** 2)
-    assert score_group_orthonormal(X, Group.of("g", [1, 4]), r) \
+    assert score_group_orthonormal(X, [1, 4], r) \
         == pytest.approx(expected, rel=1e-12)
 
 
 def test_empty_group_scores_negative_infinity(rng):
     _, X = random_design(rng, 4, 3)
     r = np.ones(4)
-    assert score_group_orthonormal(X, Group("g", ()), r) == float("-inf")
+    assert score_group_orthonormal(X, (), r) == float("-inf")
 
 
-def averaged_score(X, G, r):
+def averaged_score(X, members, r):
     """The "averaged" criterion by its definition: the orthonormal score
     over the group size."""
-    return score_group_orthonormal(X, G, r) / max(len(G), 1)
+    return score_group_orthonormal(X, members, r) / max(len(members), 1)
 
 
 def test_averaged_score_is_orthonormal_over_size(rng):
@@ -69,8 +69,8 @@ def test_averaged_score_prefers_small_informative_group():
     X = SparseMatrix.from_dense(dense, bias_col=102)
     small = Group.of("small", [0, 1])
     big = Group.of("big", range(102))
-    assert score_group_orthonormal(X, small, r) \
-        == pytest.approx(score_group_orthonormal(X, big, r))
+    assert score_group_orthonormal(X, small.members, r) \
+        == pytest.approx(score_group_orthonormal(X, big.members, r))
     pos, s_small = select_group(X, GroupStructure([big, small]), r,
                                 criterion="averaged")
     assert pos == 1
@@ -110,7 +110,7 @@ def test_select_group_matches_exhaustive_scan(rng):
     for structure in (groups, stripped):
         for criterion, scorer in (("orthonormal", score_group_orthonormal),
                                   ("averaged", averaged_score)):
-            scores = [scorer(X, g, r) for g in structure]
+            scores = [scorer(X, g.members, r) for g in structure]
             expected = int(np.argmax(scores))
             pos, score = select_group(X, structure, r, criterion=criterion)
             assert pos == expected

@@ -437,10 +437,23 @@ def test_cg_gives_up_on_non_positive_curvature():
         assert not solved and steps == 1 and not p.any()
 
 
-def test_active_set_rejects_duplicates_and_preserves_order():
-    s = ActiveSet([4, 1, 3])
-    assert list(s) == [4, 1, 3]
-    assert s.ascending() == [1, 3, 4]
-    with pytest.raises(ValueError):
-        s.add(4)
-    assert 3 in s and 0 not in s
+@pytest.mark.parametrize("kind", [list, tuple, np.array],
+                         ids=["list", "tuple", "array"])
+def test_fit_restricted_rejects_repeated_and_out_of_range_indices(rng, kind):
+    _, X = random_design(rng, 8, 5)
+    y = random_labels(rng, 8)
+    with pytest.raises(ValueError, match="4 already active"):
+        fit_restricted(X, y, kind([4, 1, 4]), lam=1.0)
+    for bad in (5, -1):
+        with pytest.raises(IndexError, match=f"{bad} out of range"):
+            fit_restricted(X, y, kind([1, bad]), lam=1.0)
+
+
+def test_model_active_keeps_entry_order(rng):
+    _, X = random_design(rng, 8, 5)
+    y = random_labels(rng, 8)
+    model = fit_restricted(X, y, np.array([4, 1, 3]), lam=1.0)
+    assert isinstance(model.active, ActiveSet)
+    assert list(model.active) == [4, 1, 3]
+    assert model.active.ascending() == [1, 3, 4]
+    assert 3 in model.active and 0 not in model.active

@@ -10,6 +10,13 @@ from textomp.omp import select_feature
 from conftest import random_design, random_labels, stateless_fit_restricted
 
 
+def candidates(X, active):
+    """select_feature's candidate mask: every column of X outside active."""
+    mask = np.ones(X.n_cols, dtype=bool)
+    mask[list(active)] = False
+    return mask
+
+
 def brute_force_selection(X, r, active, col_norms=None):
     """Exhaustive scan over every inactive non-bias column."""
     best = None
@@ -48,7 +55,8 @@ def test_select_feature_unit_columns():
     dense[1, 1] = 1.0
     dense[:, 2] = 1.0
     X = SparseMatrix.from_dense(dense, bias_col=2)
-    j, corr = select_feature(X, np.array([1.0, 0.0, 0.0, 0.0]), ActiveSet([2]))
+    j, corr = select_feature(X, np.array([1.0, 0.0, 0.0, 0.0]),
+                             candidates(X, [2]))
     assert j == 0
     assert corr == 1.0
 
@@ -62,7 +70,7 @@ def test_select_feature_picks_column_equal_to_residual(rng):
     dense[:, 1] = r
     dense[:, 3] = 1.0
     X = SparseMatrix.from_dense(dense, bias_col=3)
-    j, _ = select_feature(X, r, ActiveSet([3]))
+    j, _ = select_feature(X, r, candidates(X, [3]))
     assert j == 1
 
 
@@ -70,8 +78,8 @@ def test_select_feature_matches_exhaustive_scan(rng):
     for _ in range(10):
         _, X = random_design(rng, 6, 9)
         r = rng.normal(size=6)
-        active = ActiveSet([8, 2])
-        j, corr = select_feature(X, r, active)
+        active = [8, 2]
+        j, corr = select_feature(X, r, candidates(X, active))
         assert j == brute_force_selection(X, r, active)
         assert corr == X.col_dot(j, r)
 
@@ -80,14 +88,14 @@ def test_select_feature_tie_breaks_to_lowest_index():
     col = np.array([1.0, 2.0, 0.0])
     dense = np.column_stack([col, col, np.ones(3)])
     X = SparseMatrix.from_dense(dense, bias_col=2)
-    j, _ = select_feature(X, np.array([1.0, 1.0, 1.0]), ActiveSet([2]))
+    j, _ = select_feature(X, np.array([1.0, 1.0, 1.0]), candidates(X, [2]))
     assert j == 0
 
 
 def test_select_feature_errors_when_every_column_active(rng):
     _, X = random_design(rng, 4, 3)
     with pytest.raises(ValueError):
-        select_feature(X, np.ones(4), ActiveSet([0, 1, 2]))
+        select_feature(X, np.ones(4), candidates(X, [0, 1, 2]))
 
 
 def test_select_feature_normalized_scoring(rng):
@@ -99,8 +107,8 @@ def test_select_feature_normalized_scoring(rng):
         np.ones(4),
     ])
     X = SparseMatrix.from_dense(dense, bias_col=2)
-    j_raw, _ = select_feature(X, r, ActiveSet([2]))
-    j_scaled, _ = select_feature(X, r, ActiveSet([2]),
+    j_raw, _ = select_feature(X, r, candidates(X, [2]))
+    j_scaled, _ = select_feature(X, r, candidates(X, [2]),
                                  col_norms=X.col_norms())
     assert j_raw == 1
     assert j_scaled == 0
@@ -276,3 +284,7 @@ def test_config_validation():
     for max_iter in (0, -3):  # zero Newton steps would fit an all-zero model
         with pytest.raises(ValueError, match="max_iter"):
             OMPConfig(max_iter=max_iter)
+    # 0 divided by zero after the first refit; -3 checkpointed every atom
+    for interval in (0, -3):
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            OMPConfig(budget=3, checkpoint_interval=interval)
