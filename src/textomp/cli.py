@@ -166,7 +166,6 @@ def cmd_vectorize(args):
 
     # Token lists are the bulk of memory: hold one split's at a time.
     sizes = f"train {len(train_docs)} docs, dev {len(dev_docs)} docs"
-    corpus.documents = []
     _write_split(corpus, "train", train_docs, out)
     del train_docs
     _write_split(corpus, "dev", dev_docs, out)

@@ -1,9 +1,10 @@
 """Greedy group selection over possibly overlapping groups of features.
 
 The greedy loop of `omp.run_greedy`, lifted to groups (Lozano, Swirszcz
-& Abe, AISTATS 2011): score every remaining group against the residual,
-activate the whole winning group, then strip the winner's indices out of
-every other group so that no index can enter the active set twice.
+& Abe, AISTATS 2011): strip out of every group the indices that the
+loop's candidate mask marks as active, so that no index can enter the
+active set twice, score every remaining group against the residual, and
+activate the whole winning group.
 Two scoring criteria are available:
 
 - "orthonormal": ||X_G^T r||^2, exact when the group's columns are
@@ -63,22 +64,23 @@ class GroupSelectionRecord:
     hessian_builds: int = 0
 
 
-def score_group_orthonormal(X, members, r):
-    """||X_G^T r||_2^2 over the member indices of a group G; -inf for an
-    empty group so it can never win."""
+def score_group_orthonormal(corr, members):
+    """||X_G^T r||_2^2 of a group G from the correlations corr = X^T r;
+    -inf for an empty group so it can never win."""
     if not len(members):
         return float("-inf")
-    return float(np.sum([X.col_dot(j, r) ** 2 for j in members]))
+    return float(np.sum(corr[np.asarray(members, dtype=np.int64)] ** 2))
 
 
 def select_group(X, groups, r, criterion="averaged", col_norms=None):
-    """Best-scoring non-empty group: (position, score); ties take the
-    lowest position. Raises when every group is empty (exhaustion).
+    """Best-scoring non-empty group: (position, score, norm); ties take
+    the lowest position. Raises when every group is empty (exhaustion).
 
     Every criterion sums the squared member correlations of all groups
     in one `np.add.reduceat` over the structure's flat index array.
     col_norms, when given, scores each member by corr_j / col_norms[j]
-    (0 for a zero-norm column).
+    (0 for a zero-norm column). norm is the winner's ||X_G^T r|| on the
+    raw columns, which the epsilon test reads.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
@@ -86,7 +88,8 @@ def select_group(X, groups, r, criterion="averaged", col_norms=None):
     live = sizes > 0
     if not live.any():
         raise ValueError("all groups are empty; structure exhausted")
-    corr = per_unit_norm(X.correlations(r), col_norms)
+    raw = X.correlations(r)
+    corr = per_unit_norm(raw, col_norms)
     # a segment runs to the next live start, since empty groups own none
     energy = np.add.reduceat(corr[groups.indices] ** 2,
                              groups.offsets[:-1][live])
@@ -95,23 +98,26 @@ def select_group(X, groups, r, criterion="averaged", col_norms=None):
     scores = np.full(len(groups), -np.inf)
     scores[live] = energy
     pos = int(np.argmax(scores))
-    return pos, float(scores[pos])
+    norm = np.sqrt(score_group_orthonormal(raw, groups.members(pos)))
+    return pos, float(scores[pos]), norm
 
 
-def remove_overlap(groups, selected):
-    """Strip the selected indices out of every group of a GroupStructure.
+def remove_overlap(groups, candidates):
+    """The GroupStructure with only the members that the boolean column
+    mask candidates leaves True.
 
     Groups that lose all members stay in place (empty) so positions and
-    names remain stable; empty groups are never selectable.
+    names remain stable; empty groups are never selectable. The names
+    are shared with groups, not copied.
     """
-    keep = ~np.isin(groups.indices, np.fromiter(selected, dtype=np.int64))
+    keep = candidates[groups.indices]
     kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return GroupStructure.from_arrays(groups.names(),
+    return GroupStructure.from_arrays(groups._names,
                                       kept_before[groups.offsets],
                                       groups.indices[keep])
 
 
-def run_gomp(X, y, groups, cfg, on_iteration=None):
+def run_gomp(X, y, groups, cfg):
     """Run the group selection loop; returns (final Model, Trajectory).
 
     groups is a GroupStructure or a list of Groups; the group functions
@@ -122,8 +128,8 @@ def run_gomp(X, y, groups, cfg, on_iteration=None):
     winning group's correlation norm ||X_G^T r|| falls to epsilon (the
     same test as OMP's |X_j^T r| on a singleton, on raw columns even when
     cfg.normalize_columns ranks on unit-norm ones), or no indices remain in
-    any group. on_iteration, when given, is called after every refit with
-    (active index set, remaining group member sets) for inspection.
+    any group. The winner's members leave the other groups at the next
+    pick, when remove_overlap drops what the candidate mask marks gone.
     """
     if not isinstance(groups, GroupStructure):
         groups = GroupStructure(groups)
@@ -131,24 +137,21 @@ def run_gomp(X, y, groups, cfg, on_iteration=None):
     if cfg.augment_singletons:
         groups = grouping.augment_singletons(groups, X.n_cols,
                                              bias_col=X.bias_col)
-    working, names = groups, groups.names()
+    working = groups
     col_norms = X.col_norms() if cfg.normalize_columns else None
 
     def select(r, candidates):
         nonlocal working
+        working = remove_overlap(working, candidates)
         if not working.indices.size:
             return None  # exhausted: every index already active or stripped
-        pos, score = select_group(X, working, r, criterion=cfg.criterion,
-                                  col_norms=col_norms)
-        members = tuple(working.members(pos).tolist())
-        norm = np.sqrt(score_group_orthonormal(X, members, r))
-        working = remove_overlap(working, members)
+        pos, score, norm = select_group(X, working, r,
+                                        criterion=cfg.criterion,
+                                        col_norms=col_norms)
+        winner = working[pos]
         return norm, GroupSelectionRecord(
-            name=names[pos], score=score,
-            members_original=tuple(groups.members(pos).tolist()),
-            members_added=members)
+            name=winner.name, score=score,
+            members_original=groups[pos].members,
+            members_added=winner.members)
 
-    report = None if on_iteration is None else lambda active: on_iteration(
-        frozenset(active), [set(working.members(pos).tolist())
-                            for pos in range(len(working))])
-    return run_greedy(X, y, cfg, select, on_refit=report)
+    return run_greedy(X, y, cfg, select)

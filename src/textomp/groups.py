@@ -74,8 +74,18 @@ class GroupStructure:
         return list(self._names)
 
     def validate_indices(self, n_cols, bias_col=None):
-        """Check every member index against the feature count and bias."""
+        """Check every member index against the feature count and bias,
+        and that no group holds an index twice."""
         error = member_error(self.indices.tolist(), n_cols, bias_col)
+        if error is None:
+            # in range now, so group * n_cols + index is one key per member
+            key = np.repeat(np.arange(len(self)), np.diff(self.offsets)) \
+                * n_cols + self.indices
+            order = np.argsort(key, kind="stable")
+            repeats = order[1:][np.diff(key[order]) == 0]
+            if repeats.size:
+                pos = int(repeats.min())
+                error = pos, f"index {self.indices[pos]} listed twice"
         if error is not None:
             pos, message = error
             owner = int(np.searchsorted(self.offsets, pos, side="right")) - 1

@@ -124,7 +124,7 @@ def select_feature(X, r, candidates, col_norms=None):
     return j, float(scores[j])
 
 
-def run_greedy(X, y, cfg, select, on_refit=None):
+def run_greedy(X, y, cfg, select):
     """The loop of OMP and group OMP; returns (final Model, Trajectory).
 
     The loop keeps the support as `order`, the active indices in entry
@@ -132,10 +132,10 @@ def run_greedy(X, y, cfg, select, on_refit=None):
     bias from the start and at each index once it enters.
     select(r, candidates) returns None when nothing is left, else the
     winner's correlation norm ||X_W^T r|| and a record whose members_added
-    enter the support unless the norm is at most cfg.epsilon. on_refit,
-    when given, is called with the refit Model's ActiveSet. Every refit
-    of the run shares one RefitState, so the dense active block and the
-    lagged inverse Hessian carry over from one selection to the next.
+    enter the support unless the norm is at most cfg.epsilon. Every
+    refit of the run shares one RefitState, so the dense active block
+    and the lagged inverse Hessian carry over from one selection to the
+    next.
     """
     y = checked_labels(X, y)
     order = [] if X.bias_col is None else [X.bias_col]
@@ -173,8 +173,6 @@ def run_greedy(X, y, cfg, select, on_refit=None):
             traj.checkpoints.append((n_sel, model.theta.copy()))
             next_mark = (n_sel // cfg.checkpoint_interval + 1) \
                 * cfg.checkpoint_interval
-        if on_refit is not None:
-            on_refit(model.active)
 
     n_sel = len(order) - n_bias
     if not traj.checkpoints or traj.checkpoints[-1][0] != n_sel:

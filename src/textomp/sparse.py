@@ -4,11 +4,10 @@ Every solver's hot loop is "correlate each column with a residual vector",
 so the storage is CSC-like: one contiguous (row, value) run per column.
 Matrices are immutable after construction and safe to share across threads.
 
-``col_dot`` and ``correlations`` agree bit-for-bit: both sum a column's
-products with one ``np.add.reduceat`` over its stored entries, whose
-result depends only on those products (reduceat sums a slice pairwise,
-not strictly left-to-right). ``mat_vec`` sums each row in ascending
-column order, by ``np.bincount``.
+``correlations`` sums each column's products with one ``np.add.reduceat``
+over its stored entries, whose result depends only on those products
+(reduceat sums a slice pairwise, not strictly left-to-right). ``mat_vec``
+sums each row in ascending column order, by ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -156,18 +155,6 @@ class SparseMatrix:
         return self.densify_columns(range(self.n_cols))
 
     # -- kernels -----------------------------------------------------------
-
-    def col_dot(self, j, v):
-        """Inner product of column j with a length-n_rows vector."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n_rows,):
-            raise ValueError(f"vector length {v.shape} != ({self.n_rows},)")
-        r, x = self.col(j)
-        if len(r) == 0:
-            return 0.0
-        p = x * v[r]
-        # the reduceat of correlations() over the same slice: bit-equal
-        return float(np.add.reduceat(p, np.array([0]))[0])
 
     def correlations(self, v):
         """All column inner products X^T v as a length-n_cols vector."""

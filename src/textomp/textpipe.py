@@ -44,14 +44,13 @@ class SplitSpec:
 
 
 class Corpus:
-    """Training documents plus the vocabulary they induce.
+    """The vocabulary that the training documents induce.
 
     vocabulary maps token -> column index, dense in [0, V); the bias
     column sits at index V.
     """
 
-    def __init__(self, documents, vocabulary):
-        self.documents = list(documents)
+    def __init__(self, vocabulary):
         self.vocabulary = dict(vocabulary)
 
     @classmethod
@@ -72,7 +71,7 @@ class Corpus:
                 set(doc.tokens) for doc in train_docs))
             order = [t for t in order if df[t] >= min_df]
         vocab = {tok: j for j, tok in enumerate(order)}
-        return cls(train_docs, vocab)
+        return cls(vocab)
 
     @property
     def n_features(self):

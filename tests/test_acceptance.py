@@ -27,6 +27,8 @@ from textomp.gomp import select_group
 from textomp.logistic import ActiveSet, fit_restricted, gradient, sigmoid
 from textomp.omp import select_feature
 
+from conftest import group_trajectory_errors
+
 # the benchmark's seeded corpus generator, shared at test size
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -117,7 +119,7 @@ def test_greedy_selection_matches_exhaustive_scan_and_never_repeats(
         for j in range(X.n_cols):
             if j == X.bias_col or not candidates[j]:
                 continue
-            s = abs(X.col_dot(j, r))
+            s = abs(X.correlations(r)[j])
             if best is None or s > best[1]:
                 best = (j, s)
         return best[0]
@@ -175,7 +177,7 @@ def test_inactive_groups_disjoint_from_active_set_on_random_structures():
     violations = []
     for seed in range(100):
         rng = np.random.default_rng(3000 + seed)
-        _, X, y = random_instance(rng, 12, 10)
+        dense, X, y = random_instance(rng, 12, 10)
         n_groups = int(rng.integers(3, 8))
         groups = GroupStructure([
             (f"g{i}",
@@ -183,14 +185,11 @@ def test_inactive_groups_disjoint_from_active_set_on_random_structures():
                                replace=False).tolist()))
             for i in range(n_groups)
         ])
-        cfg = GOMPConfig(budget=9, lam=0.5, augment_singletons=False)
-
-        def check(active, group_sets):
-            for members in group_sets:
-                if members & set(active):
-                    violations.append((seed, members))
-
-        run_gomp(X, y, groups, cfg, on_iteration=check)
+        cfg = GOMPConfig(budget=9, lam=0.5, augment_singletons=False,
+                         checkpoint_interval=1)
+        _, traj = run_gomp(X, y, groups, cfg)
+        violations += [(seed, error) for error in group_trajectory_errors(
+            dense, X, y, groups, cfg.criterion, traj)]
     report_line("inactive groups stay disjoint from the active set "
                 "(100 random overlapping structures)", not violations,
                 f"{len(violations)} violations")

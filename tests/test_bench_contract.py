@@ -151,9 +151,10 @@ def test_a_traced_cli_chain_records_every_file_layer(tmp_path, capsys):
 
 
 def test_run_gomp_scores_every_activated_group_through_the_traced_scorer():
-    # the traced gomp_overlap run reports gomp.score_group_orthonormal.self_s;
-    # a run_gomp that computed its epsilon norm another way would leave
-    # that layer metric missing
+    # the traced gomp_overlap run reports gomp.score_group_orthonormal.self_s
+    # and gomp.remove_overlap.self_s; a run_gomp that computed its epsilon
+    # norm or stripped its groups another way would leave that layer
+    # metric missing
     rng = np.random.default_rng(0)
     dense = np.column_stack([rng.poisson(0.5, size=(30, 12)).astype(float),
                              np.ones(30)])
@@ -165,10 +166,10 @@ def test_run_gomp_scores_every_activated_group_through_the_traced_scorer():
         _, traj = gomp.run_gomp(X, y, groups, gomp.GOMPConfig(budget=6))
     finally:
         tracer.remove()
-    scored = sum(span.name == "gomp.score_group_orthonormal"
-                 for span in tracer.spans)
     assert traj.records
-    assert scored >= len(traj.records)
+    for name in ("gomp.score_group_orthonormal", "gomp.remove_overlap"):
+        assert sum(span.name == name for span in tracer.spans) \
+            >= len(traj.records), name
 
 
 def test_fits_hand_back_the_active_set_and_records_the_benchmark_reads():

@@ -6,7 +6,15 @@ from textomp import (GOMPConfig, Group, GroupStructure, OMPConfig,
 from textomp.gomp import remove_overlap, score_group_orthonormal, select_group
 from textomp.logistic import objective, residual
 
-from conftest import random_design, random_labels, stateless_fit_restricted
+from conftest import (group_trajectory_errors, random_design, random_labels,
+                      stateless_fit_restricted)
+
+
+def candidates_without(gone, n_cols=10):
+    """A candidate mask over n_cols columns that is False at gone."""
+    mask = np.ones(n_cols, dtype=bool)
+    mask[list(gone)] = False
+    return mask
 
 
 # -- scores ---------------------------------------------------------------------
@@ -14,35 +22,29 @@ from conftest import random_design, random_labels, stateless_fit_restricted
 def test_orthonormal_score_of_singleton_is_squared_correlation(rng):
     dense, X = random_design(rng, 5, 6)
     r = rng.normal(size=5)
-    assert score_group_orthonormal(X, [2], r) \
-        == pytest.approx(X.col_dot(2, r) ** 2, rel=1e-12)
+    assert score_group_orthonormal(X.correlations(r), [2]) \
+        == pytest.approx(float(dense[:, 2] @ r) ** 2, rel=1e-12)
 
 
 def test_orthonormal_score_zero_when_group_orthogonal_to_residual():
     dense = np.column_stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     X = SparseMatrix.from_dense(dense)
     r = np.array([0.0, 0.0, 5.0])
-    assert score_group_orthonormal(X, [0, 1], r) == 0.0
+    assert score_group_orthonormal(X.correlations(r), [0, 1]) == 0.0
 
 
 def test_orthonormal_score_matches_two_term_recomputation(rng):
     dense, X = random_design(rng, 5, 6)
     r = rng.normal(size=5)
     expected = float((dense[:, 1] @ r) ** 2 + (dense[:, 4] @ r) ** 2)
-    assert score_group_orthonormal(X, [1, 4], r) \
+    assert score_group_orthonormal(X.correlations(r), (1, 4)) \
         == pytest.approx(expected, rel=1e-12)
 
 
 def test_empty_group_scores_negative_infinity(rng):
     _, X = random_design(rng, 4, 3)
     r = np.ones(4)
-    assert score_group_orthonormal(X, (), r) == float("-inf")
-
-
-def averaged_score(X, members, r):
-    """The "averaged" criterion by its definition: the orthonormal score
-    over the group size."""
-    return score_group_orthonormal(X, members, r) / max(len(members), 1)
+    assert score_group_orthonormal(X.correlations(r), ()) == float("-inf")
 
 
 def test_averaged_score_is_orthonormal_over_size(rng):
@@ -51,8 +53,9 @@ def test_averaged_score_is_orthonormal_over_size(rng):
     g = Group.of("g", [0, 3, 5])
     s = Group.of("s", [6])
     for structure in (GroupStructure([g]), GroupStructure([s])):
-        _, score = select_group(X, structure, r, criterion="averaged")
-        _, energy = select_group(X, structure, r, criterion="orthonormal")
+        _, score, _ = select_group(X, structure, r, criterion="averaged")
+        _, energy, _ = select_group(X, structure, r,
+                                    criterion="orthonormal")
         assert score == pytest.approx(energy / len(structure[0]), rel=1e-12)
 
 
@@ -69,13 +72,14 @@ def test_averaged_score_prefers_small_informative_group():
     X = SparseMatrix.from_dense(dense, bias_col=102)
     small = Group.of("small", [0, 1])
     big = Group.of("big", range(102))
-    assert score_group_orthonormal(X, small.members, r) \
-        == pytest.approx(score_group_orthonormal(X, big.members, r))
-    pos, s_small = select_group(X, GroupStructure([big, small]), r,
-                                criterion="averaged")
+    corr = X.correlations(r)
+    assert score_group_orthonormal(corr, small.members) \
+        == pytest.approx(score_group_orthonormal(corr, big.members))
+    pos, s_small, _ = select_group(X, GroupStructure([big, small]), r,
+                                   criterion="averaged")
     assert pos == 1
-    _, s_big = select_group(X, GroupStructure([big]), r,
-                            criterion="averaged")
+    _, s_big, _ = select_group(X, GroupStructure([big]), r,
+                               criterion="averaged")
     assert s_small == pytest.approx(51.0 * s_big, rel=1e-12)
 
 
@@ -85,7 +89,7 @@ def test_select_group_prefers_aligned_singleton():
     dense = np.column_stack([[1.0, 0.0], [0.0, 1.0]])
     X = SparseMatrix.from_dense(dense)
     groups = GroupStructure([("a", [0]), ("b", [1])])
-    pos, _ = select_group(X, groups, np.array([3.0, 0.1]))
+    pos, _, _ = select_group(X, groups, np.array([3.0, 0.1]))
     assert pos == 0
 
 
@@ -93,28 +97,36 @@ def test_select_group_tie_takes_first_position(rng):
     dense, X = random_design(rng, 5, 4)
     groups = GroupStructure([("a", [1, 2]), ("b", [1, 2])])
     r = rng.normal(size=5)
-    pos, _ = select_group(X, groups, r)
+    pos, _, _ = select_group(X, groups, r)
     assert pos == 0
 
 
 def test_select_group_matches_exhaustive_scan(rng):
-    _, X = random_design(rng, 10, 20)
+    dense, X = random_design(rng, 10, 20)
     members = [sorted(rng.choice(19, size=int(rng.integers(1, 6)),
                                  replace=False).tolist())
                for _ in range(8)]
     groups = GroupStructure([(f"g{i}", m) for i, m in enumerate(members)])
     r = rng.normal(size=10)
     # stripping the first two groups' members empties them and shrinks others
-    stripped = remove_overlap(groups, set(members[0]) | set(members[1]))
+    stripped = remove_overlap(
+        groups, candidates_without(members[0] + members[1], 20))
     assert len(stripped[0]) == len(stripped[1]) == 0
+    corr = dense.T @ r
     for structure in (groups, stripped):
-        for criterion, scorer in (("orthonormal", score_group_orthonormal),
-                                  ("averaged", averaged_score)):
-            scores = [scorer(X, g.members, r) for g in structure]
+        energies = [float(np.sum(corr[list(g.members)] ** 2)) if len(g)
+                    else -np.inf for g in structure]
+        for criterion, scores in (
+                ("orthonormal", energies),
+                ("averaged", [e / max(len(g), 1)
+                              for e, g in zip(energies, structure)])):
             expected = int(np.argmax(scores))
-            pos, score = select_group(X, structure, r, criterion=criterion)
+            pos, score, norm = select_group(X, structure, r,
+                                            criterion=criterion)
             assert pos == expected
             assert score == pytest.approx(scores[expected], rel=1e-12)
+            assert norm == pytest.approx(np.sqrt(energies[expected]),
+                                         rel=1e-12)
 
 
 def test_select_group_all_empty_errors(rng):
@@ -128,21 +140,23 @@ def test_select_group_all_empty_errors(rng):
 
 def test_remove_overlap_set_difference():
     groups = GroupStructure([("g1", [1, 2, 3]), ("g2", [3, 4])])
-    out = remove_overlap(groups, {3, 4})
+    out = remove_overlap(groups, candidates_without({3, 4}))
     assert out[0].members == (1, 2)
     assert out[1].members == ()
+    assert out.names() == ["g1", "g2"]
 
 
 def test_remove_overlap_disjoint_unchanged():
     groups = GroupStructure([("g1", [1, 2]), ("g2", [5, 6])])
-    out = remove_overlap(groups, {3, 4})
+    out = remove_overlap(groups, candidates_without({3, 4}))
     assert out[0].members == (1, 2)
     assert out[1].members == (5, 6)
 
 
 def test_remove_overlap_superset_empties_group(rng):
     _, X = random_design(rng, 6, 5)
-    groups = remove_overlap(GroupStructure([("g1", [1, 2])]), {0, 1, 2, 3})
+    groups = remove_overlap(GroupStructure([("g1", [1, 2])]),
+                            candidates_without({0, 1, 2, 3}))
     assert groups[0].members == ()
     with pytest.raises(ValueError):
         select_group(X, groups, np.ones(6))
@@ -201,22 +215,23 @@ def test_overlapping_groups_share_predictive_feature():
     cfg = GOMPConfig(budget=10, lam=1.0, criterion="averaged",
                      augment_singletons=False, checkpoint_interval=1)
 
-    states = []
-    model, traj = run_gomp(X, y, groups, cfg,
-                           on_iteration=lambda s, g: states.append((s, g)))
+    model, traj = run_gomp(X, y, groups, cfg)
+    assert not group_trajectory_errors(dense, X, y, groups, "averaged", traj)
     # the tied groups both score (col_pred . y)^2 / 2; "a" wins by position
     assert traj.records[0].name == "a"
     first_score = (float(col_pred @ y) ** 2) / 2
     assert traj.records[0].score == pytest.approx(first_score, rel=1e-12)
     # after removal, b keeps only its noise column; its score against the
     # new residual is that column's squared correlation (scalar oracle)
-    _, groups_after_1 = states[0]
-    assert groups_after_1[1] == {2}
+    after_a = remove_overlap(groups, candidates_without(
+        traj.records[0].members_added, 4))
+    assert after_a[1].members == (2,)
     if len(traj.records) > 1:
         rec = traj.records[1]
         r1_theta = traj.checkpoints[0][1]
         r1 = residual(X, r1_theta, y)
         assert rec.name == "b"
+        assert rec.members_added == (2,)
         assert rec.score == pytest.approx(float(col_n2 @ r1) ** 2, rel=1e-10)
         assert rec.score < first_score
 
@@ -235,20 +250,19 @@ def test_budget_overshoot_stops_after_two_groups(rng):
 def test_inactive_groups_stay_disjoint_from_active_set(rng):
     for trial in range(10):
         local = np.random.default_rng(trial)
-        _, X = random_design(local, 15, 12)
+        dense, X = random_design(local, 15, 12)
         y = random_labels(local, 15)
         groups = GroupStructure([
             (f"g{i}", sorted(local.choice(11, size=int(local.integers(1, 5)),
                                           replace=False).tolist()))
             for i in range(6)
         ])
-        cfg = GOMPConfig(budget=11, lam=0.5, augment_singletons=False)
-
-        def check(active, group_sets):
-            for members in group_sets:
-                assert not (members & set(active))
-
-        run_gomp(X, y, groups, cfg, on_iteration=check)
+        cfg = GOMPConfig(budget=11, lam=0.5, augment_singletons=False,
+                         checkpoint_interval=1)
+        _, traj = run_gomp(X, y, groups, cfg)
+        assert traj.records
+        assert not group_trajectory_errors(dense, X, y, groups,
+                                           cfg.criterion, traj), trial
 
 
 def test_no_feature_enters_twice_despite_overlap(rng):

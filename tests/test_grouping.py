@@ -5,9 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from textomp import (EmbeddingTable, GroupStructure, KMeansConfig,
-                     augment_singletons, expand_overlap, kmeans_cluster,
-                     load_embeddings, load_groups, save_groups)
+from textomp import (EmbeddingTable, GOMPConfig, Group, GroupStructure,
+                     KMeansConfig, SparseMatrix, augment_singletons,
+                     expand_overlap, kmeans_cluster, load_embeddings,
+                     load_groups, run_gomp, save_groups)
 from textomp import grouping
 from textomp.grouping import _lloyd, _nearest
 
@@ -69,6 +70,21 @@ def test_a_group_file_and_a_structure_reject_a_member_alike(
     with pytest.raises(ValueError) as err:
         structure.validate_indices(10, bias_col=9)
     assert str(err.value) == f"group 'bad': {message}"
+
+
+def test_a_structure_rejects_a_member_listed_twice_in_one_group():
+    # Group itself does not deduplicate; a repeat would reach the refit
+    structure = GroupStructure([("ok", [0, 1]), ("shared", [1, 2]),
+                                Group("bad", (3, 4, 3))])
+    with pytest.raises(ValueError) as err:
+        structure.validate_indices(10, bias_col=9)
+    assert str(err.value) == "group 'bad': index 3 listed twice"
+    X = SparseMatrix.from_dense(np.column_stack([np.eye(4)[:, :3],
+                                                 np.ones(4)]), bias_col=3)
+    with pytest.raises(ValueError, match="'g': index 1 listed twice"):
+        run_gomp(X, np.array([1.0, -1.0, 1.0, -1.0]),
+                 [Group("g", (1, 1, 2))],
+                 GOMPConfig(budget=3, augment_singletons=False))
 
 
 def test_group_file_round_trip(tmp_path):

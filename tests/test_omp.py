@@ -23,7 +23,7 @@ def brute_force_selection(X, r, active, col_norms=None):
     for j in range(X.n_cols):
         if j == X.bias_col or j in active:
             continue
-        score = abs(X.col_dot(j, r))
+        score = abs(X.correlations(r)[j])
         if col_norms is not None and col_norms[j] > 0:
             score /= col_norms[j]
         if best is None or score > best[1]:
@@ -81,7 +81,7 @@ def test_select_feature_matches_exhaustive_scan(rng):
         active = [8, 2]
         j, corr = select_feature(X, r, candidates(X, active))
         assert j == brute_force_selection(X, r, active)
-        assert corr == X.col_dot(j, r)
+        assert corr == X.correlations(r)[j]
 
 
 def test_select_feature_tie_breaks_to_lowest_index():

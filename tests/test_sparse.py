@@ -11,33 +11,27 @@ from textomp.sparse import _parse_fast, _parse_lines
 from conftest import random_design
 
 
-def test_col_dot_hand_sum():
+def test_correlations_hand_sum():
     X = SparseMatrix.from_columns(3, [([0, 2], [1.0, 2.0]), ([], [])])
-    assert X.col_dot(0, [1.0, 5.0, 1.0]) == 3.0
+    assert X.correlations([1.0, 5.0, 1.0])[0] == 3.0
 
 
-def test_col_dot_empty_column():
+def test_correlations_empty_column():
     X = SparseMatrix.from_columns(3, [([0, 2], [1.0, 2.0]), ([], [])])
-    assert X.col_dot(1, [7.0, 8.0, 9.0]) == 0.0
+    assert X.correlations([7.0, 8.0, 9.0])[1] == 0.0
 
 
-def test_col_dot_matches_dense_oracle(rng):
+def test_correlations_match_dense_oracle(rng):
     dense, X = random_design(rng, 6, 4, with_bias=False)
     v = rng.normal(size=6)
-    for j in range(4):
-        assert X.col_dot(j, v) == pytest.approx(dense[:, j] @ v, abs=1e-12)
+    np.testing.assert_allclose(X.correlations(v), dense.T @ v, rtol=0,
+                               atol=1e-12)
 
 
-def test_col_dot_index_out_of_range():
-    X = SparseMatrix.from_columns(2, [([0], [1.0])])
-    with pytest.raises(IndexError):
-        X.col_dot(1, [1.0, 1.0])
-
-
-def test_col_dot_length_mismatch():
+def test_correlations_length_mismatch():
     X = SparseMatrix.from_columns(2, [([0], [1.0])])
     with pytest.raises(ValueError):
-        X.col_dot(0, [1.0, 1.0, 1.0])
+        X.correlations([1.0, 1.0, 1.0])
 
 
 def test_mat_vec_identity_pattern():
@@ -145,12 +139,16 @@ def test_submatrix_tracks_bias_column(rng):
     assert X.submatrix([0, 1]).bias_col is None
 
 
-def test_correlations_bitwise_equal_to_col_dot(rng):
-    dense, X = random_design(rng, 30, 11, with_bias=True)
+def test_correlations_are_bit_equal_to_a_per_column_reduceat(rng):
+    _, X = random_design(rng, 30, 11, density=0.3, with_bias=True)
     v = rng.normal(size=30)
-    corr = X.correlations(v)
+    ref = np.zeros(11)
     for j in range(11):
-        assert corr[j] == X.col_dot(j, v)  # exact, not approximate
+        r, x = X.col(j)
+        if len(r):
+            ref[j] = np.add.reduceat(x * v[r], [0])[0]
+    np.testing.assert_array_equal(X.correlations(v).view(np.int64),
+                                  ref.view(np.int64))
 
 
 def test_validation_rejects_duplicate_rows():
@@ -436,11 +434,12 @@ def test_inputs_only_the_line_parser_reads_load_as_it_reads_them(tmp_path):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
-def test_col_dot_equals_dense_dot_property(n, d, seed):
+def test_correlations_equal_dense_dot_property(n, d, seed):
     rng = np.random.default_rng(seed)
     dense = np.where(rng.random((n, d)) < 0.5, rng.normal(size=(n, d)), 0.0)
     X = SparseMatrix.from_dense(dense)
     v = rng.normal(size=n)
+    corr = X.correlations(v)
     for j in range(d):
         ref = float(dense[:, j] @ v)
-        assert X.col_dot(j, v) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert corr[j] == pytest.approx(ref, rel=1e-12, abs=1e-12)

@@ -94,8 +94,8 @@ def test_corpus_rejects_bad_labels():
 # -- build_matrix ----------------------------------------------------------------
 
 def test_build_matrix_counts_tokens():
-    corpus = Corpus.build(docs_from([(1, ["a", "b", "a"])]))
-    X, y = build_matrix(corpus, corpus.documents)
+    docs = docs_from([(1, ["a", "b", "a"])])
+    X, y = build_matrix(Corpus.build(docs), docs)
     assert X.to_dense().tolist() == [[2.0, 1.0, 1.0]]
     assert y.tolist() == [1.0]
     assert X.bias_col == 2
@@ -137,12 +137,12 @@ def test_build_matrix_passes_its_entries_in_storage_order(monkeypatch):
 
 
 def test_build_matrix_matches_hand_count():
-    corpus = Corpus.build(docs_from([
+    docs = docs_from([
         (1, ["red", "blue", "red"]),
         (-1, ["blue", "green"]),
         (1, ["green", "green", "red"]),
-    ]))
-    X, y = build_matrix(corpus, corpus.documents)
+    ])
+    X, y = build_matrix(Corpus.build(docs), docs)
     # hand-counted: vocab order red, blue, green; bias last
     expected = [
         [2.0, 1.0, 0.0, 1.0],
@@ -195,9 +195,8 @@ def test_build_matrix_never_extends_vocabulary():
 
 
 def test_build_matrix_empty_vocabulary_errors():
-    corpus = Corpus(docs_from([(1, ["a"])]), {})
     with pytest.raises(ValueError):
-        build_matrix(corpus, corpus.documents)
+        build_matrix(Corpus({}), docs_from([(1, ["a"])]))
 
 
 # -- stratified_split --------------------------------------------------------------
