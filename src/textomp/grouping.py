@@ -114,8 +114,8 @@ def save_groups(structure, path):
 
 # -- k-means over embeddings --------------------------------------------------
 
-# Rows per GEMM block in k-means assignment and the neighbour search: a
-# (block x k) or (block x V) float64 temporary stays at most 8 MB.
+# float64 values per GEMM block, 8 MB: k-means assignment holds one
+# (block x k) buffer and the neighbour search two (block x V) buffers.
 _BLOCK_ELEMENTS = 2 ** 20
 
 
@@ -227,10 +227,14 @@ def _nearest(base, queries, width, metric):
     scale = sq + sq.max(initial=0.0)
     margin = (dim + 4) * (20 * 2.0 ** -53 * scale + 2.0 ** -1070)
     out = np.empty((len(queries), width), dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // max(n_rows, 1))
+    # two (step x V) buffers, reused by every block: the filter values and
+    # the copy that is partitioned in place for the width-th smallest
+    step = max(1, _BLOCK_ELEMENTS // max(2 * n_rows, 1))
+    bufs = np.empty((2, min(step, len(queries)), n_rows))
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
-        approx = base[block] @ base.T
+        approx, ranked = bufs[:, :len(block)]
+        np.matmul(base[block], base.T, out=approx)
         if metric == "euclidean":
             approx *= -2.0
             approx += sq
@@ -238,8 +242,9 @@ def _nearest(base, queries, width, metric):
         else:
             np.subtract(1.0, approx, out=approx)
         approx[np.arange(len(block)), block] = np.inf  # not its own neighbor
-        kth = np.partition(approx, width - 1, axis=1)[:, width - 1]
-        keep = approx <= (kth + margin[block])[:, None]
+        np.copyto(ranked, approx)
+        ranked.partition(width - 1, axis=1)
+        keep = approx <= (ranked[:, width - 1] + margin[block])[:, None]
         keep[scale[block] >= 2.0 ** 1019] = True
         for i, pos in enumerate(block):
             cand = np.flatnonzero(keep[i])  # ascending: ties to the lower

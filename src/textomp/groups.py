@@ -76,7 +76,7 @@ class GroupStructure:
     def validate_indices(self, n_cols, bias_col=None):
         """Check every member index against the feature count and bias,
         and that no group holds an index twice."""
-        error = member_error(self.indices.tolist(), n_cols, bias_col)
+        error = member_error(self.indices, n_cols, bias_col)
         if error is None:
             # in range now, so group * n_cols + index is one key per member
             key = np.repeat(np.arange(len(self)), np.diff(self.offsets)) \
@@ -97,9 +97,14 @@ def member_error(indices, n_cols, bias_col=None):
     """(position, message) of the first index that is out of range for
     n_cols features or is the bias column, which no group may hold; None
     when every index may be grouped."""
-    for pos, j in enumerate(indices):
-        if not 0 <= j < n_cols:
-            return pos, f"index {j} out of range for {n_cols} features"
-        if j == bias_col:
-            return pos, f"bias column {j} cannot be grouped"
-    return None
+    indices = np.asarray(indices)  # object dtype past int64: still exact
+    bad = (indices < 0) | (indices >= n_cols)
+    if bias_col is not None:
+        bad |= indices == bias_col
+    if not bad.any():
+        return None
+    pos = int(np.argmax(bad))
+    j = int(indices[pos])
+    if not 0 <= j < n_cols:
+        return pos, f"index {j} out of range for {n_cols} features"
+    return pos, f"bias column {j} cannot be grouped"

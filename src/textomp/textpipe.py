@@ -9,7 +9,6 @@ Every matrix gets a trailing all-ones bias column.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -18,13 +17,31 @@ import numpy as np
 
 from .sparse import SparseMatrix
 
-# alphanumeric runs; underscore and punctuation split, case is folded
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+class _SplitTable(dict):
+    """str.translate table that maps every non-alphanumeric code point to
+    a space and every alphanumeric one to itself, filled as code points
+    are first seen. Each entry depends on its code point alone, so one
+    shared table gives every call the same tokens."""
+
+    def __missing__(self, code):
+        ch = chr(code)
+        self[code] = out = ch if ch.isalnum() else " "
+        return out
+
+
+_SPLIT = _SplitTable()
 
 
 def tokenize(text):
-    """Lowercase and split on non-alphanumeric characters; keeps duplicates."""
-    return _TOKEN_RE.findall(text.lower())
+    r"""Lowercase and split on non-alphanumeric characters; keeps duplicates.
+
+    The tokens are the alphanumeric runs of the lowercased text: what
+    `re.findall(r"[^\W_]+", text.lower())` returns, since `re`'s Unicode
+    `\w` without the underscore is `str.isalnum`. Once every other code
+    point is a space, those spaces are the only whitespace left to split on.
+    """
+    return text.lower().translate(_SPLIT).split()
 
 
 @dataclass
@@ -99,18 +116,30 @@ def build_matrix(corpus, docs):
     lengths = np.fromiter((len(doc.tokens) for doc in docs), dtype=np.int64,
                           count=n_rows)
     n_tokens = int(lengths.sum())
-    # one column-major key, column * n_rows + doc, per known token and the
-    # bias once per doc: the sorted unique keys are in storage order
-    cols = np.fromiter(chain(
+    # one column-major key, column * n_rows + doc, per token and the bias
+    # once per doc, built in place in one array; an unknown token has
+    # column -1, so a negative key, and sorts ahead of every known one
+    keys = np.fromiter(chain(
         map(vocab.get, chain.from_iterable(doc.tokens for doc in docs),
             repeat(-1)),
         repeat(bias, n_rows)), dtype=np.int64, count=n_tokens + n_rows)
-    rows = np.concatenate((np.repeat(np.arange(n_rows), lengths),
-                           np.arange(n_rows)))
-    known = cols >= 0
-    keys, counts = np.unique(cols[known] * n_rows + rows[known],
-                             return_counts=True)
+    keys *= n_rows
+    keys[:n_tokens] += np.repeat(np.arange(n_rows), lengths)
+    keys[n_tokens:] += np.arange(n_rows)
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 0):]
+    # run lengths of the sorted keys: each distinct key is one entry, in
+    # storage order
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    counts = np.diff(starts, append=len(keys)).astype(np.float64)
+    keys = keys[starts]
+    del starts
     cols, rows = np.divmod(keys, n_rows)
+    del keys  # before the matrix's own arrays allocate
     X = SparseMatrix.from_triplets(n_rows, bias + 1, rows, cols, counts,
                                    bias_col=bias)
     return X, labels
@@ -159,12 +188,18 @@ def load_raw_corpus(path):
 
 
 def map_labels(raw_docs, mapping):
-    """Apply a category-name -> ±1 mapping; unmapped labels are an error."""
-    docs = []
+    """Apply a category-name -> ±1 mapping; unmapped labels are an error.
+
+    Equal tokens within one call share one string object, so a split holds
+    each distinct word once, however often it occurs.
+    """
+    docs, pool = [], {}
     for label, text in raw_docs:
         if label not in mapping:
             raise ValueError(f"label {label!r} has no mapping to -1/+1")
-        docs.append(LabeledDoc(label=mapping[label], tokens=tokenize(text)))
+        toks = tokenize(text)
+        docs.append(LabeledDoc(label=mapping[label],
+                               tokens=list(map(pool.setdefault, toks, toks))))
     return docs
 
 

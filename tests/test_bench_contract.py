@@ -111,8 +111,9 @@ def test_a_load_is_one_traced_call_whichever_parser_runs(tmp_path):
 
 def test_a_traced_cli_chain_records_every_file_layer(tmp_path, capsys):
     # the cli_pipeline layer metrics come from these spans; a writer or
-    # reader that stopped going through save, load or build_matrix would
-    # leave them missing from the traced run
+    # reader that stopped going through save, load, map_labels,
+    # Corpus.build or build_matrix would leave them missing from the
+    # traced run
     rng = np.random.default_rng(0)
     words = ["orbit", "rocket", "patient", "doctor", "the", "new", "study"]
     for name, n in (("corpus.tsv", 16), ("test.tsv", 6)):
@@ -147,7 +148,9 @@ def test_a_traced_cli_chain_records_every_file_layer(tmp_path, capsys):
     # by train, test by eval
     for name in ("sparse.save", "sparse.load"):
         assert sorted(s.counters["bytes"] for s in by_name[name]) == sizes
-    assert len(by_name["textpipe.build_matrix"]) >= 1
+    for name in ("textpipe.map_labels", "textpipe.Corpus.build",
+                 "textpipe.build_matrix"):
+        assert len(by_name.get(name, ())) >= 1, name
 
 
 def test_run_gomp_scores_every_activated_group_through_the_traced_scorer():

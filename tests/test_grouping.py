@@ -72,6 +72,23 @@ def test_a_group_file_and_a_structure_reject_a_member_alike(
     assert str(err.value) == f"group 'bad': {message}"
 
 
+@pytest.mark.parametrize("first,second,message", [
+    ([99], [9], "index 99 out of range for 10 features"),
+    ([9], [99], "bias column 9 cannot be grouped")])
+def test_the_first_bad_member_in_group_order_is_reported(
+        tmp_path, first, second, message):
+    groups = [("ok", [0, 1]), ("first", [2, *first]), ("second", second)]
+    with pytest.raises(ValueError) as err:
+        GroupStructure(groups).validate_indices(10, bias_col=9)
+    assert str(err.value) == f"group 'first': {message}"
+    p = tmp_path / "groups.txt"
+    p.write_text("".join(f"{name}\t{' '.join(map(str, members))}\n"
+                         for name, members in groups), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_groups(p, n_cols=10)
+    assert str(err.value) == f"{p}:2: {message}"
+
+
 def test_a_structure_rejects_a_member_listed_twice_in_one_group():
     # Group itself does not deduplicate; a repeat would reach the refit
     structure = GroupStructure([("ok", [0, 1]), ("shared", [1, 2]),
@@ -450,6 +467,22 @@ def test_blocked_neighbour_search_matches_per_query_reference(monkeypatch,
                 got = _nearest(base, np.arange(n_rows), width, metric)
                 np.testing.assert_array_equal(
                     got, expected, err_msg=f"{name} {neighbors} {block_rows}")
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_neighbour_search_memory_stays_within_one_block_budget(metric):
+    # 2000 rows give blocks of 262 queries: 800 queries span four blocks
+    points = np.random.default_rng(7).normal(size=(2000, 8))
+    base = unit_rows(points) if metric == "cosine" else points
+    queries = np.arange(800)
+    assert len(queries) > 3 * (grouping._BLOCK_ELEMENTS // (2 * len(base)))
+    tracemalloc.start()
+    try:
+        _nearest(base, queries, 5, metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * grouping._BLOCK_ELEMENTS, peak
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])

@@ -1,8 +1,10 @@
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textomp import (Corpus, LabeledDoc, SparseMatrix, SplitSpec, build_matrix,
@@ -42,6 +44,19 @@ def test_tokenize_yields_lowercase_alphanumeric_runs(text):
         assert tok
         assert tok == tok.lower()
         assert all(ch.isalnum() for ch in tok)
+
+
+@settings(max_examples=300)
+@given(st.text(st.characters(exclude_categories=())))
+@example("a\x1cb\x1dc\x1ed\x1fe")  # separators that str.split splits on
+@example("a\x85b\xa0c\u3000d\u2028e\u200bf")  # Unicode spaces, a Cf
+@example("snake_case__x_")
+@example("\u0661\u0662 x\u0663 \uff11\uff12\uff21")  # Arabic-Indic, fullwidth
+@example("Straße STRASSE \u1e9e")  # ß, and capital sharp s lowercases to it
+@example("\u0130stanbul \u0130")  # İ lowercases to i + combining dot
+@example("a\ud800b \udfff")  # lone surrogates
+def test_tokenize_equals_the_alphanumeric_run_regex(text):
+    assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
 
 
 # -- vocabulary -----------------------------------------------------------------
@@ -197,6 +212,51 @@ def test_build_matrix_never_extends_vocabulary():
 def test_build_matrix_empty_vocabulary_errors():
     with pytest.raises(ValueError):
         build_matrix(Corpus({}), docs_from([(1, ["a"])]))
+
+
+def zipf_raw_corpus(n_docs, tokens_per_doc, n_words, seed):
+    """(label, text) pairs whose words repeat as natural text does: the
+    word of rank r (from 1) is drawn with probability proportional to
+    r^-1.1."""
+    rng = np.random.default_rng(seed)
+    p = np.arange(1, n_words + 1) ** -1.1
+    ranks = rng.choice(n_words, size=(n_docs, tokens_per_doc), p=p / p.sum())
+    return [("pos" if i % 2 else "neg", " ".join(f"word{r}" for r in row))
+            for i, row in enumerate(ranks.tolist())]
+
+
+def traced_memory(fn, *args):
+    """fn(*args), and the (held, peak) bytes it allocated."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_map_labels_shares_one_string_per_distinct_token():
+    raw = zipf_raw_corpus(1000, 150, 3000, seed=1)
+    docs, held, _ = traced_memory(map_labels, raw, {"neg": -1, "pos": 1})
+    n_tokens = sum(len(doc.tokens) for doc in docs)
+    assert n_tokens == 150_000
+    # a string per occurrence alone would be over 50 bytes a token
+    assert held <= 16 * n_tokens, held / n_tokens
+    first = {}
+    assert all(first.setdefault(tok, tok) is tok
+               for doc in docs for tok in doc.tokens)
+    assert [doc.tokens for doc in docs] == [tokenize(text) for _, text in raw]
+
+
+def test_build_matrix_memory_per_token_is_bounded():
+    raw = zipf_raw_corpus(2000, 100, 20000, seed=2)
+    docs = map_labels(raw, {"neg": -1, "pos": 1})
+    corpus = Corpus.build(docs[:1000])  # the rest holds unknown tokens
+    (X, _), _, peak = traced_memory(build_matrix, corpus, docs)
+    n_tokens = sum(len(doc.tokens) for doc in docs)
+    assert X.nnz > n_tokens // 2  # mostly distinct (doc, word) pairs
+    assert peak <= 40 * n_tokens, peak / n_tokens
 
 
 # -- stratified_split --------------------------------------------------------------
