@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Group, GroupStructure, member_error
+from .sparse import _loadtxt
 
 
 @dataclass
@@ -31,11 +32,15 @@ class KMeansConfig:
 
 
 class EmbeddingTable:
-    """token -> fixed-dimension real vector."""
+    """token -> fixed-dimension real vector.
+
+    The vectors are the rows of one (n, dim) float64 array, `matrix`, and
+    `rows` maps each token to its row.
+    """
 
     def __init__(self, vectors):
-        self.vectors = {}
         self.dim = None
+        arrays = []
         for tok, vec in vectors.items():
             vec = np.asarray(vec, dtype=np.float64)
             if self.dim is None:
@@ -46,17 +51,63 @@ class EmbeddingTable:
                     f"expected {self.dim}")
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"embedding for {tok!r} has non-finite entries")
-            self.vectors[tok] = vec
+            arrays.append(vec)
+        self.rows = {tok: i for i, tok in enumerate(vectors)}
+        self.matrix = np.array(arrays).reshape(len(arrays), self.dim or 0)
+
+    @classmethod
+    def _of_rows(cls, matrix, rows):
+        """A table over `matrix`'s rows, already checked to be finite;
+        `rows` maps each token to its row."""
+        table = cls.__new__(cls)
+        table.dim, table.matrix, table.rows = matrix.shape[1], matrix, rows
+        return table
 
     def __contains__(self, tok):
-        return tok in self.vectors
+        return tok in self.rows
 
     def __getitem__(self, tok):
-        return self.vectors[tok]
+        return self.matrix[self.rows[tok]]
 
 
 def load_embeddings(path):
-    """Text format: one "token v1 v2 ... vE" line per token."""
+    """Text format: one "token v1 v2 ... vE" line per token.
+
+    The values are parsed by one `np.loadtxt` call into one array. If that
+    fails for any reason, the file is parsed again one line at a time,
+    which either loads it or raises a ValueError that names the bad line
+    as "path:lineno:" or the bad token. The fast path accepts a subset of
+    what the line parser accepts, with the same values, so the result
+    never depends on which path ran. A token on several lines keeps the
+    vector of its last one.
+    """
+    table = _embeddings_fast(path)
+    return table if table is not None else _embeddings_by_line(path)
+
+
+def _embeddings_fast(path):
+    """The EmbeddingTable of a well-formed embedding file, or None."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = [line.split(None, 1)[0] for line in fh
+                      if not line.isspace()]
+    except ValueError:
+        return None
+    if not tokens:
+        return None
+    # numpy splits fields on str.split()'s whitespace and, reading every
+    # column, rejects a row of another width; the token column reads as 0
+    values = _loadtxt(path, ndmin=2, encoding="utf-8",
+                      converters={0: lambda tok: 0.0})
+    if (values is None or values.shape[0] != len(tokens)
+            or values.shape[1] < 2 or not np.isfinite(values).all()):
+        return None
+    return EmbeddingTable._of_rows(
+        values[:, 1:], {tok: i for i, tok in enumerate(tokens)})
+
+
+def _embeddings_by_line(path):
+    """The EmbeddingTable of an embedding file read one line at a time."""
     vectors = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -124,14 +175,16 @@ def _lloyd(points, k, rng, max_iter):
 
     Centers start as a seeded sample of distinct points; a cluster that
     empties keeps its previous center. Assignment ties go to the lowest
-    center index. Points are assigned in row blocks of `_BLOCK_ELEMENTS // k`
-    rows, so memory holds one block of squared distances, never all n x k.
+    center index, and a squared distance that rounds below zero counts as
+    0. Points are assigned in row blocks of `_BLOCK_ELEMENTS // k` rows, so
+    memory holds one block of squared distances, never all n x k.
     """
-    n = len(points)
+    n, dim = points.shape
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     labels = np.full(n, -1)
     history = []
     psq = (points ** 2).sum(axis=1)
+    twice = 2.0 * points  # exact, so (2 p).c rounds as 2 (p.c) does
     rows = max(1, _BLOCK_ELEMENTS // k)
     buf = np.empty((min(rows, n), k))
     nearest = np.empty(n)  # each point's squared distance to its centre
@@ -140,22 +193,28 @@ def _lloyd(points, k, rng, max_iter):
         new_labels = np.empty(n, dtype=np.intp)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            # ||p||^2 - 2 p.c + ||c||^2, clipped: cancellation can dip below 0
-            d2 = np.matmul(2.0 * points[start:stop], centers.T,
+            # ||p||^2 - 2 p.c + ||c||^2; cancellation can dip below 0
+            d2 = np.matmul(twice[start:stop], centers.T,
                            out=buf[:stop - start])
             np.subtract(psq[start:stop, None], d2, out=d2)
             d2 += csq
-            np.maximum(d2, 0.0, out=d2)
+            at = np.arange(stop - start)
             got = np.argmin(d2, axis=1)
+            # the argmin of d2 clipped at 0: in a row that dips below 0,
+            # the first entry at or below 0
+            dips = np.flatnonzero(d2[at, got] < 0.0)
+            got[dips] = np.argmax(d2[dips] <= 0.0, axis=1)
             new_labels[start:stop] = got
-            nearest[start:stop] = d2[np.arange(stop - start), got]
+            np.maximum(d2[at, got], 0.0, out=nearest[start:stop])
         history.append(float(nearest.sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        # member sums in row order, then the mean, as members.mean(axis=0)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, points)
+        # member sums in row order, then the mean, as members.mean(axis=0);
+        # bincount adds each (label, entry) key's weights in row order
+        sums = np.bincount((labels[:, None] * dim + np.arange(dim)).ravel(),
+                           weights=points.ravel(), minlength=k * dim)
+        sums = sums.reshape(k, dim)
         sizes = np.bincount(labels, minlength=k)
         kept = sizes > 0
         centers[kept] = sums[kept] / sizes[kept, None]
@@ -167,9 +226,8 @@ def _embedded_columns(emb, vocab):
     vectors as the rows of one array."""
     order = sorted((j, tok) for tok, j in vocab.items() if tok in emb)
     cols = np.array([j for j, _ in order], dtype=np.int64)
-    points = np.stack([emb[tok] for _, tok in order]) if order else \
-        np.zeros((0, emb.dim or 0))
-    return cols, points
+    rows = np.array([emb.rows[tok] for _, tok in order], dtype=np.intp)
+    return cols, emb.matrix[rows]
 
 
 def kmeans_cluster(emb, vocab, cfg):

@@ -12,6 +12,7 @@ sums each row in ascending column order, by ``np.bincount``.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -305,21 +306,42 @@ def _strings(items, fmt):
 _ENTRY = [("r", np.int64), ("c", np.int64), ("v", np.float64)]
 
 
+# Suffixes that np.loadtxt, given a path, opens as compressed archives.
+_ARCHIVE_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _loadtxt(path, **kwargs):
+    """np.loadtxt(path, comments=None, **kwargs), or None if it fails.
+
+    Given a path, numpy reads the file in chunks; given an open file, it
+    iterates over the lines in Python, which takes about 1.6 times as long.
+    A path with an archive suffix gets None, as numpy would decompress it.
+    """
+    if os.path.splitext(path)[1] in _ARCHIVE_SUFFIXES:
+        return None
+    try:
+        with warnings.catch_warnings():  # a body with no data line
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, comments=None, **kwargs)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+
+
 def _parse_fast(path):
     """(n_rows, n_cols, rows, cols, vals) of a valid matrix file, or None."""
+    # ASCII only: numpy's integer parser reads some non-ASCII letters as
+    # digits, where int() rejects them
     try:
-        # ASCII only: numpy's integer parser reads some non-ASCII letters
-        # as digits, where int() rejects them
         with open(path, "r", encoding="ascii") as fh:
             n_rows, n_cols = map(int, fh.readline().split())
-            if min(n_rows, n_cols) < 0:
-                return None
-            with warnings.catch_warnings():  # a header-only body
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                entries = np.loadtxt(fh, dtype=_ENTRY, comments=None,
-                                     ndmin=1)
     except ValueError:
+        return None
+    if min(n_rows, n_cols) < 0:
+        return None
+    entries = _loadtxt(path, dtype=_ENTRY, ndmin=1, skiprows=1,
+                       encoding="ascii")
+    if entries is None:
         return None
     rows, cols, vals = entries["r"], entries["c"], entries["v"]
     if not (np.all((rows >= 0) & (rows < n_rows) & (cols >= 0)

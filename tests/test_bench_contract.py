@@ -112,14 +112,18 @@ def test_a_load_is_one_traced_call_whichever_parser_runs(tmp_path):
 def test_a_traced_cli_chain_records_every_file_layer(tmp_path, capsys):
     # the cli_pipeline layer metrics come from these spans; a writer or
     # reader that stopped going through save, load, map_labels,
-    # Corpus.build or build_matrix would leave them missing from the
-    # traced run
+    # Corpus.build, build_matrix, load_embeddings, kmeans_cluster or
+    # expand_overlap would leave them missing from the traced run
     rng = np.random.default_rng(0)
     words = ["orbit", "rocket", "patient", "doctor", "the", "new", "study"]
     for name, n in (("corpus.tsv", 16), ("test.tsv", 6)):
         (tmp_path / name).write_text("".join(
             f"{'space' if i % 2 else 'med'}\t{' '.join(rng.choice(words, 5))}"
             "\n" for i in range(n)), encoding="utf-8")
+    (tmp_path / "emb.txt").write_text("".join(
+        f"{word} {x!r} {y!r}\n" for word, (x, y)
+        in zip(words, rng.normal(size=(len(words), 2)).tolist())),
+        encoding="utf-8")
     vec, fit = tmp_path / "vec", tmp_path / "fit"
     tracer = spans.Tracer().install()
     try:
@@ -127,6 +131,10 @@ def test_a_traced_cli_chain_records_every_file_layer(tmp_path, capsys):
                          "--test-corpus", str(tmp_path / "test.tsv"),
                          "--label-map", "med=-1,space=+1",
                          "--out-dir", str(vec)]) == 0
+        assert cli.main(["group", "--embeddings", str(tmp_path / "emb.txt"),
+                         "--vocab", str(vec / "vocab.txt"), "--k", "2",
+                         "--neighbors", "1",
+                         "--out", str(tmp_path / "groups.txt")]) == 0
         assert cli.main(["train", "--matrix", str(vec / "train.matrix"),
                          "--labels", str(vec / "train.labels"),
                          "--dev-matrix", str(vec / "dev.matrix"),
@@ -149,7 +157,8 @@ def test_a_traced_cli_chain_records_every_file_layer(tmp_path, capsys):
     for name in ("sparse.save", "sparse.load"):
         assert sorted(s.counters["bytes"] for s in by_name[name]) == sizes
     for name in ("textpipe.map_labels", "textpipe.Corpus.build",
-                 "textpipe.build_matrix"):
+                 "textpipe.build_matrix", "grouping.load_embeddings",
+                 "grouping.kmeans_cluster", "grouping.expand_overlap"):
         assert len(by_name.get(name, ())) >= 1, name
 
 

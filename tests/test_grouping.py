@@ -1,16 +1,20 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textomp import (EmbeddingTable, GOMPConfig, Group, GroupStructure,
                      KMeansConfig, SparseMatrix, augment_singletons,
                      expand_overlap, kmeans_cluster, load_embeddings,
                      load_groups, run_gomp, save_groups)
 from textomp import grouping
-from textomp.grouping import _lloyd, _nearest
+from textomp.grouping import (_embeddings_by_line, _embeddings_fast, _lloyd,
+                              _nearest)
 
 
 def embedding_of(points):
@@ -253,6 +257,35 @@ def test_blocked_lloyd_equals_the_full_matrix_reference(monkeypatch):
             np.testing.assert_allclose(history, ref[2], rtol=1e-13)
             if rows == n:
                 assert history == ref[2]
+
+
+def test_a_distance_that_rounds_below_zero_ties_to_the_lowest_centre():
+    # 1-D, so every distance is the same few IEEE roundings on any BLAS:
+    # points scaled by 10^+-3, an exact duplicate of each and neighbours
+    # one and two ulps away, many of them drawn as centres
+    rng = np.random.default_rng(0)
+    base = rng.normal(size=(10, 1)) * 10.0 ** rng.uniform(-3, 3, (10, 1))
+    up = np.nextafter(base, np.inf)
+    points = np.concatenate((base, base, up, np.nextafter(up, np.inf),
+                             np.nextafter(base, -np.inf)))
+    k = 20
+    centers = points[np.random.default_rng(0).choice(len(points), size=k,
+                                                     replace=False)]
+    d2 = ((points ** 2).sum(axis=1)[:, None] - 2.0 * points @ centers.T
+          + (centers ** 2).sum(axis=1))
+    first = np.argmax(d2 <= 0.0, axis=1)
+    # rows with several distances below 0, the most negative not the first
+    tied = ((d2 < 0.0).sum(axis=1) >= 2) & (np.argmin(d2, axis=1) != first)
+    assert tied.any()
+    labels, _, _ = _lloyd(points, k, np.random.default_rng(0), max_iter=1)
+    np.testing.assert_array_equal(labels[tied], first[tied])
+    labels, centers, history = _lloyd(points, k, np.random.default_rng(0),
+                                      max_iter=20)
+    ref = _lloyd_by_cluster_loop(points, k, np.random.default_rng(0),
+                                 max_iter=20)
+    np.testing.assert_array_equal(labels, ref[0])
+    np.testing.assert_array_equal(centers, ref[1])
+    assert history == ref[2]
 
 
 def test_lloyd_memory_is_bounded_by_its_row_blocks():
@@ -551,9 +584,14 @@ def test_double_augmentation_collides_on_names():
 def test_embedding_file_loading(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("alpha 1.0 2.0\nbeta -0.5 0.25\n", encoding="utf-8")
+    assert _embeddings_fast(p) is not None  # the numpy path loads it
     emb = load_embeddings(p)
     assert emb.dim == 2
     np.testing.assert_array_equal(emb["beta"], [-0.5, 0.25])
+    # plain text that numpy, given this path, would read as an xz archive
+    p = p.rename(tmp_path / "emb.txt.xz")
+    assert _embeddings_fast(p) is None
+    np.testing.assert_array_equal(load_embeddings(p)["beta"], [-0.5, 0.25])
 
 
 def test_embedding_file_rejects_ragged_dimensions(tmp_path):
@@ -568,3 +606,91 @@ def test_embedding_file_rejects_bad_values(tmp_path):
     p.write_text("alpha 1.0 oops\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":1"):
         load_embeddings(p)
+
+
+def _table_or_error(load, path):
+    try:
+        emb = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return emb.dim, {tok: emb[tok].tobytes() for tok in emb.rows}
+
+
+_ODD_SPACES = "\x0b\x0c\x1c\x85\xa0\u2003"
+
+
+@st.composite
+def embedding_files(draw):
+    """File text: lines of `dim` drawn values, some ragged or blank."""
+    dim = draw(st.integers(1, 3))
+    token = st.text(st.sampled_from("ab\u00e9\u4e2d" + _ODD_SPACES),
+                    min_size=1, max_size=3)
+    value = st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(["1_0", "\u0661.\u0665", "\uff11.5", "-0.0", "1e400",
+                         "Infinity", "0x10", "x"]))
+    gap = st.sampled_from([" ", "\t", " \u2003 "])
+
+    def line(low, high):
+        return st.builds(lambda tok, vals, sep: sep.join((tok, *vals)), token,
+                         st.lists(value, min_size=low, max_size=high), gap)
+
+    # lines of `dim` values twice as often as ragged ones
+    lines = st.lists(st.one_of(line(dim, dim), line(dim, dim),
+                               line(0, dim + 1), st.sampled_from(["", " "])),
+                     min_size=1, max_size=6)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(draw(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedding_files())
+# each odd space after a token, and then inside one
+@example("a\x0b1 2\nb\x0c1 2\nc\x1c1 2\nd\x851 2\ne\xa01 2\nf\u20031 2\n")
+@example("a\x0bb 1 2\n")
+@example("a\x0cb 1 2\n")
+@example("a\x1cb 1 2\n")
+@example("a\x85b 1 2\n")
+@example("a\xa0b 1 2\n")
+@example("a\u2003b 1 2\n")
+@example("a 1_0 \u0661.\u0665\nb \uff11.5 2\n")  # values only float() reads
+@example("a 1 nan\n")
+@example("a inf 1\nb 1 -Infinity\n")
+@example("\r\n a 1 2 \r\n \t\r\n\r\nb 3 4\r\n  ")  # blank lines, CRLF
+@example("a 1 2\nb 3 4\na 5 6\n")  # the last line of a token wins
+@example("a 1 2\nb 3\n")  # ragged rows
+@example("a 1\nb 2 3\n")
+def test_the_embedding_fast_path_loads_what_the_line_parser_loads(
+        tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    path.write_bytes(text.encode())
+    ref = _table_or_error(_embeddings_by_line, path)
+    if _embeddings_fast(path) is not None:
+        assert _table_or_error(_embeddings_fast, path) == ref
+    assert _table_or_error(load_embeddings, path) == ref
+
+
+def test_values_numpy_rejects_load_as_float_reads_them(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("a 1_0 \u0661.\u0665\nb \uff11.5 2\n", encoding="utf-8")
+    assert _embeddings_fast(p) is None
+    emb = load_embeddings(p)
+    assert emb["a"].tolist() == [10.0, 1.5] and emb["b"].tolist() == [1.5, 2.0]
+
+
+def test_embedding_file_memory_is_its_array_and_token_strings(tmp_path):
+    rng = np.random.default_rng(0)
+    tokens = [f"word{i}" for i in range(5000)]
+    vectors = rng.normal(size=(5000, 50))
+    path = tmp_path / "emb.txt"
+    path.write_text("".join(
+        tok + " " + " ".join(map(repr, vec)) + "\n"
+        for tok, vec in zip(tokens, vectors.tolist())), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        emb = load_embeddings(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(emb.matrix, vectors)
+    # the line parser held a Python float per value: 10.9 MiB at this size
+    assert peak <= 2 * vectors.nbytes + sum(map(sys.getsizeof, tokens))

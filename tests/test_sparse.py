@@ -359,22 +359,24 @@ def test_numpy_and_line_parsers_load_the_same_matrix(tmp_path, rng):
                          scale=1e3)
     path = tmp_path / "m.matrix"
     X.save(path)
+    saved = path.read_bytes()
     header, *body = path.read_text().splitlines()
     # entries in any order, blank lines and trailing spaces between them
     rng.shuffle(body)
-    path.write_text(header + "\n\n" + "".join(
+    text = header + "\n\n" + "".join(
         line + (" \t" if k % 3 == 0 else "") + ("\n\n   \n" if k % 5 == 0
                                                   else "\n")
-        for k, line in enumerate(body)) + "\n \n")
-    assert _parse_fast(path) is not None  # the numpy path loads it
-    loaded = SparseMatrix.load(path)
-    assert_bitwise_equal(loaded, SparseMatrix.from_triplets(
-        *_parse_lines(path), bias_col=X.bias_col))
-    assert_bitwise_equal(loaded, X)
-    resaved = tmp_path / "again.matrix"
-    loaded.save(resaved)
-    X.save(path)
-    assert resaved.read_bytes() == path.read_bytes()
+        for k, line in enumerate(body)) + "\n \n"
+    for newline in ("\n", "\r\n"):
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert _parse_fast(path) is not None  # the numpy path loads it
+        loaded = SparseMatrix.load(path)
+        assert_bitwise_equal(loaded, SparseMatrix.from_triplets(
+            *_parse_lines(path), bias_col=X.bias_col))
+        assert_bitwise_equal(loaded, X)
+        resaved = tmp_path / "again.matrix"
+        loaded.save(resaved)
+        assert resaved.read_bytes() == saved
 
 
 def test_header_only_file_loads(tmp_path, recwarn):
@@ -430,6 +432,11 @@ def test_inputs_only_the_line_parser_reads_load_as_it_reads_them(tmp_path):
     path.write_text("20000 2\n\u01fe0 0 1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"odd\.matrix:2: bad entry"):
         SparseMatrix.load(path, bias_col=None)
+    # a plain text file that numpy, given its path, would read as gzip
+    path = tmp_path / "odd.matrix.gz"
+    path.write_text("2 2\n0 0 1.0\n")
+    assert _parse_fast(path) is None
+    assert SparseMatrix.load(path, bias_col=None).col(0)[1].tolist() == [1.0]
 
 
 @settings(max_examples=60, deadline=None)
