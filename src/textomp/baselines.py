@@ -7,8 +7,10 @@ gradient with the shared kernel `logistic.value_and_gradient` and stops
 once the KKT violation of every column is at most `tol`. Otherwise the
 working set W is the support, the bias and every violating column, and
 Newton steps run over W's columns alone until W's own violation reaches
-`tol`. With no L1 penalty every column with a gradient violates, so W is
-the whole design; nothing below densifies W's columns.
+`tol`. W's columns are copied once per outer pass into one SparseMatrix,
+and every product runs on that copy. With no L1 penalty every column
+with a gradient violates, so W is the whole design; nothing below
+densifies W's columns.
 
 A Newton step minimizes the quadratic model of the smooth part plus the
 exact L1 term in rounds. FISTA (Beck & Teboulle, 2009) with adaptive
@@ -17,7 +19,7 @@ diagonal so that each coordinate moves on its own curvature, finds the
 model's face: the signs of its minimizer. Conjugate gradients then solve
 the model on that face, where the L1 term is linear, as an active-set
 Newton method would. Both need only Hessian-vector products, taken from
-W's sparse columns. The steps run in `logistic.newton`, the loop the
+that sparse copy. The steps run in `logistic.newton`, the loop the
 greedy refit uses too: each step is cut back until it passes the Armijo
 test on the true objective, so the objective never increases, and when no
 step length decreases it the fit ends unconverged at its last accepted
@@ -103,9 +105,11 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     n_iter = 0
     cols = _working_set(X, y, theta, l1_vec, l2, l2_mask, tol)
     while cols is not None and n_iter < max_iter:
-        theta[cols], steps, solved = _Restricted(
-            X, cols, y, l1_vec, l2, l2_mask).solve(theta[cols], tol,
-                                                   max_iter - n_iter)
+        work = _Restricted(X, cols, l1_vec, l2, l2_mask)
+        theta[cols], steps, solved = newton(
+            work.block.mat_vec, work.block.correlations, work.newton_step,
+            theta[cols], y, work.ridge, work.l1, tol, max_iter - n_iter)
+        del work  # one copy of W's columns at a time
         n_iter += steps
         if not solved:  # the cap, or no decrease on the working set
             break
@@ -127,33 +131,6 @@ def _working_set(X, y, theta, l1_vec, l2, l2_mask, tol):
     if X.bias_col is not None:
         work[X.bias_col] = True
     return np.flatnonzero(work)
-
-
-class _Block:
-    """X's columns `cols` as a linear map, for vectors over those columns.
-
-    The block copies the columns when they hold at most two thirds of X's
-    entries, so that products skip the other columns' entries, and works
-    on X itself otherwise: a larger copy saves little time and costs
-    nearly the memory of X.
-    """
-
-    def __init__(self, X, cols):
-        if 3 * int(np.diff(X.indptr)[cols].sum()) <= 2 * X.nnz:
-            self.X, self.idx = X.submatrix(cols), slice(None)
-        else:
-            self.X, self.idx = X, cols
-
-    def mat_vec(self, d):
-        full = np.zeros(self.X.n_cols)
-        full[self.idx] = d
-        return self.X.mat_vec(full)
-
-    def correlations(self, v):
-        return self.X.correlations(v)[self.idx]
-
-    def weighted_sq_norms(self, w):
-        return self.X.weighted_sq_norms(w)[self.idx]
 
 
 class _Point(NamedTuple):
@@ -264,21 +241,15 @@ class _Model:
 
 
 class _Restricted:
-    """The penalized problem over the working set, X's columns `cols`;
-    every other weight is held at zero."""
+    """The penalized problem over the working set, X's columns `cols`,
+    copied into one SparseMatrix `block`; every other weight is held at
+    zero."""
 
-    def __init__(self, X, cols, y, l1_vec, l2, l2_mask):
-        self.block = _Block(X, cols)
-        self.y, self.l1 = y, l1_vec[cols]
+    def __init__(self, X, cols, l1_vec, l2, l2_mask):
+        self.block = X.submatrix(cols)
+        self.l1 = l1_vec[cols]
         self.ridge = 2.0 * l2 * l2_mask[cols]  # the L2 term's curvature
         self.L = 1.0  # FISTA's curvature bound, carried across steps
-
-    def solve(self, theta, tol, max_steps):
-        """`logistic.newton` from theta, with `newton_step` for directions;
-        returns (theta, steps, converged)."""
-        return newton(self.block.mat_vec, self.block.correlations,
-                      self.newton_step, theta, self.y, self.ridge, self.l1,
-                      tol, max_steps)
 
     def newton_step(self, theta, grad, w, viol):
         """Approximate minimizer d of the model

@@ -189,7 +189,7 @@ def _write_split(corpus, name, docs, out):
 # -- group ---------------------------------------------------------------------
 
 def cmd_group(args):
-    _check_at_least(args, neighbors=0, max_iter=1)
+    _check_at_least(args, k=1, neighbors=0, max_iter=1)
     emb = grouping.load_embeddings(args.embeddings)
     vocab = textpipe.load_vocabulary(args.vocab)
     n_embedded = sum(1 for tok in vocab if tok in emb)

@@ -29,10 +29,14 @@ METHOD_SETTINGS = {
 
 METHODS = tuple(METHOD_SETTINGS)
 
-# The penalty strengths (fit's hp keys) each method reads.
+# The penalty strengths each method reads: fit's hp key -> the field of
+# the method's config it sets, the greedy configs' lam or PenaltyConfig's
+# lambda_l1 and lambda_l2 (a PenaltyConfig field not set stays 0).
 METHOD_PENALTIES = {
-    **dict.fromkeys(("omp", "gomp", "lasso", "ridge"), ("lambda",)),
-    "elastic": ("lambda_l1", "lambda_l2"), "none": ()}
+    **dict.fromkeys(("omp", "gomp"), {"lambda": "lam"}),
+    "lasso": {"lambda": "lambda_l1"}, "ridge": {"lambda": "lambda_l2"},
+    "elastic": {"lambda_l1": "lambda_l1", "lambda_l2": "lambda_l2"},
+    "none": {}}
 
 
 @dataclass
@@ -121,10 +125,10 @@ class FitOptions:
     penalize_bias: bool = omp_mod.GreedyConfig.penalize_bias
 
 
-def _greedy_config(cls, lam, opts):
-    """cls with penalty lam and every FitOptions setting cls also has."""
+def _greedy_config(cls, penalties, opts):
+    """cls with the penalties and every FitOptions setting cls also has."""
     shared = {f.name for f in fields(cls)} & {f.name for f in fields(opts)}
-    return cls(lam=lam, **{name: getattr(opts, name) for name in shared})
+    return cls(**penalties, **{name: getattr(opts, name) for name in shared})
 
 
 def fit(method, hp, X, y, opts):
@@ -132,34 +136,26 @@ def fit(method, hp, X, y, opts):
 
     hp holds the penalty strengths METHOD_PENALTIES names: "lambda" for
     omp, gomp, lasso and ridge, "lambda_l1" and "lambda_l2" for elastic,
-    none for "none".
+    none for "none". METHOD_PENALTIES also maps each to the config field
+    it sets.
     Returns (model, trajectory or None, FitReport without dev scores); the
     trajectory comes from the greedy methods only.
     """
     started = time.perf_counter()
+    penalties = {name: hp[key]
+                 for key, name in METHOD_PENALTIES[method].items()}
     traj = None
     if method == "omp":
-        cfg = _greedy_config(omp_mod.OMPConfig, hp["lambda"], opts)
-        model, traj = omp_mod.run_omp(X, y, cfg)
+        model, traj = omp_mod.run_omp(
+            X, y, _greedy_config(omp_mod.OMPConfig, penalties, opts))
     elif method == "gomp":
-        cfg = _greedy_config(gomp_mod.GOMPConfig, hp["lambda"], opts)
         model, traj = gomp_mod.run_gomp(
-            X, y, opts.groups if opts.groups is not None else [], cfg)
+            X, y, opts.groups if opts.groups is not None else [],
+            _greedy_config(gomp_mod.GOMPConfig, penalties, opts))
     else:
-        if method == "lasso":
-            pen = baselines.PenaltyConfig(lambda_l1=hp["lambda"],
-                                          lambda_l2=0.0)
-        elif method == "ridge":
-            pen = baselines.PenaltyConfig(lambda_l1=0.0,
-                                          lambda_l2=hp["lambda"])
-        elif method == "elastic":
-            pen = baselines.PenaltyConfig(lambda_l1=hp["lambda_l1"],
-                                          lambda_l2=hp["lambda_l2"])
-        else:  # none: unregularized
-            pen = baselines.PenaltyConfig(0.0, 0.0)
-        model = baselines.fit_penalized(X, y, pen, tol=opts.tol,
-                                        max_iter=opts.max_iter,
-                                        penalize_bias=opts.penalize_bias)
+        model = baselines.fit_penalized(
+            X, y, baselines.PenaltyConfig(**penalties), tol=opts.tol,
+            max_iter=opts.max_iter, penalize_bias=opts.penalize_bias)
     report = FitReport(
         method=method,
         hyperparams=dict(hp),

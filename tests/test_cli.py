@@ -610,12 +610,17 @@ def test_group_rejects_max_iter_below_one_before_loading(tmp_path, capsys):
                    encoding="utf-8")
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("".join(f"w{i}\n" for i in range(6)), encoding="utf-8")
+    # and no cluster at all is no grouping: --k is checked just as early
+    cases = [(["--k", "2", "--max-iter", "0"], "--max-iter must be >= 1"),
+             (["--k", "0"], "--k must be >= 1"),
+             (["--k", "-2"], "--k must be >= 1")]
     for embeddings in (emb, tmp_path / "absent.txt"):
-        out = tmp_path / "groups.txt"
-        assert main(["group", "--embeddings", str(embeddings),
-                     "--vocab", str(vocab), "--k", "2", "--max-iter", "0",
-                     "--out", str(out)]) == 2
-        assert "--max-iter must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
+        for flags, message in cases:
+            out = tmp_path / "groups.txt"
+            assert main(["group", "--embeddings", str(embeddings),
+                         "--vocab", str(vocab), *flags,
+                         "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
     with pytest.raises(ValueError, match="max_iter"):
         grouping.KMeansConfig(k=2, max_iter=0)

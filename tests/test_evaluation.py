@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from textomp import (FitReport, GridSpec, SparseMatrix, accuracy,
-                     atoms_curve, grid_search, run_omp, OMPConfig)
+from textomp import (FitOptions, FitReport, GridSpec, PenaltyConfig,
+                     SparseMatrix, accuracy, atoms_curve, fit, fit_penalized,
+                     grid_search, run_omp, OMPConfig)
 from textomp.evaluation import (format_report, human_table, parse_report,
                                 read_reports, write_reports)
 
@@ -68,6 +69,26 @@ def test_accuracy_empty_set_errors():
     X = SparseMatrix.from_columns(0, [([], [])])
     with pytest.raises(ValueError):
         accuracy(np.zeros(1), X, np.array([]))
+
+
+# -- fit ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method, hp, config", [
+    ("lasso", {"lambda": 0.5}, PenaltyConfig(lambda_l1=0.5, lambda_l2=0.0)),
+    ("ridge", {"lambda": 0.5}, PenaltyConfig(lambda_l1=0.0, lambda_l2=0.5)),
+    ("elastic", {"lambda_l1": 0.5, "lambda_l2": 2.0},
+     PenaltyConfig(lambda_l1=0.5, lambda_l2=2.0)),
+    ("none", {}, PenaltyConfig(lambda_l1=0.0, lambda_l2=0.0)),
+    ("omp", {"lambda": 0.5}, OMPConfig(lam=0.5)),
+])
+def test_fit_sets_the_penalties_readme_gives_each_method(rng, method, hp,
+                                                         config):
+    _, X = random_design(rng, 40, 8)
+    y = random_labels(rng, 40)
+    model, _, _ = fit(method, hp, X, y, FitOptions())
+    expected = run_omp(X, y, config)[0] if method == "omp" \
+        else fit_penalized(X, y, config)
+    np.testing.assert_array_equal(model.theta, expected.theta)
 
 
 # -- grid search ----------------------------------------------------------------

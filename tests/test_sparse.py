@@ -124,13 +124,27 @@ def test_submatrix_out_of_range(rng):
 
 
 def test_submatrix_then_mat_vec_equals_masked_mat_vec(rng):
-    dense, X = random_design(rng, 7, 6, with_bias=False)
-    keep = [1, 4, 5]
-    theta = rng.normal(size=6)
-    masked = np.zeros(6)
-    masked[keep] = theta[keep]
-    np.testing.assert_allclose(X.submatrix(keep).mat_vec(theta[keep]),
-                               X.mat_vec(masked), atol=1e-12)
+    # the penalized baselines run every product on such a copy, so each
+    # must equal X's product over the kept columns exactly
+    dense, X = random_design(rng, 40, 12, with_bias=False)
+    keep = [1, 4, 5, 8, 9, 11]
+    sub = X.submatrix(keep)
+    counts = np.diff(sub.indptr)
+    for n_nonzero in (1, len(keep)):
+        theta = np.zeros(len(keep))
+        theta[:n_nonzero] = rng.normal(size=n_nonzero)
+        # one nonzero takes mat_vec's gather arm, every one its dense arm
+        gathers = 3 * counts[theta != 0].sum() <= sub.nnz
+        assert gathers == (n_nonzero == 1)
+        masked = np.zeros(12)
+        masked[keep] = theta
+        np.testing.assert_array_equal(sub.mat_vec(theta), X.mat_vec(masked))
+    v = rng.normal(size=40)
+    np.testing.assert_array_equal(sub.correlations(v),
+                                  X.correlations(v)[keep])
+    w = rng.random(40)
+    np.testing.assert_array_equal(sub.weighted_sq_norms(w),
+                                  X.weighted_sq_norms(w)[keep])
 
 
 def test_submatrix_tracks_bias_column(rng):
