@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, Model, cg,
-                       check_non_negative, checked_labels, newton,
-                       penalty_mask, value_and_gradient, violations)
+                       check_count, check_non_negative, checked_labels,
+                       newton, penalty_mask, value_and_gradient, violations)
 
 # A Newton step solves its model to a KKT violation of
 # _INNER_FORCING * min(1, v) * v, for the violation v at the current
@@ -90,13 +90,14 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     Working-set proximal Newton (see the module docstring). Every accepted
     step passes the Armijo test, so the penalized objective never
     increases. Convergence is declared when the KKT violation over every
-    column reaches `tol`; max_iter caps the Newton steps, and hitting it,
-    or finding no decrease, flags the returned Model instead of raising.
+    column reaches `tol`; max_iter (>= 1) caps the Newton steps, and hitting
+    it, or finding no decrease, flags the returned Model instead of raising.
     Raises FloatingPointError when the curvature or a Newton step
     overflows.
     """
     y = checked_labels(X, y)
     check_non_negative("tol", tol)
+    check_count("max_iter", max_iter)
 
     l1_vec = float(cfg.lambda_l1) * penalty_mask(X.n_cols, X.bias_col, False)
     l2 = float(cfg.lambda_l2)
@@ -114,10 +115,8 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         if not solved:  # the cap, or no decrease on the working set
             break
         cols = _working_set(X, y, theta, l1_vec, l2, l2_mask, tol)
-    converged = cols is None
-
     return Model(theta=theta, active=ActiveSet(np.flatnonzero(theta).tolist()),
-                 converged=converged, n_iter=n_iter)
+                 converged=cols is None, n_iter=n_iter)
 
 
 def _working_set(X, y, theta, l1_vec, l2, l2_mask, tol):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, gomp as gomp_mod, grouping, textpipe
+from . import baselines, evaluation, gomp as gomp_mod, grouping, omp, textpipe
 from .evaluation import FitOptions, GridSpec, accuracy
 from .sparse import SparseMatrix
 
@@ -219,9 +219,13 @@ def _load_design(matrix_path, labels_path):
     return X, y
 
 
-# train's penalty flags: fit's hp key -> (argument attribute, default)
-_PENALTY_FLAGS = {"lambda": ("lam", 1.0), "lambda_l1": ("lambda_l1", 0.0),
-                  "lambda_l2": ("lambda_l2", 0.0)}
+# train's penalty flags: fit's hp key -> (argument attribute, default, help)
+_PENALTY_FLAGS = {
+    "lambda": ("lam", omp.GreedyConfig.lam, "penalty strength"),
+    "lambda_l1": ("lambda_l1", baselines.PenaltyConfig.lambda_l1,
+                  "elastic net L1 strength"),
+    "lambda_l2": ("lambda_l2", baselines.PenaltyConfig.lambda_l2,
+                  "elastic net L2 strength")}
 
 
 def _check_solver_flags(args):
@@ -244,7 +248,7 @@ def _check_method_settings(args):
     if args.subcommand == "train":  # grid's penalties come from --lambdas
         settings += [(name, getattr(args, attr), default,
                       evaluation.METHOD_PENALTIES)
-                     for name, (attr, default) in _PENALTY_FLAGS.items()]
+                     for name, (attr, default, _) in _PENALTY_FLAGS.items()]
     for name, value, default, readers in settings:
         if name not in readers[args.method] and value != default:
             flag = ("no-" if value is False else "") + name.replace("_", "-")
@@ -453,15 +457,9 @@ def build_parser():
     p.add_argument("--dev-matrix", default=None,
                    help="optional dev split for accuracy and atom curves")
     p.add_argument("--dev-labels", default=None)
-    p.add_argument("--lambda", dest="lam", type=float,
-                   default=_PENALTY_FLAGS["lambda"][1],
-                   help="penalty strength")
-    p.add_argument("--lambda-l1", type=float,
-                   default=_PENALTY_FLAGS["lambda_l1"][1],
-                   help="elastic net L1 strength")
-    p.add_argument("--lambda-l2", type=float,
-                   default=_PENALTY_FLAGS["lambda_l2"][1],
-                   help="elastic net L2 strength")
+    for name, (attr, default, text) in _PENALTY_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=attr, type=float,
+                       default=default, help=text)
     _add_solver_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -19,7 +19,8 @@ from . import baselines, gomp as gomp_mod, logistic, omp as omp_mod
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
-# The FitOptions settings each method reads; the others it ignores.
+# The FitOptions settings each method reads, which fit passes to its solver
+# under the same names (groups as run_gomp's argument); it ignores the rest.
 _EVERY_FIT = ("tol", "max_iter", "penalize_bias")
 _GREEDY = _EVERY_FIT + ("budget", "epsilon", "normalize_columns")
 METHOD_SETTINGS = {
@@ -125,37 +126,32 @@ class FitOptions:
     penalize_bias: bool = omp_mod.GreedyConfig.penalize_bias
 
 
-def _greedy_config(cls, penalties, opts):
-    """cls with the penalties and every FitOptions setting cls also has."""
-    shared = {f.name for f in fields(cls)} & {f.name for f in fields(opts)}
-    return cls(**penalties, **{name: getattr(opts, name) for name in shared})
-
-
 def fit(method, hp, X, y, opts):
     """Fit one model with the solver `method` names.
 
     hp holds the penalty strengths METHOD_PENALTIES names: "lambda" for
     omp, gomp, lasso and ridge, "lambda_l1" and "lambda_l2" for elastic,
     none for "none". METHOD_PENALTIES also maps each to the config field
-    it sets.
+    it sets. The solver receives the opts METHOD_SETTINGS names.
     Returns (model, trajectory or None, FitReport without dev scores); the
     trajectory comes from the greedy methods only.
     """
     started = time.perf_counter()
     penalties = {name: hp[key]
                  for key, name in METHOD_PENALTIES[method].items()}
+    settings = {name: getattr(opts, name)
+                for name in METHOD_SETTINGS[method] if name != "groups"}
     traj = None
     if method == "omp":
         model, traj = omp_mod.run_omp(
-            X, y, _greedy_config(omp_mod.OMPConfig, penalties, opts))
+            X, y, omp_mod.OMPConfig(**penalties, **settings))
     elif method == "gomp":
         model, traj = gomp_mod.run_gomp(
             X, y, opts.groups if opts.groups is not None else [],
-            _greedy_config(gomp_mod.GOMPConfig, penalties, opts))
+            gomp_mod.GOMPConfig(**penalties, **settings))
     else:
         model = baselines.fit_penalized(
-            X, y, baselines.PenaltyConfig(**penalties), tol=opts.tol,
-            max_iter=opts.max_iter, penalize_bias=opts.penalize_bias)
+            X, y, baselines.PenaltyConfig(**penalties), **settings)
     report = FitReport(
         method=method,
         hyperparams=dict(hp),

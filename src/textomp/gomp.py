@@ -26,6 +26,7 @@ import numpy as np
 
 from . import grouping
 from .groups import GroupStructure
+from .logistic import RefitWork
 # unused here; kept because the benchmark tracer wraps them on this module
 from .logistic import fit_restricted, residual  # noqa: F401
 from .omp import GreedyConfig, per_unit_norm, run_greedy
@@ -45,23 +46,18 @@ class GOMPConfig(GreedyConfig):
 
 
 @dataclass
-class GroupSelectionRecord:
-    """One group activation.
+class GroupSelectionRecord(RefitWork):
+    """One group activation and the RefitWork of the refit that followed.
 
     members_original is the group's composition as provided by the caller
     (overlap removal mutates only working copies); members_added are the
-    indices that actually entered the active set this iteration. The
-    refit's work is recorded as on `omp.SelectionRecord`.
+    indices that actually entered the active set this iteration.
     """
 
     name: str
     score: float
     members_original: tuple
     members_added: tuple
-    converged: bool = True
-    n_iter: int = 0
-    cg_steps: int = 0
-    hessian_builds: int = 0
 
 
 def score_group_orthonormal(corr, members):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, GroupStructure, member_error
+from .groups import (Group, GroupStructure, check_unique_names,
+                     member_error)
 from .sparse import _loadtxt
 
 
@@ -379,12 +380,8 @@ def augment_singletons(groups, n_cols, bias_col="last"):
     singles = np.arange(n_cols, dtype=np.int64)
     if bias_col is not None:
         singles = singles[singles != bias_col]
-    names = groups.names()
-    taken = set(names)
-    for name in (f"single_{j}" for j in singles):
-        if name in taken:
-            raise ValueError(f"duplicate group name {name!r}")
-        names.append(name)
+    names = check_unique_names(
+        groups.names() + [f"single_{j}" for j in singles])
     offsets = np.concatenate(
         (groups.offsets, groups.offsets[-1] + np.arange(1, len(singles) + 1)))
     return GroupStructure.from_arrays(

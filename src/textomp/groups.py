@@ -35,12 +35,7 @@ class GroupStructure:
 
     def __init__(self, groups=()):
         groups = [g if isinstance(g, Group) else Group.of(*g) for g in groups]
-        self._names = [g.name for g in groups]
-        seen = set()
-        for name in self._names:
-            if name in seen:
-                raise ValueError(f"duplicate group name {name!r}")
-            seen.add(name)
+        self._names = check_unique_names([g.name for g in groups])
         self.offsets = np.cumsum([0] + [len(g) for g in groups],
                                  dtype=np.int64)
         self.indices = np.array([j for g in groups for j in g.members],
@@ -91,6 +86,16 @@ class GroupStructure:
             owner = int(np.searchsorted(self.offsets, pos, side="right")) - 1
             raise ValueError(f"group {self._names[owner]!r}: {message}")
         return self
+
+
+def check_unique_names(names):
+    """names, after raising on the first one that repeats an earlier one."""
+    if len(set(names)) < len(names):
+        seen = set()
+        # set.add returns None, so this stops at the first name seen before
+        name = next(n for n in names if n in seen or seen.add(n))
+        raise ValueError(f"duplicate group name {name!r}")
+    return names
 
 
 def member_error(indices, n_cols, bias_col=None):

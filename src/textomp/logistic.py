@@ -72,22 +72,34 @@ def check_non_negative(name, value):
         raise ValueError(f"{name} must be finite and non-negative")
 
 
-@dataclass
-class Model:
-    """Weights over all d features, zero off the active set.
+def check_count(name, value):
+    """Raise unless the count value is at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+@dataclass(kw_only=True)
+class RefitWork:
+    """A solver call's work, on its Model and on each greedy record.
 
     converged is False when the solver stopped short of its tolerance, at
-    its iteration cap or for want of a decrease; theta then holds the last
-    accepted iterate. n_iter counts Newton steps; a
-    restricted fit also counts its CG steps and dense Hessian builds.
-    """
+    its iteration cap or for want of a decrease. n_iter counts Newton
+    steps; a restricted fit also counts its CG steps and dense Hessian
+    builds."""
 
-    theta: np.ndarray
-    active: ActiveSet
     converged: bool = True
     n_iter: int = 0
     cg_steps: int = 0
     hessian_builds: int = 0
+
+
+@dataclass
+class Model(RefitWork):
+    """Weights over all d features, zero off the active set (the last
+    accepted iterate when not converged), and the solver's RefitWork."""
+
+    theta: np.ndarray
+    active: ActiveSet
 
 
 def sigmoid(z):
@@ -394,6 +406,7 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     """
     y = checked_labels(X, y)
     check_non_negative("lambda", lam)
+    check_count("max_iter", max_iter)
     order = np.asarray(active, dtype=np.int64)
     out_of_range = order[(order < 0) | (order >= X.n_cols)]
     if out_of_range.size:
@@ -414,10 +427,9 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     A = state.sync(X, list(active), ridge)
     coef = np.zeros(len(order)) if warm_start is None \
         else np.asarray(warm_start, dtype=np.float64)[order]
-    cg_steps = hessian_builds = 0
+    work = RefitWork()
 
     def direction(coef, grad, w, viol):
-        nonlocal cg_steps, hessian_builds
         step = None
         P = state.inv_hessian
         if P is not None:
@@ -426,21 +438,19 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
             p, used, solved = cg(
                 lambda d: A.T @ (w * (A @ d)) + ridge * d, lambda r: P @ r,
                 -grad, lambda r: np.linalg.norm(r) <= forcing, _CG_MAX)
-            cg_steps += used
+            work.cg_steps += used
             step = _descent(p, grad) if solved else None
         if step is None and not state.singular:
             state.rebuild(w, ridge)
-            hessian_builds += 1
+            work.hessian_builds += 1
             if state.inv_hessian is not None:
                 step = _descent(-(state.inv_hessian @ grad), grad)
                 if step is None:
                     state.inv_hessian = None
         return -grad if step is None else step  # fallback: gradient step
 
-    coef, n_iter, converged = newton(
+    coef, work.n_iter, work.converged = newton(
         lambda c: A @ c, lambda v: A.T @ v, direction, coef, y, ridge,
         np.zeros(len(order)), tol, max_iter)
     theta[order] = coef
-    return Model(theta=theta, active=active, converged=converged,
-                 n_iter=n_iter, cg_steps=cg_steps,
-                 hessian_builds=hessian_builds)
+    return Model(theta=theta, active=active, **vars(work))

@@ -16,15 +16,17 @@ budget; the first selection correlates against the raw labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, RefitState,
-                       check_non_negative, checked_labels, fit_restricted,
-                       residual)
+from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, RefitState, RefitWork,
+                       check_count, check_non_negative, checked_labels,
+                       fit_restricted, residual)
 
 CHECKPOINT_INTERVAL = 100
+# the counters each selection record copies from its refit's Model
+_WORK_FIELDS = tuple(f.name for f in fields(RefitWork))
 
 
 @dataclass
@@ -45,35 +47,27 @@ class GreedyConfig:
     checkpoint_interval: int = CHECKPOINT_INTERVAL
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        check_count("budget", self.budget)
         # written as `not x >= 0` so that NaN is rejected too
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
         check_non_negative("lambda", self.lam)
         # an infinite tol would call the all-zero start optimal
         check_non_negative("tol", self.tol)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
+        check_count("max_iter", self.max_iter)
+        check_count("checkpoint_interval", self.checkpoint_interval)
 
 
 OMPConfig = GreedyConfig  # OMP has no setting of its own
 
 
 @dataclass
-class SelectionRecord:
+class SelectionRecord(RefitWork):
     """One greedy iteration: which column won and with what correlation,
-    and the work of the refit that followed (Newton steps, CG steps and
-    dense Hessian builds)."""
+    and the RefitWork of the refit that followed."""
 
     index: int
     score: float
-    converged: bool = True
-    n_iter: int = 0
-    cg_steps: int = 0
-    hessian_builds: int = 0
 
     @property
     def members_added(self):
@@ -132,7 +126,8 @@ def run_greedy(X, y, cfg, select):
     bias from the start and at each index once it enters.
     select(r, candidates) returns None when nothing is left, else the
     winner's correlation norm ||X_W^T r|| and a record whose members_added
-    enter the support unless the norm is at most cfg.epsilon. Every
+    enter the support unless the norm is at most cfg.epsilon; the record
+    then takes the RefitWork counters of the refit that follows. Every
     refit of the run shares one RefitState, so the dense active block
     and the lagged inverse Hessian carry over from one selection to the
     next.
@@ -163,10 +158,8 @@ def run_greedy(X, y, cfg, select):
                                warm_start=model.theta,
                                penalize_bias=cfg.penalize_bias, state=state)
         r = residual(X, model.theta, y)
-        record.converged = model.converged
-        record.n_iter = model.n_iter
-        record.cg_steps = model.cg_steps
-        record.hessian_builds = model.hessian_builds
+        for name in _WORK_FIELDS:
+            setattr(record, name, getattr(model, name))
         traj.records.append(record)
         n_sel = len(order) - n_bias
         if n_sel >= next_mark:

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from textomp import FitOptions, SparseMatrix, evaluation, grouping, textpipe
+from textomp import (FitOptions, OMPConfig, PenaltyConfig, SparseMatrix,
+                     evaluation, grouping, textpipe)
 from textomp.cli import build_parser, load_model, main, save_model, top_weights
 from textomp.textpipe import load_labels, load_vocabulary, save_labels
 
@@ -382,6 +383,11 @@ def test_solver_flag_defaults_are_the_fit_options_defaults():
         for f in dataclasses.fields(FitOptions):
             assert getattr(args, f.name) == getattr(FitOptions(), f.name), \
                 (method, f.name)
+    args = build_parser().parse_args(
+        ["train", "--matrix", "m", "--labels", "l", "--method", "omp",
+         "--out-dir", "o"])
+    assert (args.lam, args.lambda_l1, args.lambda_l2) == (
+        OMPConfig.lam, PenaltyConfig.lambda_l1, PenaltyConfig.lambda_l2)
 
 
 def test_other_flag_defaults_are_their_library_defaults():

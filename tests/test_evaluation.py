@@ -1,13 +1,16 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from textomp import (FitOptions, FitReport, GridSpec, PenaltyConfig,
-                     SparseMatrix, accuracy, atoms_curve, fit, fit_penalized,
-                     grid_search, run_omp, OMPConfig)
-from textomp.evaluation import (format_report, human_table, parse_report,
-                                read_reports, write_reports)
+from textomp import (FitOptions, FitReport, GOMPConfig, GridSpec,
+                     PenaltyConfig, SparseMatrix, accuracy, atoms_curve, fit,
+                     fit_penalized, grid_search, run_omp, OMPConfig)
+from textomp.evaluation import (METHOD_SETTINGS, METHODS, format_report,
+                                human_table, parse_report, read_reports,
+                                write_reports)
 
 from conftest import random_design, random_labels
 
@@ -89,6 +92,26 @@ def test_fit_sets_the_penalties_readme_gives_each_method(rng, method, hp,
     expected = run_omp(X, y, config)[0] if method == "omp" \
         else fit_penalized(X, y, config)
     np.testing.assert_array_equal(model.theta, expected.theta)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_setting_a_method_reads_is_a_parameter_of_its_solver(method):
+    if method in ("omp", "gomp"):
+        config = OMPConfig if method == "omp" else GOMPConfig
+        params = {f.name for f in dataclasses.fields(config)}
+    else:
+        params = set(inspect.signature(fit_penalized).parameters)
+    assert set(METHOD_SETTINGS[method]) - {"groups"} <= params
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_rejects_a_max_iter_below_one(rng, method):
+    _, X = random_design(rng, 20, 5)
+    y = random_labels(rng, 20)
+    hp = {"lambda_l1": 1.0, "lambda_l2": 1.0} if method == "elastic" \
+        else {} if method == "none" else {"lambda": 1.0}
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        fit(method, hp, X, y, FitOptions(max_iter=0))
 
 
 # -- grid search ----------------------------------------------------------------

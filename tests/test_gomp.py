@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from textomp import (GOMPConfig, Group, GroupStructure, OMPConfig,
-                     SparseMatrix, omp, run_gomp, run_omp)
+                     SparseMatrix, logistic, omp, run_gomp, run_omp)
 from textomp.gomp import remove_overlap, score_group_orthonormal, select_group
 from textomp.logistic import objective, residual
 
@@ -323,6 +323,26 @@ def test_shared_refit_state_matches_stateless_refits(monkeypatch):
             assert sum(rec.cg_steps for rec in shared.records) > 0
             assert sum(rec.hessian_builds for rec in shared.records) \
                 < sum(rec.hessian_builds for rec in fresh.records)
+
+
+def test_records_carry_the_work_of_their_refit(monkeypatch, rng):
+    _, X = random_design(rng, 40, 12)
+    y = random_labels(rng, 40)
+    models = []
+
+    def fit(*args, **kwargs):
+        models.append(logistic.fit_restricted(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(omp, "fit_restricted", fit)
+    groups = GroupStructure([("a", [0, 1, 2]), ("b", [2, 5, 6])])
+    _, traj = run_gomp(X, y, groups, GOMPConfig(budget=8, lam=1.0))
+    assert len(models) == len(traj.records) + 1  # after the bias-only fit
+    for rec, model in zip(traj.records, models[1:]):
+        assert (rec.converged, rec.n_iter, rec.cg_steps, rec.hessian_builds) \
+            == (model.converged, model.n_iter, model.cg_steps,
+                model.hessian_builds)
+    assert sum(rec.n_iter for rec in traj.records) > 0
 
 
 def test_records_carry_original_composition(rng):

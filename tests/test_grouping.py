@@ -579,6 +579,14 @@ def test_double_augmentation_collides_on_names():
         augment_singletons(once, 3)
 
 
+def test_both_name_checks_report_the_first_duplicate_alike():
+    with pytest.raises(ValueError, match="^duplicate group name 'b'$"):
+        GroupStructure([("a", [0]), ("b", [1]), ("b", [2]), ("a", [3])])
+    taken = GroupStructure([("single_2", [0]), ("single_1", [1])])
+    with pytest.raises(ValueError, match="^duplicate group name 'single_1'$"):
+        augment_singletons(taken, 4)
+
+
 # -- embedding files ------------------------------------------------------------------
 
 def test_embedding_file_loading(tmp_path):

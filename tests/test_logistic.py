@@ -449,6 +449,15 @@ def test_fit_restricted_rejects_repeated_and_out_of_range_indices(rng, kind):
             fit_restricted(X, y, kind([1, bad]), lam=1.0)
 
 
+def test_fit_restricted_rejects_a_max_iter_below_one(rng):
+    # a negative cap would leave newton no step count to return
+    _, X = random_design(rng, 8, 5)
+    y = random_labels(rng, 8)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            fit_restricted(X, y, [0, 4], lam=1.0, max_iter=cap)
+
+
 def test_model_active_keeps_entry_order(rng):
     _, X = random_design(rng, 8, 5)
     y = random_labels(rng, 8)

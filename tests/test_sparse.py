@@ -121,6 +121,24 @@ def test_submatrix_out_of_range(rng):
     _, X = random_design(rng, 5, 4, with_bias=False)
     with pytest.raises(IndexError):
         X.submatrix([0, 4])
+    for ascending in (np.array([0, 4]), np.array([-1, 2])):
+        with pytest.raises(IndexError):
+            X.submatrix(ascending)
+
+
+def test_submatrix_is_one_matrix_whatever_the_index_form(rng):
+    dense, X = random_design(rng, 7, 6)
+    expected = X.submatrix(np.array([1, 3, 5]))  # ascending: used as it is
+    np.testing.assert_array_equal(expected.to_dense(), dense[:, [1, 3, 5]])
+    assert expected.bias_col == 2
+    for form in ([5, 1, 3, 1], np.array([5, 3, 1]), np.array([1, 3, 3, 5]),
+                 range(1, 6, 2), np.array([1, 3, 5], dtype=np.int32),
+                 np.array([1, 3, 5], dtype=np.uint8)):
+        sub = X.submatrix(form)
+        assert (sub.n_cols, sub.bias_col) == (3, 2)
+        for name in ("indptr", "rows", "vals"):
+            np.testing.assert_array_equal(getattr(sub, name),
+                                          getattr(expected, name))
 
 
 def test_submatrix_then_mat_vec_equals_masked_mat_vec(rng):
