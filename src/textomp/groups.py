@@ -90,11 +90,11 @@ class GroupStructure:
 
 def check_unique_names(names):
     """names, after raising on the first one that repeats an earlier one."""
-    if len(set(names)) < len(names):
-        seen = set()
-        # set.add returns None, so this stops at the first name seen before
-        name = next(n for n in names if n in seen or seen.add(n))
-        raise ValueError(f"duplicate group name {name!r}")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"duplicate group name {name!r}")
+        seen.add(name)
     return names
 
 

@@ -217,12 +217,8 @@ class SparseMatrix:
     # -- structural ops ----------------------------------------------------
 
     def submatrix(self, indices):
-        """Columns at the given indices, arranged ascending by original index;
-        a strictly ascending int array (np.flatnonzero's) is used as is."""
-        idx = indices
-        if not (isinstance(idx, np.ndarray) and idx.dtype.kind == "i"
-                and idx.ndim == 1 and np.all(idx[1:] > idx[:-1])):
-            idx = np.unique(np.fromiter(indices, dtype=np.int64))
+        """Columns at the given indices, arranged ascending by original index."""
+        idx = np.unique(np.asarray(indices, dtype=np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n_cols):
             bad = idx[0] if idx[0] < 0 else idx[-1]
             raise IndexError(f"column index {bad} out of range")

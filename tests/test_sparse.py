@@ -128,7 +128,7 @@ def test_submatrix_out_of_range(rng):
 
 def test_submatrix_is_one_matrix_whatever_the_index_form(rng):
     dense, X = random_design(rng, 7, 6)
-    expected = X.submatrix(np.array([1, 3, 5]))  # ascending: used as it is
+    expected = X.submatrix(np.array([1, 3, 5]))
     np.testing.assert_array_equal(expected.to_dense(), dense[:, [1, 3, 5]])
     assert expected.bias_col == 2
     for form in ([5, 1, 3, 1], np.array([5, 3, 1]), np.array([1, 3, 3, 5]),
@@ -139,6 +139,11 @@ def test_submatrix_is_one_matrix_whatever_the_index_form(rng):
         for name in ("indptr", "rows", "vals"):
             np.testing.assert_array_equal(getattr(sub, name),
                                           getattr(expected, name))
+    # narrow signed indices are widened first: 127 + 1 must not wrap
+    dense, X = random_design(rng, 4, 300, with_bias=False)
+    for dtype in (np.int8, np.int16):
+        sub = X.submatrix(np.array([1, 127], dtype=dtype))
+        np.testing.assert_array_equal(sub.to_dense(), dense[:, [1, 127]])
 
 
 def test_submatrix_then_mat_vec_equals_masked_mat_vec(rng):
