@@ -8,9 +8,11 @@ once the KKT violation of every column is at most `tol`. Otherwise the
 working set W is the support, the bias and every violating column, and
 Newton steps run over W's columns alone until W's own violation reaches
 `tol`. W's columns are copied once per outer pass into one SparseMatrix,
-and every product runs on that copy. With no L1 penalty every column
-with a gradient violates, so W is the whole design; nothing below
-densifies W's columns.
+and every product runs on that copy: the pass hands `logistic.newton` a
+`direction` closure over it, as the greedy refit does. The L2 term is
+one per-column curvature vector, ridge = 2 lambda_l2 penalty_mask(...),
+built once per fit. With no L1 penalty every column with a gradient
+violates, so W is the whole design; nothing below densifies W's columns.
 
 A Newton step minimizes the quadratic model of the smooth part plus the
 exact L1 term in rounds. FISTA (Beck & Teboulle, 2009) with adaptive
@@ -77,10 +79,11 @@ def kkt_violation(X, y, theta, cfg, penalize_bias=True):
     ones must satisfy smooth gradient + lambda_l1 * sign(theta) = 0.
     """
     y = np.asarray(y, dtype=np.float64)
-    l2_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
-    _, grad = value_and_gradient(X, y, theta, cfg.lambda_l2, l2_mask)
-    l1_vec = cfg.lambda_l1 * penalty_mask(X.n_cols, X.bias_col, False)
-    return float(np.max(violations(theta, grad, l1_vec)))
+    ridge = 2.0 * float(cfg.lambda_l2) \
+        * penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    _, grad = value_and_gradient(X, y, theta, ridge)
+    l1 = cfg.lambda_l1 * penalty_mask(X.n_cols, X.bias_col, False)
+    return float(np.max(violations(theta, grad, l1)))
 
 
 def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
@@ -99,31 +102,41 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     check_non_negative("tol", tol)
     check_count("max_iter", max_iter)
 
-    l1_vec = float(cfg.lambda_l1) * penalty_mask(X.n_cols, X.bias_col, False)
-    l2 = float(cfg.lambda_l2)
-    l2_mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    l1 = float(cfg.lambda_l1) * penalty_mask(X.n_cols, X.bias_col, False)
+    ridge = 2.0 * float(cfg.lambda_l2) \
+        * penalty_mask(X.n_cols, X.bias_col, penalize_bias)
     theta = np.zeros(X.n_cols)
     n_iter = 0
-    cols = _working_set(X, y, theta, l1_vec, l2, l2_mask, tol)
-    while cols is not None and n_iter < max_iter:
-        work = _Restricted(X, cols, l1_vec, l2, l2_mask)
+    while True:
+        cols = _working_set(X, y, theta, l1, ridge, tol)
+        if cols is None or n_iter >= max_iter:
+            break
+        # W's columns, copied once; every other weight is held at zero.
+        block, l1_w, ridge_w = X.submatrix(cols), l1[cols], ridge[cols]
+        L = 1.0  # FISTA's curvature bound, carried across the pass's steps
+
+        def direction(x, grad, w, viol):
+            nonlocal L
+            step, L = _Model(block, w, ridge_w, x, grad,
+                             l1_w).newton_step(L, viol)
+            return step
+
         theta[cols], steps, solved = newton(
-            work.block.mat_vec, work.block.correlations, work.newton_step,
-            theta[cols], y, work.ridge, work.l1, tol, max_iter - n_iter)
-        del work  # one copy of W's columns at a time
+            block.mat_vec, block.correlations, direction, theta[cols], y,
+            ridge_w, l1_w, tol, max_iter - n_iter)
+        del block, direction  # one copy of W's columns at a time
         n_iter += steps
         if not solved:  # the cap, or no decrease on the working set
             break
-        cols = _working_set(X, y, theta, l1_vec, l2, l2_mask, tol)
     return Model(theta=theta, active=ActiveSet(np.flatnonzero(theta).tolist()),
                  converged=cols is None, n_iter=n_iter)
 
 
-def _working_set(X, y, theta, l1_vec, l2, l2_mask, tol):
+def _working_set(X, y, theta, l1, ridge, tol):
     """The support, the bias and every column whose KKT violation at theta
     is positive, or None when no violation exceeds tol."""
-    _, grad = value_and_gradient(X, y, theta, l2, l2_mask)
-    viol = violations(theta, grad, l1_vec)
+    _, grad = value_and_gradient(X, y, theta, ridge)
+    viol = violations(theta, grad, l1)
     if np.max(viol) <= tol:
         return None
     work = (theta != 0) | (viol > 0)
@@ -238,41 +251,27 @@ class _Model:
                     break
         return lower(p, trial)
 
-
-class _Restricted:
-    """The penalized problem over the working set, X's columns `cols`,
-    copied into one SparseMatrix `block`; every other weight is held at
-    zero."""
-
-    def __init__(self, X, cols, l1_vec, l2, l2_mask):
-        self.block = X.submatrix(cols)
-        self.l1 = l1_vec[cols]
-        self.ridge = 2.0 * l2 * l2_mask[cols]  # the L2 term's curvature
-        self.L = 1.0  # FISTA's curvature bound, carried across steps
-
-    def newton_step(self, theta, grad, w, viol):
-        """Approximate minimizer d of the model
-        grad.d + d.H.d / 2 + |l1 (theta + d)|_1 - |l1 theta|_1, with H the
-        Hessian at curvature weights w, to a KKT violation of
-        _INNER_FORCING * min(1, viol) * viol. Each round runs
-        `_Model.fista`, then `_Model.face_step`, from the lowest point so
-        far, so d is a descent direction."""
+    def newton_step(self, L, viol):
+        """(d, L'): d = u - theta for an approximate minimizer u of the
+        model, to a KKT violation of _INNER_FORCING * min(1, viol) * viol,
+        and the curvature bound L' that FISTA ended at. FISTA starts from
+        max(1, L / 2), for the previous step's bound L. Each round runs
+        `fista`, then `face_step`, from the lowest point so far, so d is a
+        descent direction."""
         tol = _INNER_FORCING * min(1.0, viol) * viol
-        model = _Model(self.block, w, self.ridge, theta, grad, self.l1)
-        point = _Point(0.0, theta, np.zeros_like(theta))
-        L = max(1.0, 0.5 * self.L)
+        point = _Point(0.0, self.theta, np.zeros_like(self.theta))
+        L = max(1.0, 0.5 * L)
         for _ in range(_ROUNDS):
-            point, L = model.fista(point, L, tol)
-            if model.violation(point) <= tol:
+            point, L = self.fista(point, L, tol)
+            if self.violation(point) <= tol:
                 break
-            point = model.face_step(point, tol)
-            if model.violation(point) <= tol:
+            point = self.face_step(point, tol)
+            if self.violation(point) <= tol:
                 break
-        self.L = L
-        step = point.u - theta
+        step = point.u - self.theta
         if not np.all(np.isfinite(step)):
             raise FloatingPointError("Newton step overflowed")
-        return step
+        return step, L
 
 
 def n_nonzero(theta, bias_col=None):

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import baselines, evaluation, gomp as gomp_mod, grouping, omp, textpipe
 from .evaluation import FitOptions, GridSpec, accuracy
+from .logistic import check_count
 from .sparse import SparseMatrix
 
 
@@ -101,8 +102,7 @@ def top_weights(theta, vocab, n):
     vocab maps token -> column; the model must align with it (its feature
     count is the vocabulary size plus the bias column).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_count("n", n, low=0)  # a negative slice would drop the last terms
     theta = np.asarray(theta, dtype=np.float64)
     if len(theta) != len(vocab) + 1:
         raise ValueError(
@@ -229,10 +229,9 @@ _PENALTY_FLAGS = {
 
 
 def _check_solver_flags(args):
-    """Reject a numeric solver flag below its lowest valid value, an
-    infinite --tol, which every fit would meet at its start, and an
-    infinite --epsilon, which would select nothing and put "Infinity",
-    not valid JSON, into the report."""
+    """Reject a numeric solver flag below its lowest valid value and an
+    infinite --tol or --epsilon before any file is loaded; the configs
+    reject the same values."""
     _check_at_least(args, budget=1, epsilon=0, tol=0, max_iter=1)
     for name in ("epsilon", "tol"):
         if getattr(args, name) == np.inf:
@@ -285,9 +284,6 @@ def cmd_train(args):
 
     model, traj, report = evaluation.fit(args.method, hp, X, y,
                                          _fit_options(args, X))
-    for name in ("budget", "epsilon", "criterion"):  # a greedy stop rule
-        if name in evaluation.METHOD_SETTINGS[args.method]:
-            report.hyperparams[name] = getattr(args, name)
     if args.dev_matrix:
         X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
         evaluation.score_on_dev(report, model, traj, X_dev, y_dev)
@@ -408,7 +404,8 @@ def _add_solver_flags(p):
     p.add_argument("--augment-singletons", action=argparse.BooleanOptionalAction,
                    default=FitOptions.augment_singletons,
                    help="append every feature as its own gomp group")
-    p.add_argument("--normalize-columns", action="store_true",
+    p.add_argument("--normalize-columns", action=argparse.BooleanOptionalAction,
+                   default=FitOptions.normalize_columns,
                    help="score selection correlations against unit-L2 columns")
     p.add_argument("--penalize-bias", action=argparse.BooleanOptionalAction,
                    default=FitOptions.penalize_bias,

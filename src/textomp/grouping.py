@@ -16,6 +16,7 @@ import numpy as np
 
 from .groups import (Group, GroupStructure, check_unique_names,
                      member_error)
+from .logistic import check_count
 from .sparse import _loadtxt
 
 
@@ -26,10 +27,8 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.max_iter < 1:  # zero iterations would assign no point
-            raise ValueError("max_iter must be >= 1")
+        check_count("k", self.k)
+        check_count("max_iter", self.max_iter)  # 0 would assign no point
 
 
 class EmbeddingTable:
@@ -337,8 +336,7 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
     """
     if metric not in ("euclidean", "cosine"):
         raise ValueError("metric must be 'euclidean' or 'cosine'")
-    if neighbors < 0:
-        raise ValueError("neighbors must be >= 0")
+    check_count("neighbors", neighbors, low=0)
     token_cols, points = _embedded_columns(emb, vocab)
     if metric == "cosine":
         with np.errstate(over="ignore"):

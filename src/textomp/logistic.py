@@ -1,7 +1,9 @@
 """L2-penalized logistic loss, gradients, and the support-restricted fit.
 
 `value_and_gradient` is the one penalized-logistic kernel behind
-`objective`, `gradient` and the `baselines` solvers. `penalty_mask` is the
+`objective`, `gradient` and the full-gradient KKT pass of the `baselines`
+solver; it takes the L2 term, as `newton` does, as one per-column
+curvature vector, ridge = 2 lam penalty_mask(...). `penalty_mask` is the
 one bias rule: the only place a penalty weight on the bias is zeroed.
 
 `newton` is the one damped-Newton loop, and `cg` the one conjugate-gradient
@@ -72,10 +74,13 @@ def check_non_negative(name, value):
         raise ValueError(f"{name} must be finite and non-negative")
 
 
-def check_count(name, value):
-    """Raise unless the count value is at least 1."""
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+def check_count(name, value, low=1):
+    """Raise unless value is an integer of at least low: the one count
+    rule. A float, even a whole or NaN one, is not a count."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass(kw_only=True)
@@ -126,15 +131,16 @@ def penalty_mask(n_cols, bias_col, penalize_bias):
     return mask
 
 
-def value_and_gradient(X, y, theta, lam, mask):
-    """Logistic loss sum plus lam * sum(mask * theta**2), and its gradient.
+def value_and_gradient(X, y, theta, ridge):
+    """Logistic loss sum plus sum(ridge * theta**2) / 2, and its gradient.
 
+    ridge is the L2 term's per-column curvature, 2 lam penalty_mask(...).
     y and theta must be float64 arrays of X's row and column counts.
     """
     z = X.mat_vec(theta)
     s = sigmoid(-y * z)
-    val = float(np.sum(softplus(-y * z)) + lam * np.sum(mask * theta ** 2))
-    grad = X.correlations(-y * s) + 2.0 * lam * mask * theta
+    val = float(np.sum(softplus(-y * z)) + 0.5 * np.sum(ridge * theta ** 2))
+    grad = X.correlations(-y * s) + ridge * theta
     return val, grad
 
 
@@ -162,15 +168,15 @@ def objective(X, y, theta, lam, penalize_bias=True):
     penalize_bias=False to exempt it.
     """
     y, theta = _as_checked(X, y, theta)
-    mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
-    return value_and_gradient(X, y, theta, lam, mask)[0]
+    ridge = 2.0 * lam * penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    return value_and_gradient(X, y, theta, ridge)[0]
 
 
 def gradient(X, y, theta, lam, penalize_bias=True):
     """Gradient of objective(): X^T(-y * sigma(-y X theta)) + 2 lam theta."""
     y, theta = _as_checked(X, y, theta)
-    mask = penalty_mask(X.n_cols, X.bias_col, penalize_bias)
-    return value_and_gradient(X, y, theta, lam, mask)[1]
+    ridge = 2.0 * lam * penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    return value_and_gradient(X, y, theta, ridge)[1]
 
 
 def residual(X, theta, y):

@@ -48,9 +48,7 @@ class GreedyConfig:
 
     def __post_init__(self):
         check_count("budget", self.budget)
-        # written as `not x >= 0` so that NaN is rejected too
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be non-negative")
+        check_non_negative("epsilon", self.epsilon)
         check_non_negative("lambda", self.lam)
         # an infinite tol would call the all-zero start optimal
         check_non_negative("tol", self.tol)

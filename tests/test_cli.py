@@ -432,6 +432,32 @@ def test_manifest_config_is_the_inputs_and_every_fit_setting(vectorized,
         assert set(manifest["config"]) == keys
 
 
+def test_no_normalize_columns_spells_out_the_default(vectorized, tmp_path):
+    # lasso does not read the setting, but the default value is accepted
+    for method in ("omp", "lasso"):
+        out = tmp_path / method
+        assert main(["train", "--matrix", str(vectorized / "train.matrix"),
+                     "--labels", str(vectorized / "train.labels"),
+                     "--method", method, "--no-normalize-columns",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["normalize_columns"] is False
+
+
+def test_train_report_hyperparams_are_the_penalty_strengths(vectorized,
+                                                            tmp_path):
+    # omp's stop rule (budget, epsilon, criterion) is in the manifest alone
+    for method, flags in (("omp", ["--budget", "2"]), ("ridge", [])):
+        out = tmp_path / method
+        assert main(["train", "--matrix", str(vectorized / "train.matrix"),
+                     "--labels", str(vectorized / "train.labels"),
+                     "--method", method, *flags, "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.txt").read_text())
+        assert report["hyperparams"] == {"lambda": 1.0}
+    manifest = json.loads((tmp_path / "omp" / "manifest.json").read_text())
+    assert manifest["config"]["budget"] == 2
+
+
 def test_train_manifests_differ_when_the_penalty_does(vectorized, tmp_path):
     manifests = []
     for lam in ("1", "10"):
@@ -521,6 +547,12 @@ def test_top_weights_helper_rejects_negative_n():
     with pytest.raises(ValueError, match="n must be >= 0"):
         top_weights(theta, vocab, -1)
     assert top_weights(theta, vocab, 0) == ([], [])
+
+
+def test_top_weights_helper_rejects_fractional_n():
+    # 1.5 failed late, with a TypeError from the slice
+    with pytest.raises(ValueError, match="n must be an integer"):
+        top_weights(np.array([1.0, -1.0, 0.0]), {"a": 0, "b": 1}, 1.5)
 
 
 def test_model_file_round_trip(tmp_path):

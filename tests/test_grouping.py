@@ -317,6 +317,24 @@ def test_expand_rejects_negative_neighbors():
         expand_overlap(gs, emb, vocab_of(8), neighbors=-1)
 
 
+def test_expand_rejects_fractional_neighbors():
+    # 1.5 failed late, with a TypeError from the ranking's slice
+    emb = embedding_of([(float(i),) for i in range(8)])
+    gs = GroupStructure([("a", [0])])
+    with pytest.raises(ValueError, match="neighbors must be an integer"):
+        expand_overlap(gs, emb, vocab_of(8), neighbors=1.5)
+
+
+def test_kmeans_config_counts_are_integers_of_at_least_one():
+    # k=2.5, k=nan and max_iter=nan were accepted
+    for name in ("k", "max_iter"):
+        for value in (2.5, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                KMeansConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            KMeansConfig(**{name: 0})
+
+
 def test_expand_makes_adjacent_clusters_overlap():
     emb = embedding_of([(0.0,), (1.0,), (2.0,), (3.0,)])
     gs = GroupStructure([("left", [0, 1]), ("right", [2, 3])])

@@ -142,13 +142,10 @@ def test_normalize_columns_undoes_a_scaled_column(rng):
     assert norm_traj.selected_indices() == [first]
 
 
-def test_infinite_epsilon_returns_minimal_model(rng):
-    _, X = random_design(rng, 10, 6)
-    y = random_labels(rng, 10)
-    model, traj = run_omp(X, y, OMPConfig(budget=3, epsilon=float("inf")))
-    assert traj.records == []
-    assert model.active.ascending() == [5]  # bias only
-    assert np.all(model.theta[:5] == 0.0)
+def test_infinite_epsilon_is_rejected():
+    # it selected nothing, a run the CLI already refused as unreportable
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        OMPConfig(budget=3, epsilon=float("inf"))
 
 
 def test_recovers_planted_support_and_beats_every_other_subset(rng):
@@ -288,3 +285,12 @@ def test_config_validation():
     for interval in (0, -3):
         with pytest.raises(ValueError, match="checkpoint_interval"):
             OMPConfig(budget=3, checkpoint_interval=interval)
+
+
+def test_counts_must_be_integers():
+    # budget=nan returned the bias-only model; budget=2.5 selected 3
+    for name in ("budget", "max_iter", "checkpoint_interval"):
+        for value in (float("nan"), 2.5, 3.0):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                OMPConfig(**{name: value})
+    assert OMPConfig(budget=np.int64(3)).budget == 3
