@@ -10,7 +10,7 @@ Newton steps run over W's columns alone until W's own violation reaches
 `tol`. W's columns are copied once per outer pass into one SparseMatrix,
 and every product runs on that copy: the pass hands `logistic.newton` a
 `direction` closure over it, as the greedy refit does. The L2 term is
-one per-column curvature vector, ridge = 2 lambda_l2 penalty_mask(...),
+one per-column curvature vector, ridge = penalty(X, 2 lambda_l2, ...),
 built once per fit. With no L1 penalty every column with a gradient
 violates, so W is the whole design; nothing below densifies W's columns.
 
@@ -27,7 +27,7 @@ test on the true objective, so the objective never increases, and when no
 step length decreases it the fit ends unconverged at its last accepted
 iterate. A trial whose objective overflows is halved like any failed
 trial; a curvature or a Newton step that overflows raises. The
-penalty weights follow the one bias rule, `logistic.penalty_mask`: the L1
+penalty weights follow the one bias rule, `logistic.penalty`: the L1
 penalty never covers the bias, and the L2 penalty covers it unless
 penalize_bias is False.
 """
@@ -41,7 +41,7 @@ import numpy as np
 
 from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, Model, cg,
                        check_count, check_non_negative, checked_labels,
-                       newton, penalty_mask, value_and_gradient, violations)
+                       newton, penalty, value_and_gradient, violations)
 
 # A Newton step solves its model to a KKT violation of
 # _INNER_FORCING * min(1, v) * v, for the violation v at the current
@@ -78,11 +78,10 @@ def kkt_violation(X, y, theta, cfg, penalize_bias=True):
     Zero coordinates must have |smooth gradient| <= lambda_l1; nonzero
     ones must satisfy smooth gradient + lambda_l1 * sign(theta) = 0.
     """
-    y = np.asarray(y, dtype=np.float64)
-    ridge = 2.0 * float(cfg.lambda_l2) \
-        * penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    y = checked_labels(X, y)
+    ridge = penalty(X, 2.0 * float(cfg.lambda_l2), penalize_bias)
     _, grad = value_and_gradient(X, y, theta, ridge)
-    l1 = cfg.lambda_l1 * penalty_mask(X.n_cols, X.bias_col, False)
+    l1 = penalty(X, cfg.lambda_l1, False)
     return float(np.max(violations(theta, grad, l1)))
 
 
@@ -102,9 +101,8 @@ def fit_penalized(X, y, cfg, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     check_non_negative("tol", tol)
     check_count("max_iter", max_iter)
 
-    l1 = float(cfg.lambda_l1) * penalty_mask(X.n_cols, X.bias_col, False)
-    ridge = 2.0 * float(cfg.lambda_l2) \
-        * penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    l1 = penalty(X, float(cfg.lambda_l1), False)
+    ridge = penalty(X, 2.0 * float(cfg.lambda_l2), penalize_bias)
     theta = np.zeros(X.n_cols)
     n_iter = 0
     while True:

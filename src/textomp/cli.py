@@ -28,7 +28,7 @@ import numpy as np
 
 from . import baselines, evaluation, gomp as gomp_mod, grouping, omp, textpipe
 from .evaluation import FitOptions, GridSpec, accuracy
-from .logistic import check_count
+from .logistic import check_count, check_non_negative
 from .sparse import SparseMatrix
 
 
@@ -48,12 +48,20 @@ def _data(message):
     return CliError(message, 2)
 
 
-def _check_at_least(args, **lowest):
-    """Reject a numeric flag below its lowest valid value (or NaN) before
-    any file is read or any fit or clustering runs."""
-    for name, low in lowest.items():
-        if not getattr(args, name) >= low:
-            raise _data(f"--{name.replace('_', '-')} must be >= {low}")
+def _check_flags(args, counts, amounts=()):
+    """Check numeric flags before any file is read or written, with the
+    library's two value rules under each flag's own name: counts maps a
+    flag to its lowest value (`check_count`), and each of amounts must be
+    finite and >= 0 (`check_non_negative`). Their ValueError exits 2.
+    train's penalty flags find their attribute in _PENALTY_FLAGS."""
+    def value(flag):
+        name = flag.lstrip("-").replace("-", "_")
+        return getattr(args, _PENALTY_FLAGS.get(name, (name,))[0])
+
+    for flag, low in counts.items():
+        check_count(flag, value(flag), low)
+    for flag in amounts:
+        check_non_negative(flag, value(flag))
 
 
 # -- model files ---------------------------------------------------------------
@@ -147,6 +155,9 @@ def _parse_label_map(text):
 
 def cmd_vectorize(args):
     mapping = _parse_label_map(args.label_map)
+    _check_flags(args, {"--min-df": 1, "--seed": 0})
+    spec = textpipe.SplitSpec(train_fraction=args.train_fraction,
+                              seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -156,8 +167,6 @@ def cmd_vectorize(args):
         dev_docs = textpipe.map_labels(
             textpipe.load_raw_corpus(args.dev_corpus), mapping)
     else:
-        spec = textpipe.SplitSpec(train_fraction=args.train_fraction,
-                                  seed=args.seed)
         train_docs, dev_docs = textpipe.stratified_split(train_docs, spec)
 
     corpus = textpipe.Corpus.build(train_docs, min_df=args.min_df)
@@ -189,7 +198,8 @@ def _write_split(corpus, name, docs, out):
 # -- group ---------------------------------------------------------------------
 
 def cmd_group(args):
-    _check_at_least(args, k=1, neighbors=0, max_iter=1)
+    _check_flags(args, {"--k": 1, "--neighbors": 0, "--max-iter": 1,
+                        "--seed": 0})
     emb = grouping.load_embeddings(args.embeddings)
     vocab = textpipe.load_vocabulary(args.vocab)
     n_embedded = sum(1 for tok in vocab if tok in emb)
@@ -228,16 +238,6 @@ _PENALTY_FLAGS = {
                   "elastic net L2 strength")}
 
 
-def _check_solver_flags(args):
-    """Reject a numeric solver flag below its lowest valid value and an
-    infinite --tol or --epsilon before any file is loaded; the configs
-    reject the same values."""
-    _check_at_least(args, budget=1, epsilon=0, tol=0, max_iter=1)
-    for name in ("epsilon", "tol"):
-        if getattr(args, name) == np.inf:
-            raise _data(f"--{name} must be finite")
-
-
 def _check_method_settings(args):
     """Reject a solver or penalty flag that the method does not read unless
     it is left at its default, and a gomp run with no group at all."""
@@ -270,14 +270,13 @@ def _fit_options(args, X):
 
 def cmd_train(args):
     _check_method_settings(args)
-    _check_solver_flags(args)
     if bool(args.dev_matrix) != bool(args.dev_labels):
         raise _usage("--dev-matrix and --dev-labels go together")
     hp = {name: getattr(args, _PENALTY_FLAGS[name][0])
           for name in evaluation.METHOD_PENALTIES[args.method]}
-    for name, value in hp.items():
-        if not 0 <= value < np.inf:
-            raise _data(f"--{name.replace('_', '-')} must be finite and >= 0")
+    _check_flags(args, {"--budget": 1, "--max-iter": 1},
+                 ["--epsilon", "--tol",
+                  *(f"--{name.replace('_', '-')}" for name in hp)])
     X, y = _load_design(args.matrix, args.labels)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -317,7 +316,8 @@ def _write_scatter(reports, path):
 
 def cmd_grid(args):
     _check_method_settings(args)
-    _check_solver_flags(args)
+    _check_flags(args, {"--budget": 1, "--max-iter": 1},
+                 ["--epsilon", "--tol"])
     if bool(args.test_matrix) != bool(args.test_labels):
         raise _usage("--test-matrix and --test-labels go together")
     spec = GridSpec(method=args.method, lambda_values=[
@@ -363,8 +363,7 @@ def cmd_eval(args):
 
 
 def cmd_top_weights(args):
-    if args.n < 0:  # a negative slice would drop the last terms
-        raise _data("-n must be >= 0")
+    _check_flags(args, {"-n": 0})  # a negative slice would drop terms
     theta, _ = load_model(args.model)
     vocab = textpipe.load_vocabulary(args.vocab)
     positives, negatives = top_weights(theta, vocab, args.n)

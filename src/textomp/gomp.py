@@ -133,12 +133,10 @@ def run_gomp(X, y, groups, cfg):
     if cfg.augment_singletons:
         groups = grouping.augment_singletons(groups, X.n_cols,
                                              bias_col=X.bias_col)
-    working = groups
     col_norms = X.col_norms() if cfg.normalize_columns else None
 
     def select(r, candidates):
-        nonlocal working
-        working = remove_overlap(working, candidates)
+        working = remove_overlap(groups, candidates)
         if not working.indices.size:
             return None  # exhausted: every index already active or stripped
         pos, score, norm = select_group(X, working, r,

@@ -3,8 +3,8 @@
 `value_and_gradient` is the one penalized-logistic kernel behind
 `objective`, `gradient` and the full-gradient KKT pass of the `baselines`
 solver; it takes the L2 term, as `newton` does, as one per-column
-curvature vector, ridge = 2 lam penalty_mask(...). `penalty_mask` is the
-one bias rule: the only place a penalty weight on the bias is zeroed.
+curvature vector, ridge = penalty(X, 2 lam, penalize_bias). `penalty` is
+the one bias rule: the only place a penalty weight on the bias is zeroed.
 
 `newton` is the one damped-Newton loop, and `cg` the one conjugate-gradient
 solver, of the refit below and of the `baselines`: truncated Newton with
@@ -71,7 +71,7 @@ def check_non_negative(name, value):
     """Raise unless value is finite and non-negative; written as a range
     test so that NaN is rejected too."""
     if not 0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and non-negative")
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 def check_count(name, value, low=1):
@@ -120,21 +120,21 @@ def softplus(z):
     return np.where(z > 35.0, z, np.log1p(np.exp(np.minimum(z, 35.0))))
 
 
-def penalty_mask(n_cols, bias_col, penalize_bias):
-    """Penalty weights: 1.0, or 0.0 at the bias unless penalize_bias.
-
-    L2 terms pass the caller's flag; the L1 term always passes False.
+def penalty(X, strength, penalize_bias):
+    """Per-column penalty weights of X: strength, or 0.0 at the bias unless
+    penalize_bias. L2 terms pass 2 lam and the caller's flag; the L1 term
+    passes its lambda and always False.
     """
-    mask = np.ones(n_cols)
-    if not penalize_bias and bias_col is not None:
-        mask[bias_col] = 0.0
-    return mask
+    mask = np.ones(X.n_cols)
+    if not penalize_bias and X.bias_col is not None:
+        mask[X.bias_col] = 0.0
+    return strength * mask
 
 
 def value_and_gradient(X, y, theta, ridge):
     """Logistic loss sum plus sum(ridge * theta**2) / 2, and its gradient.
 
-    ridge is the L2 term's per-column curvature, 2 lam penalty_mask(...).
+    ridge is the L2 term's per-column curvature, penalty(X, 2 lam, ...).
     y and theta must be float64 arrays of X's row and column counts.
     """
     z = X.mat_vec(theta)
@@ -168,14 +168,14 @@ def objective(X, y, theta, lam, penalize_bias=True):
     penalize_bias=False to exempt it.
     """
     y, theta = _as_checked(X, y, theta)
-    ridge = 2.0 * lam * penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    ridge = penalty(X, 2.0 * lam, penalize_bias)
     return value_and_gradient(X, y, theta, ridge)[0]
 
 
 def gradient(X, y, theta, lam, penalize_bias=True):
     """Gradient of objective(): X^T(-y * sigma(-y X theta)) + 2 lam theta."""
     y, theta = _as_checked(X, y, theta)
-    ridge = 2.0 * lam * penalty_mask(X.n_cols, X.bias_col, penalize_bias)
+    ridge = penalty(X, 2.0 * lam, penalize_bias)
     return value_and_gradient(X, y, theta, ridge)[1]
 
 
@@ -426,8 +426,7 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     if not active:
         return Model(theta=theta, active=active)
 
-    ridge = 2.0 * float(lam) \
-        * penalty_mask(X.n_cols, X.bias_col, penalize_bias)[order]
+    ridge = penalty(X, 2.0 * float(lam), penalize_bias)[order]
     if state is None:
         state = RefitState()
     A = state.sync(X, list(active), ridge)

@@ -132,40 +132,36 @@ def run_greedy(X, y, cfg, select):
     """
     y = checked_labels(X, y)
     order = [] if X.bias_col is None else [X.bias_col]
-    n_bias = len(order)
     candidates = np.ones(X.n_cols, dtype=bool)
     candidates[order] = False
     traj = Trajectory()
     state = RefitState()
-    # the bias-only fit; all-zero weights when there is no bias column
-    model = fit_restricted(X, y, order, cfg.lam, tol=cfg.tol,
-                           max_iter=cfg.max_iter,
-                           penalize_bias=cfg.penalize_bias, state=state)
-    r = y.copy()  # first selection correlates against the raw labels
 
-    next_mark = cfg.checkpoint_interval
-    while len(order) - n_bias < cfg.budget:
+    def refit(warm_start):
+        return fit_restricted(X, y, order, cfg.lam, tol=cfg.tol,
+                              max_iter=cfg.max_iter, warm_start=warm_start,
+                              penalize_bias=cfg.penalize_bias, state=state)
+
+    model = refit(None)  # the bias-only fit; all-zero without a bias
+    r = y.copy()  # first selection correlates against the raw labels
+    n_sel = 0  # selected indices, the bias not counted
+    interval = cfg.checkpoint_interval
+    while n_sel < cfg.budget:
         chosen = select(r, candidates)
         if chosen is None or chosen[0] <= cfg.epsilon:
             break
         record = chosen[1]
         order.extend(record.members_added)
         candidates[list(record.members_added)] = False
-        model = fit_restricted(X, y, order, cfg.lam, tol=cfg.tol,
-                               max_iter=cfg.max_iter,
-                               warm_start=model.theta,
-                               penalize_bias=cfg.penalize_bias, state=state)
+        before, n_sel = n_sel, n_sel + len(record.members_added)
+        model = refit(model.theta)
         r = residual(X, model.theta, y)
         for name in _WORK_FIELDS:
             setattr(record, name, getattr(model, name))
         traj.records.append(record)
-        n_sel = len(order) - n_bias
-        if n_sel >= next_mark:
+        if n_sel // interval > before // interval:
             traj.checkpoints.append((n_sel, model.theta.copy()))
-            next_mark = (n_sel // cfg.checkpoint_interval + 1) \
-                * cfg.checkpoint_interval
 
-    n_sel = len(order) - n_bias
     if not traj.checkpoints or traj.checkpoints[-1][0] != n_sel:
         traj.checkpoints.append((n_sel, model.theta.copy()))
     return model, traj

@@ -15,6 +15,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .logistic import check_count
 from .sparse import SparseMatrix
 
 
@@ -77,6 +78,7 @@ class Corpus:
         min_df drops tokens appearing in fewer than that many documents
         (default 1 keeps everything).
         """
+        check_count("min_df", min_df)
         train_docs = list(train_docs)
         for doc in train_docs:
             if doc.label not in (-1, 1):

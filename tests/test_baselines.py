@@ -202,3 +202,11 @@ def test_zipfian_counts_converge_where_1000_proximal_steps_stall():
     assert np.all(np.abs(grad[nz] + l1[nz] * np.sign(model.theta[nz]))
                   <= 1e-7)
     assert np.all(np.abs(grad[~nz]) <= l1[~nz] + 1e-7)
+
+
+def test_kkt_violation_rejects_labels_of_the_wrong_length(rng):
+    # a short y failed inside numpy, "operands could not be broadcast"
+    _, X = random_design(rng, 6, 3)
+    y = random_labels(rng, 5)
+    with pytest.raises(ValueError, match=r"y length \(5,\) != \(6,\)"):
+        kkt_violation(X, y, np.zeros(X.n_cols), PenaltyConfig(1.0, 0.0))

@@ -66,6 +66,52 @@ def test_vectorize_unmapped_label_is_an_error(tmp_path, capsys):
     assert "politics" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--min-df", "0"], "--min-df must be >= 1"),
+    (["--min-df", "-3"], "--min-df must be >= 1"),
+    (["--seed", "-1"], "--seed must be >= 0"),
+    (["--train-fraction", "1.5"], "train_fraction must lie in (0, 1)")],
+    ids=["min-df-0", "min-df-negative", "seed-negative", "train-fraction"])
+def test_vectorize_numeric_flags_are_rejected_before_any_file(
+        tmp_path, capsys, flags, message):
+    # --min-df 0 and -3 ran as 1 and exited 0; --seed -1 and
+    # --train-fraction 1.5 created --out-dir and read the corpus first
+    corpus = tmp_path / "corpus.tsv"
+    write_corpus(corpus)
+    for path in (corpus, tmp_path / "absent.tsv"):
+        out = tmp_path / "out"
+        assert main(["vectorize", "--corpus", str(path),
+                     "--label-map", "med=-1,space=+1", *flags,
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_vectorize_reads_a_dev_corpus_instead_of_splitting(tmp_path):
+    corpus, dev = tmp_path / "corpus.tsv", tmp_path / "dev.tsv"
+    write_corpus(corpus)
+    write_corpus(dev, n_per_class=3, seed=4)
+    out = tmp_path / "vec"
+    assert main(["vectorize", "--corpus", str(corpus),
+                 "--dev-corpus", str(dev), "--label-map", "med=-1,space=+1",
+                 "--out-dir", str(out)]) == 0
+    assert len(load_labels(out / "train.labels")) == 24  # every train doc
+    assert len(load_labels(out / "dev.labels")) == 6
+    assert SparseMatrix.load(out / "dev.matrix").n_rows == 6
+
+
+def test_vectorize_rejects_an_empty_vocabulary(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(f"{label}\t?! ...\n" for label in
+                              ["med", "space"] * 5), encoding="utf-8")
+    out = tmp_path / "vec"
+    assert main(["vectorize", "--corpus", str(corpus),
+                 "--label-map", "med=-1,space=+1",
+                 "--out-dir", str(out)]) == 2
+    assert "empty vocabulary" in capsys.readouterr().err
+    assert not (out / "train.matrix").exists()
+
+
 def test_vectorize_is_byte_deterministic(tmp_path):
     corpus = tmp_path / "corpus.tsv"
     write_corpus(corpus)
@@ -179,6 +225,8 @@ def test_solver_flags_out_of_range_are_rejected_before_loading(
         vectorized, tmp_path, capsys, subcommand, flag, value):
     # train --max-iter 0 fitted an all-zero model and exited 0; grid
     # --budget 0 failed every grid point and exited 3
+    rule = "must be finite and >= 0" if flag in ("--epsilon", "--tol") \
+        else "must be >= "
     for matrix in (vectorized / "train.matrix", tmp_path / "absent.matrix"):
         out = tmp_path / "out"
         code = main([subcommand, "--matrix", str(matrix),
@@ -187,8 +235,20 @@ def test_solver_flags_out_of_range_are_rejected_before_loading(
                      "--dev-labels", str(vectorized / "dev.labels"),
                      "--method", "omp", flag, value, "--out-dir", str(out)])
         assert code == 2
-        assert f"{flag} must be >= " in capsys.readouterr().err
+        assert f"{flag} {rule}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_a_bad_amount_flag_gets_one_message(tmp_path, capsys, value):
+    # -0.5 and nan read "must be >= 0", inf read "must be finite"
+    for flag in ("--tol", "--epsilon", "--lambda"):
+        assert main(["train", "--matrix", str(tmp_path / "absent.matrix"),
+                     "--labels", str(tmp_path / "absent.labels"),
+                     "--method", "omp", flag, value,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {flag} must be finite and >= 0\n"
 
 
 @pytest.mark.parametrize("subcommand", ["train", "grid"])
@@ -237,6 +297,45 @@ def test_penalties_not_finite_and_non_negative_are_rejected_before_loading(
         assert "lambda grid values must be finite and positive" \
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_grid_exits_3_when_every_point_fails(vectorized, tmp_path,
+                                            monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise FloatingPointError("objective is not finite")
+
+    monkeypatch.setattr(evaluation, "fit", failing)
+    assert main(["grid", "--matrix", str(vectorized / "train.matrix"),
+                 "--labels", str(vectorized / "train.labels"),
+                 "--dev-matrix", str(vectorized / "dev.matrix"),
+                 "--dev-labels", str(vectorized / "dev.labels"),
+                 "--method", "lasso", "--lambdas", "0.1,1",
+                 "--out-dir", str(tmp_path / "grid")]) == 3
+    assert "every grid point failed" in capsys.readouterr().err
+    assert not (tmp_path / "grid" / "best_model.txt").exists()
+
+
+def test_grid_scatter_skips_the_failed_points(vectorized, tmp_path,
+                                              monkeypatch):
+    fit = evaluation.fit
+
+    def failing_at_one(method, hp, *args):
+        if hp["lambda"] == 1.0:
+            raise FloatingPointError("objective is not finite")
+        return fit(method, hp, *args)
+
+    monkeypatch.setattr(evaluation, "fit", failing_at_one)
+    out = tmp_path / "grid"
+    assert main(["grid", "--matrix", str(vectorized / "train.matrix"),
+                 "--labels", str(vectorized / "train.labels"),
+                 "--dev-matrix", str(vectorized / "dev.matrix"),
+                 "--dev-labels", str(vectorized / "dev.labels"),
+                 "--method", "lasso", "--lambdas", "0.1,1",
+                 "--out-dir", str(out)]) == 0
+    reports = evaluation.read_reports(out / "reports.txt")
+    assert [r.ok() for r in reports] == [True, False]
+    scatter = (out / "scatter.csv").read_text().splitlines()
+    assert len(scatter) == 2 and scatter[1].startswith("lasso,lambda=0.1,")
 
 
 def test_grid_rejects_test_matrix_and_labels_apart(vectorized, tmp_path,
@@ -485,6 +584,49 @@ def test_eval_prints_accuracy(vectorized, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("accuracy=")
 
 
+def test_eval_rejects_a_model_of_another_feature_count(vectorized, tmp_path,
+                                                      capsys):
+    model = tmp_path / "model.txt"
+    save_model(np.zeros(3), 2, model)
+    assert main(["eval", "--model", str(model),
+                 "--matrix", str(vectorized / "dev.matrix"),
+                 "--labels", str(vectorized / "dev.labels")]) == 2
+    assert "model has 3 features, matrix has 12" in capsys.readouterr().err
+
+
+def test_a_label_count_that_does_not_match_the_rows_is_a_data_error(
+        vectorized, tmp_path, capsys):
+    labels = tmp_path / "short.labels"
+    save_labels(load_labels(vectorized / "train.labels")[:-1], labels)
+    assert main(["train", "--matrix", str(vectorized / "train.matrix"),
+                 "--labels", str(labels), "--method", "ridge",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "17 labels for 18 rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_and_top_weights_write_a_manifest_on_request(vectorized,
+                                                          tmp_path):
+    out = tmp_path / "m"
+    assert main(["train", "--matrix", str(vectorized / "train.matrix"),
+                 "--labels", str(vectorized / "train.labels"),
+                 "--method", "omp", "--budget", "3",
+                 "--out-dir", str(out)]) == 0
+    model = str(out / "model.txt")
+    runs = {"eval": ["--matrix", str(vectorized / "dev.matrix"),
+                     "--labels", str(vectorized / "dev.labels")],
+            "top-weights": ["--vocab", str(vectorized / "vocab.txt"),
+                            "-n", "2"]}
+    for subcommand, flags in runs.items():
+        manifest = tmp_path / f"{subcommand}.json"
+        assert main([subcommand, "--model", model, *flags,
+                     "--manifest-out", str(manifest)]) == 0
+        written = json.loads(manifest.read_text())
+        assert written["subcommand"] == subcommand
+        assert written["config"]["model"] == model
+        assert "manifest_out" not in written["config"]
+
+
 def test_top_weights_ranks_planted_keywords_first(vectorized, tmp_path,
                                                   capsys):
     out = tmp_path / "m"
@@ -581,6 +723,16 @@ def test_model_file_rejects_bad_entry_with_its_line(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("body,message", [
+    ("3 2\n0 1.0 7\n", r"model\.txt:2: expected 'index weight'"),
+    ("3 2\n3 1.0\n", r"model\.txt:2: index 3 out of range")])
+def test_model_file_rejects_a_bad_line(tmp_path, body, message):
+    path = tmp_path / "model.txt"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     code = main(["eval", "--model", str(tmp_path / "nope.txt"),
                  "--matrix", str(tmp_path / "nope.matrix"),
@@ -639,6 +791,35 @@ def test_group_subcommand_writes_groups(tmp_path, monkeypatch):
     monkeypatch.setattr(grouping, "kmeans_cluster", no_clustering)
     assert main(["group", "--embeddings", str(emb), "--vocab", str(vocab),
                  "--k", "3", "--neighbors", "-1", "--out", str(out)]) == 2
+
+
+def test_group_rejects_a_negative_seed_before_loading(tmp_path, capsys):
+    # --seed -1 read both files, then failed inside k-means with numpy's
+    # "expected non-negative integer"
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(f"w{i} {float(i)} 0.0\n" for i in range(6)),
+                   encoding="utf-8")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("".join(f"w{i}\n" for i in range(6)), encoding="utf-8")
+    for embeddings in (emb, tmp_path / "absent.txt"):
+        out = tmp_path / "groups.txt"
+        assert main(["group", "--embeddings", str(embeddings),
+                     "--vocab", str(vocab), "--k", "2", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_group_needs_an_embedded_vocabulary_token(tmp_path, capsys):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("a 0.0 1.0\nb 1.0 0.0\n", encoding="utf-8")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("x\ny\n", encoding="utf-8")
+    out = tmp_path / "groups.txt"
+    assert main(["group", "--embeddings", str(emb), "--vocab", str(vocab),
+                 "--out", str(out)]) == 2
+    assert "no vocabulary token has an embedding" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_group_rejects_max_iter_below_one_before_loading(tmp_path, capsys):

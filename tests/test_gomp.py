@@ -93,6 +93,13 @@ def test_select_group_prefers_aligned_singleton():
     assert pos == 0
 
 
+def test_select_group_rejects_an_unknown_criterion():
+    X = SparseMatrix.from_dense(np.eye(2))
+    with pytest.raises(ValueError, match="criterion must be one of"):
+        select_group(X, GroupStructure([("a", [0])]), np.ones(2),
+                     criterion="gram")
+
+
 def test_select_group_tie_takes_first_position(rng):
     dense, X = random_design(rng, 5, 4)
     groups = GroupStructure([("a", [1, 2]), ("b", [1, 2])])

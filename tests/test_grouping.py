@@ -50,6 +50,27 @@ def test_load_groups_rejects_out_of_range_with_line_number(tmp_path):
         load_groups(p, n_cols=10)
 
 
+def test_load_groups_skips_blank_lines(tmp_path):
+    p = tmp_path / "groups.txt"
+    p.write_text("a\t0 1\n\nb\t2\n", encoding="utf-8")
+    gs = load_groups(p, n_cols=4)
+    assert gs.names() == ["a", "b"]
+    assert [g.members for g in gs] == [(0, 1), (2,)]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("a 0 1", ":2: expected 'name<TAB>index ...'"),
+    ("a\t0 x", ":2: indices must be integers"),
+    ("a\t", ":2: empty group 'a'")])
+def test_load_groups_rejects_a_malformed_line_with_its_number(
+        tmp_path, line, message):
+    p = tmp_path / "groups.txt"
+    p.write_text(f"ok\t0\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_groups(p, n_cols=4)
+    assert str(err.value) == f"{p}{message}"
+
+
 def test_load_groups_rejects_bias_membership(tmp_path):
     p = tmp_path / "groups.txt"
     p.write_text("a\t3\n", encoding="utf-8")
@@ -315,6 +336,13 @@ def test_expand_rejects_negative_neighbors():
     gs = GroupStructure([("a", [0])])
     with pytest.raises(ValueError, match="neighbors"):
         expand_overlap(gs, emb, vocab_of(8), neighbors=-1)
+
+
+def test_expand_rejects_an_unknown_metric():
+    emb = embedding_of([(float(i),) for i in range(3)])
+    with pytest.raises(ValueError, match="metric must be"):
+        expand_overlap(GroupStructure([("a", [0])]), emb, vocab_of(3),
+                       neighbors=1, metric="manhattan")
 
 
 def test_expand_rejects_fractional_neighbors():

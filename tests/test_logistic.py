@@ -5,8 +5,8 @@ import pytest
 
 from textomp import SparseMatrix
 from textomp.logistic import (DEFAULT_TOL, ActiveSet, RefitState, cg,
-                              fit_restricted, gradient, newton, objective,
-                              residual, sigmoid, softplus)
+                              check_non_negative, fit_restricted, gradient,
+                              newton, objective, residual, sigmoid, softplus)
 
 from conftest import random_design, random_labels
 
@@ -466,3 +466,11 @@ def test_model_active_keeps_entry_order(rng):
     assert list(model.active) == [4, 1, 3]
     assert model.active.ascending() == [1, 3, 4]
     assert 3 in model.active and 0 not in model.active
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+def test_a_bad_amount_gets_one_message(bad):
+    # a negative value, NaN and infinity read alike
+    with pytest.raises(ValueError) as err:
+        check_non_negative("tol", bad)
+    assert str(err.value) == "tol must be finite and >= 0"

@@ -74,6 +74,16 @@ def test_vocabulary_min_document_frequency():
     assert corpus.vocabulary == {"a": 0, "b": 1}
 
 
+def test_min_document_frequency_follows_the_count_rule():
+    # min_df 0 and -3 kept every token, as if they were 1
+    docs = docs_from([(1, ["a", "b"]), (-1, ["a"])])
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="min_df must be >= 1"):
+            Corpus.build(docs, min_df=bad)
+    with pytest.raises(ValueError, match="min_df must be an integer"):
+        Corpus.build(docs, min_df=1.5)
+
+
 def vocabulary_by_loop(docs, min_df):
     order, seen, df = [], set(), Counter()
     for doc in docs:
