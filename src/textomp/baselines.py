@@ -15,13 +15,13 @@ built once per fit. With no L1 penalty every column with a gradient
 violates, so W is the whole design; nothing below densifies W's columns.
 
 A Newton step minimizes the quadratic model of the smooth part plus the
-exact L1 term in rounds. FISTA (Beck & Teboulle, 2009) with adaptive
-restart (O'Donoghue & Candès, 2015), run in the metric of the Hessian's
-diagonal so that each coordinate moves on its own curvature, finds the
-model's face: the signs of its minimizer. Conjugate gradients then solve
-the model on that face, where the L1 term is linear, as an active-set
-Newton method would. Both need only Hessian-vector products, taken from
-that sparse copy. The steps run in `logistic.newton`, the loop the
+exact L1 term. If some coordinate has an L1 term, one FISTA pass (Beck &
+Teboulle, 2009) with adaptive restart (O'Donoghue & Candès, 2015), in
+the metric of the Hessian's diagonal, finds the model's face: the signs
+of its minimizer. One CG solve then minimizes the model on that face,
+where the L1 term is linear; a coordinate without one, the bias
+included, is always free. Both need only Hessian-vector products, taken
+from that sparse copy. The steps run in `logistic.newton`, the loop the
 greedy refit uses too: each step is cut back until it passes the Armijo
 test on the true objective, so the objective never increases, and when no
 step length decreases it the fit ends unconverged at its last accepted
@@ -45,13 +45,13 @@ from .logistic import (DEFAULT_MAX_ITER, DEFAULT_TOL, ActiveSet, Model, cg,
 
 # A Newton step solves its model to a KKT violation of
 # _INNER_FORCING * min(1, v) * v, for the violation v at the current
-# iterate (an inexact-Newton forcing term, Nocedal & Wright ch. 7), in at
-# most _ROUNDS rounds. A round runs FISTA until the signs of its iterate
-# hold for _FACE_STABLE steps (at most _FISTA_MAX steps), then CG on that
-# face (at most _CG_MAX steps); the CG step is tried whole, to its first
-# sign change, and halved up to _FACE_BACKTRACKS - 1 times.
+# iterate (an inexact-Newton forcing term, Nocedal & Wright ch. 7). With
+# an L1 term, one FISTA pass runs until its signs hold for _FACE_STABLE
+# steps (at most _FISTA_MAX); short of that tolerance, one CG solve (at
+# most _CG_MAX steps) runs on its face, where unpenalized coordinates are
+# free, and is tried whole, to its first sign change, and halved up to
+# _FACE_BACKTRACKS - 1 times.
 _INNER_FORCING = 0.3
-_ROUNDS = 2
 _FISTA_MAX = 50
 _FACE_STABLE = 5
 _CG_MAX = 100
@@ -215,13 +215,13 @@ class _Model:
         return best, L
 
     def face_step(self, p, tol):
-        """p moved by CG, preconditioned with M, on p's face, where the L1
-        term is linear; returns the lower of p and the moved point. The
-        step is taken whole, cut back to the face's orthant, if that
-        lowers the model; else the lower of the step to its first sign
-        change and the first halving that lowers the model."""
-        sign = np.sign(p.u)
-        face = sign != 0
+        """p moved by CG, preconditioned with M, on p's face: its nonzeros
+        and every coordinate without an L1 term. Returns the lower of p and
+        the moved point: the whole step, cut back to the orthant of p's L1
+        coordinates, if that lowers the model; else the lower of the step to
+        its first sign change and the first halving that lowers the model."""
+        sign = np.where(self.l1 > 0.0, np.sign(p.u), 0.0)
+        face = (sign != 0) | (self.l1 == 0.0)
         e = cg(lambda d: np.where(face, self.hess(d), 0.0),
                lambda r: r / self.m,
                np.where(face, -(self.grad + p.Hd + self.l1 * sign), 0.0),
@@ -252,20 +252,15 @@ class _Model:
     def newton_step(self, L, viol):
         """(d, L'): d = u - theta for an approximate minimizer u of the
         model, to a KKT violation of _INNER_FORCING * min(1, viol) * viol,
-        and the curvature bound L' that FISTA ended at. FISTA starts from
-        max(1, L / 2), for the previous step's bound L. Each round runs
-        `fista`, then `face_step`, from the lowest point so far, so d is a
-        descent direction."""
+        and the curvature bound L' that FISTA ended at, or L when FISTA
+        does not run. FISTA starts from max(1, L / 2) and `face_step` from
+        FISTA's lowest point, so d is a descent direction."""
         tol = _INNER_FORCING * min(1.0, viol) * viol
         point = _Point(0.0, self.theta, np.zeros_like(self.theta))
-        L = max(1.0, 0.5 * L)
-        for _ in range(_ROUNDS):
-            point, L = self.fista(point, L, tol)
-            if self.violation(point) <= tol:
-                break
+        if self.l1.any():  # with no L1 term the face is the whole block
+            point, L = self.fista(point, max(1.0, 0.5 * L), tol)
+        if self.violation(point) > tol:
             point = self.face_step(point, tol)
-            if self.violation(point) <= tol:
-                break
         step = point.u - self.theta
         if not np.all(np.isfinite(step)):
             raise FloatingPointError("Newton step overflowed")

@@ -229,6 +229,16 @@ def _load_design(matrix_path, labels_path):
     return X, y
 
 
+def _load_held_out(X, matrix_path, labels_path):
+    """A dev or test design, which must have the training matrix's
+    columns; loaded before any fit, so a mismatch costs no fit."""
+    X_held, y_held = _load_design(matrix_path, labels_path)
+    if X_held.n_cols != X.n_cols:
+        raise _data(f"{matrix_path}: {X_held.n_cols} columns, but --matrix "
+                    f"has {X.n_cols}")
+    return X_held, y_held
+
+
 # train's penalty flags: fit's hp key -> (argument attribute, default, help)
 _PENALTY_FLAGS = {
     "lambda": ("lam", omp.GreedyConfig.lam, "penalty strength"),
@@ -278,13 +288,14 @@ def cmd_train(args):
                  ["--epsilon", "--tol",
                   *(f"--{name.replace('_', '-')}" for name in hp)])
     X, y = _load_design(args.matrix, args.labels)
+    if args.dev_matrix:
+        X_dev, y_dev = _load_held_out(X, args.dev_matrix, args.dev_labels)
+    options = _fit_options(args, X)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    model, traj, report = evaluation.fit(args.method, hp, X, y,
-                                         _fit_options(args, X))
+    model, traj, report = evaluation.fit(args.method, hp, X, y, options)
     if args.dev_matrix:
-        X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
         evaluation.score_on_dev(report, model, traj, X_dev, y_dev)
         if report.atoms_curve:
             _write_curve(report.atoms_curve, out / "curve.csv")
@@ -323,18 +334,20 @@ def cmd_grid(args):
     spec = GridSpec(method=args.method, lambda_values=[
         float(v) for v in args.lambdas.split(",") if v])
     X, y = _load_design(args.matrix, args.labels)
-    X_dev, y_dev = _load_design(args.dev_matrix, args.dev_labels)
+    X_dev, y_dev = _load_held_out(X, args.dev_matrix, args.dev_labels)
+    if args.test_matrix:
+        X_test, y_test = _load_held_out(X, args.test_matrix, args.test_labels)
+    options = _fit_options(args, X)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     try:
         best_model, best, reports = evaluation.grid_search(
-            X, y, X_dev, y_dev, spec, _fit_options(args, X))
+            X, y, X_dev, y_dev, spec, options)
     except RuntimeError as exc:
         raise CliError(str(exc), 3) from exc
 
     if args.test_matrix:
-        X_test, y_test = _load_design(args.test_matrix, args.test_labels)
         best.test_accuracy = accuracy(best_model, X_test, y_test)
 
     save_model(best_model.theta, X.bias_col, out / "best_model.txt")

@@ -29,6 +29,7 @@ class KMeansConfig:
     def __post_init__(self):
         check_count("k", self.k)
         check_count("max_iter", self.max_iter)  # 0 would assign no point
+        check_count("seed", self.seed, low=0)
 
 
 class EmbeddingTable:

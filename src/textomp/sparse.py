@@ -283,14 +283,20 @@ class SparseMatrix:
         one line at a time, which either loads it or raises a ValueError
         that names the first bad line as "path:lineno:". The fast path
         accepts a subset of what the line parser accepts, with the same
-        values, so the result never depends on which path ran.
+        values, so the result never depends on which path ran. A file that
+        parses but does not make a valid matrix, such as one with a repeated
+        entry or a bias column not all ones, raises a ValueError that starts
+        with "path: ".
         """
         n_rows, n_cols, rows, cols, vals = \
             _parse_fast(path) or _parse_lines(path)
         if bias_col == "last":
             bias_col = n_cols - 1 if n_cols else None
-        return cls.from_triplets(n_rows, n_cols, rows, cols, vals,
-                                 bias_col=bias_col)
+        try:
+            return cls.from_triplets(n_rows, n_cols, rows, cols, vals,
+                                     bias_col=bias_col)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # Entries formatted per chunk in SparseMatrix.save.

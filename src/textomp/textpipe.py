@@ -59,6 +59,7 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
+        check_count("seed", self.seed, low=0)
 
 
 class Corpus:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from textomp import (GridSpec, OMPConfig, PenaltyConfig, SparseMatrix,
-                     fit_penalized, sparsity)
+                     baselines, fit_penalized, sparsity)
 from textomp.baselines import kkt_violation
 from textomp.logistic import ActiveSet, fit_restricted
 
@@ -135,6 +135,40 @@ def test_overflowing_step_raises_instead_of_looping():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError):
         fit_penalized(X, y, PenaltyConfig(1.0, 0.0))
+
+
+def test_fista_runs_only_where_an_l1_term_has_a_face_to_find(rng,
+                                                             monkeypatch):
+    # ridge and `none` ran FISTA on every Newton step, though with no L1
+    # term the face is the whole working set and CG alone solves the model
+    _, X = random_design(rng, 40, 6)
+    y = random_labels(rng, 40)
+    fista = baselines._Model.fista
+    calls = []
+
+    def counted(self, *args):
+        calls.append(self.l1.any())
+        return fista(self, *args)
+
+    monkeypatch.setattr(baselines._Model, "fista", counted)
+    for cfg in (PenaltyConfig(0.0, 1.0), PenaltyConfig(0.0, 0.0)):
+        assert fit_penalized(X, y, cfg, tol=1e-8).converged
+    assert calls == []
+    assert fit_penalized(X, y, PenaltyConfig(0.5, 0.0), tol=1e-8).converged
+    assert calls and all(calls)
+
+
+@pytest.mark.parametrize("start", [1.0, 0.0])
+def test_face_step_frees_coordinates_without_an_l1_term(start):
+    # H = I and l1 = [0, 1], so the model's minimizer is (start - 2, 0).
+    # The face step held an unpenalized coordinate at zero when it was
+    # zero, and cut it back to zero when its CG step crossed zero.
+    model = baselines._Model(SparseMatrix.from_dense(np.eye(2)), np.ones(2),
+                             np.zeros(2), np.array([start, 1.0]),
+                             np.array([2.0, 1.0]), np.array([0.0, 1.0]))
+    moved = model.face_step(model.point(model.theta), 1e-12)
+    np.testing.assert_allclose(moved.u, [start - 2.0, 0.0])
+    assert moved.val == pytest.approx(-3.5)
 
 
 def test_penalty_config_rejects_negative_strengths():

@@ -174,6 +174,23 @@ def test_train_gomp_with_group_file(vectorized, tmp_path):
     assert active <= group_indices
 
 
+@pytest.mark.parametrize("subcommand", ["train", "grid"])
+def test_a_bad_group_file_is_rejected_before_the_out_dir_exists(
+        vectorized, tmp_path, capsys, subcommand):
+    # the groups were read after --out-dir was created, which stayed empty
+    g = tmp_path / "groups.txt"
+    g.write_text("far\t999\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([subcommand, "--matrix", str(vectorized / "train.matrix"),
+                 "--labels", str(vectorized / "train.labels"),
+                 "--dev-matrix", str(vectorized / "dev.matrix"),
+                 "--dev-labels", str(vectorized / "dev.labels"),
+                 "--method", "gomp", "--groups", str(g),
+                 "--out-dir", str(out)]) == 2
+    assert str(g) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_gomp_without_any_groups_is_usage_error(vectorized, tmp_path):
     code = main(["train", "--matrix", str(vectorized / "train.matrix"),
                  "--labels", str(vectorized / "train.labels"),
@@ -364,6 +381,33 @@ def test_train_rejects_dev_matrix_and_labels_apart(vectorized, tmp_path,
         assert main(base + half + ["--out-dir", str(out)]) == 1
         assert "--dev-matrix and --dev-labels" in capsys.readouterr().err
         assert not out.exists()  # rejected before any fit
+
+
+@pytest.mark.parametrize("subcommand, held_out", [
+    ("train", "dev"), ("grid", "dev"), ("grid", "test")])
+def test_a_held_out_matrix_of_another_width_is_rejected_before_any_fit(
+        vectorized, tmp_path, monkeypatch, capsys, subcommand, held_out):
+    # train and grid fitted first, then failed on the narrow matrix with
+    # "theta length (12,) != (3,)", leaving an empty --out-dir
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before checking the held-out matrix")
+
+    monkeypatch.setattr(evaluation, "fit", no_fit)
+    n_rows = len(load_labels(vectorized / f"{held_out}.labels"))
+    narrow = tmp_path / "narrow.matrix"
+    SparseMatrix.from_dense(np.ones((n_rows, 3)), bias_col=2).save(narrow)
+    dev = narrow if held_out == "dev" else vectorized / "dev.matrix"
+    test = ["--test-matrix", str(narrow), "--test-labels",
+            str(vectorized / "test.labels")] if held_out == "test" else []
+    out = tmp_path / "out"
+    assert main([subcommand, "--matrix", str(vectorized / "train.matrix"),
+                 "--labels", str(vectorized / "train.labels"),
+                 "--dev-matrix", str(dev),
+                 "--dev-labels", str(vectorized / "dev.labels"), *test,
+                 "--method", "lasso", "--out-dir", str(out)]) == 2
+    assert f"{narrow}: 3 columns, but --matrix has 12" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_groups_flag_is_rejected_for_every_method_but_gomp(vectorized,

@@ -363,6 +363,15 @@ def test_kmeans_config_counts_are_integers_of_at_least_one():
             KMeansConfig(**{name: 0})
 
 
+def test_kmeans_config_seed_is_a_count_of_at_least_zero():
+    # seed=-1 was accepted and failed later inside numpy's generator
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        KMeansConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        KMeansConfig(seed=2.5)
+    assert KMeansConfig(seed=0).seed == 0
+
+
 def test_expand_makes_adjacent_clusters_overlap():
     emb = embedding_of([(0.0,), (1.0,), (2.0,), (3.0,)])
     gs = GroupStructure([("left", [0, 1]), ("right", [2, 3])])

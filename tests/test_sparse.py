@@ -446,6 +446,22 @@ def test_malformed_file_names_its_first_bad_line(tmp_path, body, message):
     assert str(err.value).startswith(f"{path}{message}")
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0 0 1.0\n1 0 1.0\n0 1 2.0\n", "bias column must be 1.0 in every row"),
+    ("0 0 1.0\n0 0 2.0\n",
+     "row indices must be strictly ascending within each column")],
+    ids=["bias-not-ones", "repeated-entry"])
+def test_a_file_that_parses_to_no_valid_matrix_names_the_file(
+        tmp_path, body, message):
+    # each line parses, so only the matrix check fails; its message named
+    # no file, and a run reading three matrices could not tell which
+    path = tmp_path / "x.matrix"
+    path.write_text("2 2\n" + body)
+    with pytest.raises(ValueError) as err:
+        SparseMatrix.load(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("header", ["-2 3", "2 -3", "-1 -1"])
 def test_negative_header_counts_name_the_header_line(tmp_path, header):
     # "-2 3" said the bias column must be 1.0 in every row, and "2 -3"

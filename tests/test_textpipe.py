@@ -314,6 +314,16 @@ def test_split_spec_validates_fraction():
         SplitSpec(train_fraction=1.0)
 
 
+def test_split_spec_seed_is_a_count_of_at_least_zero():
+    # seed=-1 and seed=2.5 were accepted; the split then failed inside
+    # numpy with "expected non-negative integer", naming no setting
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SplitSpec(seed=-1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SplitSpec(seed=2.5)
+    assert SplitSpec(seed=0).seed == 0
+
+
 # -- file formats --------------------------------------------------------------------
 
 def test_raw_corpus_and_label_mapping(tmp_path):
