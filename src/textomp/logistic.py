@@ -31,6 +31,7 @@ it a handful of times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,8 @@ def sigmoid(z):
     """Logistic function, overflow-safe for any finite input."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def softplus(z):
@@ -180,7 +182,9 @@ def gradient(X, y, theta, lam, penalize_bias=True):
 
 
 def residual(X, theta, y):
-    """Prediction residual sigma(X theta) - 1[y == +1], componentwise in (-1, 1)."""
+    """Prediction residual sigma(X theta) - 1[y == +1], componentwise in
+    [-1, 1]: once |X theta| passes about 37 the sigmoid rounds to 0 or 1,
+    and a misclassified row's residual is then exactly -1.0 or 1.0."""
     y, theta = _as_checked(X, y, theta)
     return sigmoid(X.mat_vec(theta)) - (y > 0).astype(np.float64)
 
@@ -345,23 +349,25 @@ def newton(mat_vec, correlations, direction, x, y, ridge, l1, tol,
     halvings find no decrease. Returns (x, steps taken, converged); raises
     FloatingPointError when the objective at the start is not finite.
     An all-zero l1 (the refit's, ridge's) skips the L1 terms, which would
-    only add 0.0.
+    only add 0.0. The margins -y * B x are formed once per trial and serve
+    both the objective's softplus and, once accepted, the sigmoid.
     """
     has_l1 = bool(np.any(l1))
+    neg_y = -y
 
     def value(x):
-        z = mat_vec(x)
-        val = np.sum(softplus(-y * z)) + 0.5 * np.sum(ridge * x ** 2)
+        margins = neg_y * mat_vec(x)
+        val = np.sum(softplus(margins)) + 0.5 * np.sum(ridge * x ** 2)
         if has_l1:
             val += np.sum(l1 * np.abs(x))
-        return float(val), z
+        return float(val), margins
 
-    val, z = value(x)
+    val, margins = value(x)
     if not np.isfinite(val):
         raise FloatingPointError(f"objective is not finite ({val!r})")
     for steps in range(max_steps + 1):
-        s = sigmoid(-y * z)
-        grad = correlations(-y * s) + ridge * x
+        s = sigmoid(margins)
+        grad = correlations(neg_y * s) + ridge * x
         viol = float(np.max(violations(x, grad, l1) if has_l1
                             else np.abs(grad)))
         if viol <= tol:
@@ -378,14 +384,14 @@ def newton(mat_vec, correlations, direction, x, y, ridge, l1, tol,
         below_noise = -slope <= _NOISE_FLOOR * (1.0 + abs(val))
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            cand_val, cand_z = value(x + t * step)
+            cand_val, cand_margins = value(x + t * step)
             if cand_val <= val + _ARMIJO_C * t * slope \
                     or below_noise and cand_val < np.inf:
                 break
             t *= 0.5
         else:
             break  # no decrease found
-        x, val, z = x + t * step, cand_val, cand_z
+        x, val, margins = x + t * step, cand_val, cand_margins
     return x, steps, False
 
 
@@ -404,8 +410,9 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     no inverse is at hand or its step is not a descent direction.
     Non-convergence is flagged on the returned Model, not raised.
 
-    warm_start: optional full-length weight vector to initialize from
-    (off-support entries are ignored; new coordinates start at 0).
+    warm_start: optional weight vector over all of X's columns to
+    initialize from (off-support entries are ignored; new coordinates
+    start at 0).
     state: the `RefitState` a greedy run passes to every refit, so the
     dense block and P carry over; without one a fresh state is built and
     the first Newton step is the exact dense solve.
@@ -413,6 +420,11 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
     y = checked_labels(X, y)
     check_non_negative("lambda", lam)
     check_count("max_iter", max_iter)
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=np.float64)
+        if warm_start.shape != (X.n_cols,):
+            raise ValueError(f"warm_start length {warm_start.shape} != "
+                             f"({X.n_cols},)")
     order = np.asarray(active, dtype=np.int64)
     out_of_range = order[(order < 0) | (order >= X.n_cols)]
     if out_of_range.size:
@@ -431,18 +443,27 @@ def fit_restricted(X, y, active, lam, tol=DEFAULT_TOL,
         state = RefitState()
     A = state.sync(X, list(active), ridge)
     coef = np.zeros(len(order)) if warm_start is None \
-        else np.asarray(warm_start, dtype=np.float64)[order]
+        else warm_start[order]
     work = RefitWork()
 
     def direction(coef, grad, w, viol):
         step = None
         P = state.inv_hessian
         if P is not None:
-            gnorm = float(np.linalg.norm(grad))
-            forcing = _CG_FORCING * min(0.5, np.sqrt(gnorm)) * gnorm
+            # norm(v) is sqrt(v @ v) on a 1-D float array
+            gnorm = math.sqrt(grad @ grad)
+            forcing = _CG_FORCING * min(0.5, math.sqrt(gnorm)) * gnorm
+
+            def hess(d):
+                hd = A @ d
+                hd *= w
+                hd = A.T @ hd
+                hd += ridge * d
+                return hd
+
             p, used, solved = cg(
-                lambda d: A.T @ (w * (A @ d)) + ridge * d, lambda r: P @ r,
-                -grad, lambda r: np.linalg.norm(r) <= forcing, _CG_MAX)
+                hess, lambda r: P @ r, -grad,
+                lambda r: math.sqrt(r @ r) <= forcing, _CG_MAX)
             work.cg_steps += used
             step = _descent(p, grad) if solved else None
         if step is None and not state.singular:

@@ -124,8 +124,8 @@ def test_greedy_selection_matches_exhaustive_scan_and_never_repeats(
                 best = (j, s)
         return best[0]
 
-    def checked(X, r, candidates, col_norms=None):
-        j, corr = real(X, r, candidates, col_norms=col_norms)
+    def checked(X, r, candidates, col_norms=None, bands=None):
+        j, corr = real(X, r, candidates, col_norms=col_norms, bands=bands)
         jb = exhaustive(X, r, candidates)
         if j != jb:
             mismatches.append((j, jb))

@@ -184,6 +184,38 @@ def test_run_gomp_scores_every_activated_group_through_the_traced_scorer():
             >= len(traj.records), name
 
 
+def test_a_traced_run_omp_records_the_layers_of_every_step():
+    # the omp_refit layer metrics and omp.step_ms come from these spans:
+    # step_ms cuts the run_omp span at its select_feature children, so a
+    # step must make exactly one select_feature call, and the residual's
+    # and the refit's layers need their spans under every step
+    rng = np.random.default_rng(1)
+    dense = np.column_stack([rng.poisson(0.5, size=(30, 12)).astype(float),
+                             np.ones(30)])
+    X = SparseMatrix.from_dense(dense, bias_col=12)
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    tracer = spans.Tracer().install()
+    try:
+        _, traj = omp.run_omp(X, y, omp.OMPConfig(budget=5))
+    finally:
+        tracer.remove()
+    assert len(traj.records) == 5
+    [run] = [pos for pos, span in enumerate(tracer.spans)
+             if span.name == "omp.run_omp"]
+    selects = [span for span in tracer.spans
+               if span.name == "omp.select_feature"]
+    assert len(selects) == len(traj.records)
+    assert all(span.parent == run for span in selects)
+    residuals = [pos for pos, span in enumerate(tracer.spans)
+                 if span.name == "logistic.residual"]
+    assert len(residuals) == len(traj.records)
+    for pos in residuals:
+        assert any(span.name == "sparse.mat_vec" and span.parent == pos
+                   for span in tracer.spans)
+    assert any(span.name == "sparse.densify_columns"
+               for span in tracer.spans)
+
+
 def test_fits_hand_back_the_active_set_and_records_the_benchmark_reads():
     # spans._refit_counters takes len(model.active); the workloads count
     # model.active.n_selected(bias_col), index the final gradient with

@@ -187,7 +187,26 @@ def test_residual_strictly_inside_unit_interval(rng):
     assert np.all(r > -1.0) and np.all(r < 1.0)
 
 
+def test_residual_reaches_unit_magnitude_at_saturation():
+    # past |X theta| of about 37 the sigmoid rounds to 0 or 1, so a
+    # misclassified row's residual is exactly -1.0 or 1.0
+    X = SparseMatrix.from_dense(np.array([[1.0], [2.0]]))
+    r = residual(X, np.array([40.0]), np.array([-1.0, 1.0]))
+    assert r.tolist() == [1.0, 0.0]
+    r = residual(X, np.array([-40.0]), np.array([1.0, -1.0]))
+    assert r[0] == -1.0 and 0.0 < r[1] < 1e-30
+
+
 # -- fit_restricted ---------------------------------------------------------------
+
+@pytest.mark.parametrize("length", [2, 10])
+def test_fit_restricted_checks_the_warm_start_length(rng, length):
+    _, X = random_design(rng, 8, 3)
+    y = random_labels(rng, 8)
+    with pytest.raises(ValueError,
+                       match=rf"warm_start length \({length},\) != \(3,\)"):
+        fit_restricted(X, y, [0, 2], 1.0, warm_start=np.zeros(length))
+
 
 def test_fit_restricted_single_label_column_reaches_optimality():
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])

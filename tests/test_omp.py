@@ -2,10 +2,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from textomp import OMPConfig, SparseMatrix, logistic, omp, run_omp
+from textomp import (GOMPConfig, OMPConfig, SparseMatrix, logistic, omp,
+                     run_gomp, run_omp)
 from textomp.logistic import ActiveSet, fit_restricted, objective, sigmoid
-from textomp.omp import select_feature
+from textomp.omp import per_unit_norm, screen_bands, select_feature
 
 from conftest import random_design, random_labels, stateless_fit_restricted
 
@@ -112,6 +115,118 @@ def test_select_feature_normalized_scoring(rng):
                                  col_norms=X.col_norms())
     assert j_raw == 1
     assert j_scaled == 0
+
+
+def exhaustive_scan(X, r, candidates, col_norms=None):
+    """Every column scored by one X.correlations call, as a scan without
+    a screen ranks them: (index, signed correlation)."""
+    scores = X.correlations(r)
+    ranked = np.where(candidates, np.abs(per_unit_norm(scores, col_norms)),
+                      -1.0)
+    j = int(np.argmax(ranked))
+    return j, float(scores[j])
+
+
+def tied_design(rng, n, with_bias):
+    """Count columns with the screen's hard cases: empty columns, exact
+    duplicates (ties within a band), scaled copies (other bands), and
+    copies padded on rows that `r` below leaves at 0 (the same raw
+    correlation from another band); returns (X, rows where r is 0)."""
+    base = np.where(rng.random((n, 6)) < 0.5,
+                    rng.integers(1, 5, size=(n, 6)), 0).astype(float)
+    zero_rows = rng.random(n) < 0.3
+    padded = base[:, :2] + np.where(zero_rows[:, None], 7.0, 0.0)
+    cols = [base, np.zeros((n, 2)), base[:, :3], base[:, 1:3] * 2.0,
+            base[:, :1] * 0.5, padded]
+    order = rng.permutation(sum(c.shape[1] for c in cols))
+    dense = np.column_stack(cols)[:, order]
+    if with_bias:
+        dense = np.column_stack([dense, np.ones(n)])
+    return (SparseMatrix.from_dense(dense,
+                                    bias_col=dense.shape[1] - 1
+                                    if with_bias else None), zero_rows)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.booleans(),
+       st.booleans(), st.sampled_from(["normal", "zero", "saturated"]),
+       st.booleans())
+def test_screened_scan_returns_the_exhaustive_pick_and_bits(
+        seed, n, with_bias, normalize, kind, run_bands):
+    rng = np.random.default_rng(seed)
+    X, zero_rows = tied_design(rng, n, with_bias)
+    if kind == "normal":
+        r = rng.normal(size=n)
+    elif kind == "zero":
+        r = np.zeros(n)
+    else:  # a residual at saturation: exactly +-1.0, or vanishing
+        r = rng.choice([-1.0, 1.0, 1.8e-35], size=n)
+    r[zero_rows] = 0.0
+    col_norms = X.col_norms() if normalize else None
+    mask = rng.random(X.n_cols) < 0.7
+    mask[rng.integers(X.n_cols)] = True
+    bands = None
+    if run_bands:  # built once for a wider mask, as run_omp does
+        wide = mask | (rng.random(X.n_cols) < 0.5)
+        bands = screen_bands(X, wide, col_norms)
+    j, corr = select_feature(X, r, mask, col_norms=col_norms, bands=bands)
+    ref_j, ref_corr = exhaustive_scan(X, r, mask, col_norms)
+    assert j == ref_j
+    assert np.float64(corr).tobytes() == np.float64(ref_corr).tobytes()
+
+
+def test_screen_bands_group_by_power_of_two_with_the_empty_last():
+    dense = np.array([[1.0, 0.0, 3.0, 0.0, 1.0],
+                      [2.0, 0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 4.0, 5.0, 1.0]])
+    X = SparseMatrix.from_dense(dense, bias_col=4)
+    mask = np.array([True, True, True, True, False])
+    bands = screen_bands(X, mask)
+    # L1 keys 3, 0, 7, 5: [4, 8) holds columns 2 and 3, [2, 4) column 0
+    assert [b[2].tolist() for b in bands] == [[2, 3], [0], [1]]
+    assert [b[3].n_cols for b in bands] == [2, 1, 1]
+    assert bands[0][0] > 7.0 and bands[0][0] - 7.0 < 1e-12
+    assert bands[-1][3].nnz == 0
+
+
+def residual_checker(monkeypatch, X, y):
+    """Wrap the greedy loop's refit and residual so that every residual it
+    takes is compared, bit for bit, with residual(X, theta, y) at the
+    refit's theta; returns the list of steps checked."""
+    real_fit, real_residual = omp.fit_restricted, omp.residual
+    last, checked = {}, []
+
+    def fit(*args, **kwargs):
+        last["model"] = real_fit(*args, **kwargs)
+        return last["model"]
+
+    def residual(block, theta, labels):
+        r = real_residual(block, theta, labels)
+        full = real_residual(X, last["model"].theta, y)
+        checked.append(r.tobytes() == full.tobytes())
+        return r
+
+    monkeypatch.setattr(omp, "fit_restricted", fit)
+    monkeypatch.setattr(omp, "residual", residual)
+    return checked
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans())
+def test_every_greedy_step_takes_the_residual_of_the_whole_design(
+        seed, with_bias, normalize):
+    rng = np.random.default_rng(seed)
+    X, _ = tied_design(rng, 14, with_bias)
+    y = random_labels(rng, 14)
+    groups = [(f"g{p}", [p, p + 1, p + 3]) for p in range(0, 12, 3)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checked = residual_checker(monkeypatch, X, y)
+        _, traj = run_omp(X, y, OMPConfig(budget=8, lam=0.5,
+                                          normalize_columns=normalize))
+        _, gtraj = run_gomp(X, y, groups,
+                            GOMPConfig(budget=8, lam=0.5,
+                                       normalize_columns=normalize))
+    assert len(checked) == len(traj.records) + len(gtraj.records)
+    assert all(checked)
 
 
 # -- run_omp ----------------------------------------------------------------------
