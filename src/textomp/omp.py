@@ -16,9 +16,8 @@ columns are grouped once per run into bands of that bound
 (`screen_bands`), and `select_feature` stops scanning once no band left
 can beat its best score, as safe feature elimination bounds a lasso (El
 Ghaoui, Viallon & Rabbani, 2012). The residual is taken on the active
-columns only, held in ascending column order and grown by the entering
-ones, as Batch-OMP keeps its active set (Rubinstein, Zibulevsky & Elad,
-2008). Both give the bits of the full computation.
+columns only, their `X.submatrix` in ascending column order. Both give
+the bits of the full computation.
 
 The bias column is active from the start and never counted against the
 budget; the first selection correlates against the raw labels.
@@ -108,10 +107,20 @@ def per_unit_norm(scores, col_norms):
         return np.where(col_norms > 0, scores / col_norms, 0.0)
 
 
+@dataclass(frozen=True)
+class ScreenBands:
+    """`screen_bands`' result: the columns it covers, as a mask of X's
+    columns, and its bands, each (limit, slack, columns, block, norms)."""
+
+    covers: np.ndarray
+    bands: list
+
+
 def screen_bands(X, candidates, col_norms=None):
     """The columns where candidates is True, grouped for `select_feature`'s
-    screened scan: a list of (limit, slack, columns, block, norms), highest
-    key first.
+    screened scan: a `ScreenBands` whose covers is a copy of candidates and
+    whose bands are (limit, slack, columns, block, norms), highest key
+    first.
 
     A column's key is its L1 norm, divided by its L2 norm col_norms[j] when
     col_norms is given (0 for a zero norm, infinite for an infinite one).
@@ -123,9 +132,10 @@ def screen_bands(X, candidates, col_norms=None):
     col_norms (None without it). The blocks hold at most one copy of X's
     entries.
     """
-    cols = np.flatnonzero(candidates)
+    covers = np.array(candidates, dtype=bool)
+    cols = np.flatnonzero(covers)
     if not cols.size:
-        return []
+        return ScreenBands(covers, [])
     key = X.col_abs_sums()[cols]
     norms = None
     if col_norms is not None:
@@ -148,7 +158,7 @@ def screen_bands(X, candidates, col_norms=None):
         limit = max(float(key[part].max()), 2.0 ** -1022) * scale
         bands.append((limit, slack, cols[part], X.submatrix(cols[part]),
                       band_norms))
-    return bands
+    return ScreenBands(covers, bands)
 
 
 def select_feature(X, r, candidates, col_norms=None, bands=None):
@@ -170,8 +180,8 @@ def select_feature(X, r, candidates, col_norms=None, bands=None):
     `X.correlations(r)`, so it has the same bits; a skipped column scores
     strictly below the winner, so the lowest-index tie rule holds. bands
     is `screen_bands(X, mask, col_norms)` of a mask that is True at every
-    candidate; `run_omp` builds it once per run, and a call without it
-    builds it here.
+    candidate, or a ValueError is raised; `run_omp` builds it once per
+    run, and a call without it builds it here.
 
     Why the limit holds, with u = 2^-53, m = X.n_rows, R = ||r||_inf
     (exact) and γ_k = k u / (1 - k u): a product v_i x_i rounds with
@@ -197,9 +207,11 @@ def select_feature(X, r, candidates, col_norms=None, bands=None):
         raise ValueError("no inactive candidate columns remain")
     if bands is None:
         bands = screen_bands(X, candidates, col_norms)
+    elif np.any(candidates > bands.covers):
+        raise ValueError("a candidate column lies in no band")
     big = float(np.max(np.abs(r), initial=0.0))
     best, winners = -1.0, []
-    for limit, slack, cols, block, norms in bands:
+    for limit, slack, cols, block, norms in bands.bands:
         if best > limit * big + slack:
             break
         scores = block.correlations(r)
@@ -229,19 +241,15 @@ def run_greedy(X, y, cfg, select):
     and the lagged inverse Hessian carry over from one selection to the
     next.
 
-    Beside them the loop keeps `ascending`, the active indices in column
-    order, and `block`, their `X.submatrix`, into which each record's
-    members_added are merged. The residual is taken on the block: mat_vec
-    sums each row in ascending column order, so it is X's sum less its
-    exact 0 * x terms, and the residual has the bits of
+    The residual is taken on X.submatrix of the active indices in column
+    order: mat_vec sums each row in ascending column order, so it is X's
+    sum less its exact 0 * x terms, and the residual has the bits of
     residual(X, theta, y) at a cost that grows with the active entries.
     """
     y = checked_labels(X, y)
     order = [] if X.bias_col is None else [X.bias_col]
     candidates = np.ones(X.n_cols, dtype=bool)
     candidates[order] = False
-    ascending = np.array(order, dtype=np.int64)
-    block = X.submatrix(ascending)
     traj = Trajectory()
     state = RefitState()
 
@@ -261,11 +269,10 @@ def run_greedy(X, y, cfg, select):
         record = chosen[1]
         order.extend(record.members_added)
         candidates[list(record.members_added)] = False
-        ascending, block = X.grow_submatrix(ascending, block,
-                                            record.members_added)
+        ascending = np.unique(order)
         before, n_sel = n_sel, n_sel + len(record.members_added)
         model = refit(model.theta)
-        r = residual(block, model.theta[ascending], y)
+        r = residual(X.submatrix(ascending), model.theta[ascending], y)
         for name in _WORK_FIELDS:
             setattr(record, name, getattr(model, name))
         traj.records.append(record)

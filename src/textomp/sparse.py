@@ -8,10 +8,10 @@ Matrices are immutable after construction and safe to share across threads.
 over its stored entries, whose result depends only on those products
 (reduceat sums a slice pairwise, not strictly left-to-right). ``mat_vec``
 sums each row in ascending column order, by ``np.bincount``. So a column
-subset (``submatrix``, ``grow_submatrix``) gives its columns'
-correlations, and X theta for a theta that is zero off its columns, with
-the same bits as the whole matrix. Such a derived matrix is built without
-``_validate``: its parts are already checked.
+subset (``submatrix``) gives its columns' correlations, and X theta for a
+theta that is zero off its columns, with the same bits as the whole
+matrix. A submatrix is built without ``_validate``: its parts are
+already checked.
 """
 
 from __future__ import annotations
@@ -58,23 +58,6 @@ class SparseMatrix:
         self._nonempty = self._counts > 0
         self._nonempty_starts = self.indptr[:-1][self._nonempty]
         self._all_nonempty = bool(self._nonempty.all())
-
-    def _columns_of(self, cols, rows, vals):
-        """The matrix of this one's ascending, distinct columns `cols`, whose
-        entries `rows` and `vals` are these columns' own, column by column.
-
-        The one derived-matrix path of `submatrix` and `grow_submatrix`: a
-        column subset of a validated matrix is valid, so `_validate` is
-        skipped (at 68k entries it costs about as much as a `mat_vec`).
-        """
-        out = SparseMatrix.__new__(SparseMatrix)
-        bias = None
-        if self.bias_col is not None:
-            at = int(np.searchsorted(cols, self.bias_col))
-            bias = at if at < len(cols) and cols[at] == self.bias_col else None
-        out._store(self.n_rows, len(cols), np.concatenate(
-            ([0], np.cumsum(self._counts[cols]))), rows, vals, bias)
-        return out
 
     # -- construction ------------------------------------------------------
 
@@ -251,45 +234,21 @@ class SparseMatrix:
 
     def submatrix(self, indices):
         """Columns at the given indices, arranged ascending by original index."""
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        if np.any(idx[1:] <= idx[:-1]):  # not already ascending, distinct
-            idx = np.unique(idx)
+        idx = np.unique(np.asarray(indices, dtype=np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n_cols):
             bad = idx[0] if idx[0] < 0 else idx[-1]
             raise IndexError(f"column index {bad} out of range")
         entries = self._entries(idx)
-        return self._columns_of(idx, self.rows[entries], self.vals[entries])
-
-    def grow_submatrix(self, cols, sub, new):
-        """(cols', X.submatrix(cols')) for cols' the union of the ascending
-        array `cols` and the indices `new`, none of them in cols, given
-        sub = X.submatrix(cols).
-
-        sub's runs are kept in place and only the entries of `new` are read
-        from this matrix, so growing a submatrix by one column costs one
-        copy of its entries, not a gather from the whole matrix.
-        """
-        new = np.unique(np.asarray(new, dtype=np.int64))
-        if new.size and (new[0] < 0 or new[-1] >= self.n_cols):
-            bad = new[0] if new[0] < 0 else new[-1]
-            raise IndexError(f"column index {bad} out of range")
-        at = np.searchsorted(cols, new)
-        inside = at < len(cols)
-        if np.any(cols[at[inside]] == new[inside]):
-            raise ValueError("a new column is already in the submatrix")
-        merged, rows, vals = [], [], []
-        col_at = entry_at = 0
-        for i, (a, cut) in enumerate(zip(at.tolist(),
-                                         sub.indptr[at].tolist())):
-            s, e = self.indptr[new[i]], self.indptr[new[i] + 1]
-            merged += [cols[col_at:a], new[i:i + 1]]
-            rows += [sub.rows[entry_at:cut], self.rows[s:e]]
-            vals += [sub.vals[entry_at:cut], self.vals[s:e]]
-            col_at, entry_at = a, cut
-        cols = np.concatenate(merged + [cols[col_at:]])
-        return cols, self._columns_of(
-            cols, np.concatenate(rows + [sub.rows[entry_at:]]),
-            np.concatenate(vals + [sub.vals[entry_at:]]))
+        # a column subset of a validated matrix is valid: `_validate` is
+        # skipped, which at 68k entries costs about as much as a `mat_vec`
+        out = SparseMatrix.__new__(SparseMatrix)
+        bias = None
+        if self.bias_col is not None and self.bias_col in idx:
+            bias = int(np.searchsorted(idx, self.bias_col))
+        out._store(self.n_rows, len(idx), np.concatenate(
+            ([0], np.cumsum(self._counts[idx]))), self.rows[entries],
+            self.vals[entries], bias)
+        return out
 
     def densify_columns(self, indices):
         """Dense n_rows x len(indices) block of the given columns, in order."""

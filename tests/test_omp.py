@@ -180,12 +180,26 @@ def test_screen_bands_group_by_power_of_two_with_the_empty_last():
                       [0.0, 0.0, 4.0, 5.0, 1.0]])
     X = SparseMatrix.from_dense(dense, bias_col=4)
     mask = np.array([True, True, True, True, False])
-    bands = screen_bands(X, mask)
+    screen = screen_bands(X, mask)
+    assert screen.covers.tolist() == mask.tolist()
+    bands = screen.bands
     # L1 keys 3, 0, 7, 5: [4, 8) holds columns 2 and 3, [2, 4) column 0
     assert [b[2].tolist() for b in bands] == [[2, 3], [0], [1]]
     assert [b[3].n_cols for b in bands] == [2, 1, 1]
     assert bands[0][0] > 7.0 and bands[0][0] - 7.0 < 1e-12
     assert bands[-1][3].nnz == 0
+
+
+def test_select_feature_rejects_bands_that_miss_a_candidate():
+    # a candidate outside every band would never be scanned
+    X = SparseMatrix.from_dense(np.array([[1.0, 0.0, 3.0],
+                                          [2.0, 5.0, 0.0]]))
+    bands = screen_bands(X, np.array([True, False, True]))
+    with pytest.raises(ValueError, match="lies in no band"):
+        select_feature(X, np.ones(2), np.array([True, True, False]),
+                       bands=bands)
+    assert select_feature(X, np.ones(2), np.array([True, False, False]),
+                          bands=bands)[0] == 0
 
 
 def residual_checker(monkeypatch, X, y):

@@ -173,6 +173,7 @@ def test_submatrix_then_mat_vec_equals_masked_mat_vec(rng):
 def test_submatrix_tracks_bias_column(rng):
     _, X = random_design(rng, 5, 4, with_bias=True)
     assert X.submatrix([0, 3]).bias_col == 1
+    assert X.submatrix([0, 1]).bias_col is None
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 300), st.integers(1, 12))
@@ -187,38 +188,6 @@ def test_submatrix_correlations_are_bit_equal_to_the_full_scan(seed, n, d):
     v = rng.normal(size=n)
     got = X.submatrix(cols).correlations(v)
     assert got.tobytes() == X.correlations(v)[np.unique(cols)].tobytes()
-
-
-@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 20), st.integers(1, 10),
-       st.booleans())
-def test_grow_submatrix_equals_the_submatrix_of_the_union(seed, n, d, bias):
-    rng = np.random.default_rng(seed)
-    dense, X = random_design(rng, n, d, density=0.4, with_bias=bias)
-    inside = rng.random(d) < 0.5
-    cols = np.flatnonzero(inside)
-    new = rng.permutation(np.flatnonzero(~inside))[:rng.integers(0, d + 1)]
-    grown_cols, grown = X.grow_submatrix(cols, X.submatrix(cols), new)
-    expected = X.submatrix(np.concatenate([cols, new]))
-    assert grown_cols.tolist() == sorted(cols.tolist() + new.tolist())
-    assert (grown.n_rows, grown.n_cols, grown.bias_col) \
-        == (expected.n_rows, expected.n_cols, expected.bias_col)
-    for name in ("indptr", "rows", "vals"):
-        assert getattr(grown, name).tobytes() \
-            == getattr(expected, name).tobytes()
-    theta = rng.normal(size=len(grown_cols))
-    full = np.zeros(d)
-    full[grown_cols] = theta
-    assert grown.mat_vec(theta).tobytes() == X.mat_vec(full).tobytes()
-
-
-def test_grow_submatrix_rejects_a_present_or_missing_column(rng):
-    _, X = random_design(rng, 5, 4, with_bias=False)
-    cols = np.array([1, 3])
-    with pytest.raises(ValueError, match="already in the submatrix"):
-        X.grow_submatrix(cols, X.submatrix(cols), [0, 3])
-    with pytest.raises(IndexError):
-        X.grow_submatrix(cols, X.submatrix(cols), [4])
-    assert X.submatrix([0, 1]).bias_col is None
 
 
 def test_correlations_are_bit_equal_to_a_per_column_reduceat(rng):
