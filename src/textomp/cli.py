@@ -29,7 +29,7 @@ import numpy as np
 from . import baselines, evaluation, gomp as gomp_mod, grouping, omp, textpipe
 from .evaluation import FitOptions, GridSpec, accuracy
 from .logistic import check_count, check_non_negative
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _text_lines
 
 
 class CliError(Exception):
@@ -78,29 +78,28 @@ def save_model(theta, bias_col, path):
 
 def load_model(path):
     """Inverse of save_model; returns (theta, bias_col)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    lines = _text_lines(path)
+    _, header = next(lines, (1, ""))
+    try:
+        d, bias_col = map(int, header.split())
+        if d < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{path}:1: expected header 'd bias_col'") from None
+    theta = np.zeros(d)
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'index weight'")
         try:
-            d, bias_col = map(int, fh.readline().split())
-            if d < 0:
-                raise ValueError
-        except ValueError:
-            raise ValueError(
-                f"{path}:1: expected header 'd bias_col'") from None
-        theta = np.zeros(d)
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'index weight'")
-            try:
-                j, w = int(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad entry ({exc})") from None
-            if not 0 <= j < d:
-                raise ValueError(f"{path}:{lineno}: index {j} out of range")
-            theta[j] = w
+            j, w = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad entry ({exc})") from None
+        if not 0 <= j < d:
+            raise ValueError(f"{path}:{lineno}: index {j} out of range")
+        theta[j] = w
     return theta, (None if bias_col < 0 else bias_col)
 
 
@@ -158,8 +157,6 @@ def cmd_vectorize(args):
     _check_flags(args, {"--min-df": 1, "--seed": 0})
     spec = textpipe.SplitSpec(train_fraction=args.train_fraction,
                               seed=args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     train_docs = textpipe.map_labels(textpipe.load_raw_corpus(args.corpus),
                                      mapping)
@@ -172,8 +169,11 @@ def cmd_vectorize(args):
     corpus = textpipe.Corpus.build(train_docs, min_df=args.min_df)
     if not corpus.vocabulary:
         raise _data("training corpus produced an empty vocabulary")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
-    # Token lists are the bulk of memory: hold one split's at a time.
+    # Token lists are the bulk of memory: hold one split's at a time, so
+    # the test corpus is read only once train and dev are written.
     sizes = f"train {len(train_docs)} docs, dev {len(dev_docs)} docs"
     _write_split(corpus, "train", train_docs, out)
     del train_docs
@@ -331,8 +331,11 @@ def cmd_grid(args):
                  ["--epsilon", "--tol"])
     if bool(args.test_matrix) != bool(args.test_labels):
         raise _usage("--test-matrix and --test-labels go together")
-    spec = GridSpec(method=args.method, lambda_values=[
-        float(v) for v in args.lambdas.split(",") if v])
+    try:
+        spec = GridSpec(method=args.method, lambda_values=[
+            float(v) for v in args.lambdas.split(",") if v])
+    except ValueError as exc:
+        raise _data(f"--lambdas: {exc}") from None
     X, y = _load_design(args.matrix, args.labels)
     X_dev, y_dev = _load_held_out(X, args.dev_matrix, args.dev_labels)
     if args.test_matrix:

@@ -16,6 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import baselines, gomp as gomp_mod, logistic, omp as omp_mod
+from .sparse import _text_lines
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -232,15 +233,14 @@ def read_reports(path):
     """Reports of a file write_reports wrote; a line that is not one
     raises a ValueError naming it as "path:lineno:"."""
     reports = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                reports.append(parse_report(line))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not a fit report ({exc})") from None
+    for lineno, line in _text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            reports.append(parse_report(line))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}:{lineno}: not a fit report ({exc})") from None
     return reports
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .groups import (Group, GroupStructure, check_unique_names,
                      member_error)
 from .logistic import check_count
-from .sparse import _loadtxt
+from .sparse import _loadtxt, _text_lines
 
 
 @dataclass
@@ -110,17 +110,16 @@ def _embeddings_fast(path):
 def _embeddings_by_line(path):
     """The EmbeddingTable of an embedding file read one line at a time."""
     vectors = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected token and values")
-            try:
-                vectors[parts[0]] = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value ({exc})") from None
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise ValueError(f"{path}:{lineno}: expected token and values")
+        try:
+            vectors[parts[0]] = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value ({exc})") from None
     return EmbeddingTable(vectors)
 
 
@@ -135,26 +134,23 @@ def load_groups(path, n_cols, bias_col="last"):
     if bias_col == "last":
         bias_col = n_cols - 1
     groups = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'name<TAB>index ...'")
-            name, rest = line.split("\t", 1)
-            try:
-                idx = [int(p) for p in rest.split()]
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: indices must be integers") from None
-            if not idx:
-                raise ValueError(f"{path}:{lineno}: empty group {name!r}")
-            error = member_error(idx, n_cols, bias_col)
-            if error is not None:
-                raise ValueError(f"{path}:{lineno}: {error[1]}")
-            groups.append(Group.of(name, idx))
+    for lineno, line in _text_lines(path):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'name<TAB>index ...'")
+        name, rest = line.split("\t", 1)
+        try:
+            idx = [int(p) for p in rest.split()]
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: indices must be integers") from None
+        if not idx:
+            raise ValueError(f"{path}:{lineno}: empty group {name!r}")
+        error = member_error(idx, n_cols, bias_col)
+        if error is not None:
+            raise ValueError(f"{path}:{lineno}: {error[1]}")
+        groups.append(Group.of(name, idx))
     return GroupStructure(groups)
 
 

@@ -15,9 +15,9 @@ screened scan: |x^T r| <= ||x||_1 ||r||_inf bounds every column, so the
 columns are grouped once per run into bands of that bound
 (`screen_bands`), and `select_feature` stops scanning once no band left
 can beat its best score, as safe feature elimination bounds a lasso (El
-Ghaoui, Viallon & Rabbani, 2012). The residual is taken on the active
-columns only, their `X.submatrix` in ascending column order. Both give
-the bits of the full computation.
+Ghaoui, Viallon & Rabbani, 2012); it gives the bits of the exhaustive
+scan. The residual is `residual(X, theta, y)`, whose `X.mat_vec` reads
+only the active columns' entries while they hold under a third of X's.
 
 The bias column is active from the start and never counted against the
 budget; the first selection correlates against the raw labels.
@@ -240,11 +240,6 @@ def run_greedy(X, y, cfg, select):
     refit of the run shares one RefitState, so the dense active block
     and the lagged inverse Hessian carry over from one selection to the
     next.
-
-    The residual is taken on X.submatrix of the active indices in column
-    order: mat_vec sums each row in ascending column order, so it is X's
-    sum less its exact 0 * x terms, and the residual has the bits of
-    residual(X, theta, y) at a cost that grows with the active entries.
     """
     y = checked_labels(X, y)
     order = [] if X.bias_col is None else [X.bias_col]
@@ -269,10 +264,9 @@ def run_greedy(X, y, cfg, select):
         record = chosen[1]
         order.extend(record.members_added)
         candidates[list(record.members_added)] = False
-        ascending = np.unique(order)
         before, n_sel = n_sel, n_sel + len(record.members_added)
         model = refit(model.theta)
-        r = residual(X.submatrix(ascending), model.theta[ascending], y)
+        r = residual(X, model.theta, y)
         for name in _WORK_FIELDS:
             setattr(record, name, getattr(model, name))
         traj.records.append(record)

@@ -10,8 +10,7 @@ over its stored entries, whose result depends only on those products
 sums each row in ascending column order, by ``np.bincount``. So a column
 subset (``submatrix``) gives its columns' correlations, and X theta for a
 theta that is zero off its columns, with the same bits as the whole
-matrix. A submatrix is built without ``_validate``: its parts are
-already checked.
+matrix.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class SparseMatrix:
     """
 
     def __init__(self, n_rows, n_cols, indptr, rows, vals, bias_col=None):
-        self._store(n_rows, n_cols, indptr, rows, vals, bias_col)
-        self._validate()
-
-    def _store(self, n_rows, n_cols, indptr, rows, vals, bias_col):
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -58,6 +53,7 @@ class SparseMatrix:
         self._nonempty = self._counts > 0
         self._nonempty_starts = self.indptr[:-1][self._nonempty]
         self._all_nonempty = bool(self._nonempty.all())
+        self._validate()
 
     # -- construction ------------------------------------------------------
 
@@ -239,16 +235,12 @@ class SparseMatrix:
             bad = idx[0] if idx[0] < 0 else idx[-1]
             raise IndexError(f"column index {bad} out of range")
         entries = self._entries(idx)
-        # a column subset of a validated matrix is valid: `_validate` is
-        # skipped, which at 68k entries costs about as much as a `mat_vec`
-        out = SparseMatrix.__new__(SparseMatrix)
         bias = None
         if self.bias_col is not None and self.bias_col in idx:
             bias = int(np.searchsorted(idx, self.bias_col))
-        out._store(self.n_rows, len(idx), np.concatenate(
+        return SparseMatrix(self.n_rows, len(idx), np.concatenate(
             ([0], np.cumsum(self._counts[idx]))), self.rows[entries],
-            self.vals[entries], bias)
-        return out
+            self.vals[entries], bias_col=bias)
 
     def densify_columns(self, indices):
         """Dense n_rows x len(indices) block of the given columns, in order."""
@@ -352,6 +344,24 @@ def _loadtxt(path, **kwargs):
         return None
 
 
+def _text_lines(path):
+    """(lineno, line) for each line of a UTF-8 text file, counted from 1,
+    with its "\\n" stripped; universal newlines apply. A line whose bytes
+    are not UTF-8 raises a ValueError that names it as "path:lineno:" (a
+    strict decode fails on the whole chunk it reads, naming no line).
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # a bad byte decodes to a lone surrogate, which cannot encode
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(
+                        f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line.rstrip("\n")
+
+
 def _parse_fast(path):
     """(n_rows, n_cols, rows, cols, vals) of a valid matrix file, or None."""
     # ASCII only: numpy's integer parser reads some non-ASCII letters as
@@ -380,31 +390,32 @@ def _parse_lines(path):
     a time, or a ValueError that names the first bad line as "path:lineno:".
     """
     rows, cols, vals = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    lines = _text_lines(path)
+    _, header = next(lines, (1, ""))
+    try:
+        n_rows, n_cols = map(int, header.split())
+        if min(n_rows, n_cols) < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"{path}:1: expected header 'n_rows n_cols'") from None
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 'row col value'")
         try:
-            n_rows, n_cols = map(int, fh.readline().split())
-            if min(n_rows, n_cols) < 0:
-                raise ValueError
-        except ValueError:
+            i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
             raise ValueError(
-                f"{path}:1: expected header 'n_rows n_cols'") from None
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'row col value'")
-            try:
-                i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad entry ({exc})") from None
-            if not 0 <= i < n_rows or not 0 <= j < n_cols:
-                raise ValueError(f"{path}:{lineno}: index out of range")
-            if x == 0.0 or not np.isfinite(x):
-                raise ValueError(f"{path}:{lineno}: value must be finite "
-                                 "and non-zero")
-            rows.append(i)
-            cols.append(j)
-            vals.append(x)
+                f"{path}:{lineno}: bad entry ({exc})") from None
+        if not 0 <= i < n_rows or not 0 <= j < n_cols:
+            raise ValueError(f"{path}:{lineno}: index out of range")
+        if x == 0.0 or not np.isfinite(x):
+            raise ValueError(f"{path}:{lineno}: value must be finite "
+                             "and non-zero")
+        rows.append(i)
+        cols.append(j)
+        vals.append(x)
     return n_rows, n_cols, rows, cols, vals

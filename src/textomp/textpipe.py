@@ -16,7 +16,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .logistic import check_count
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _text_lines
 
 
 class _SplitTable(dict):
@@ -178,15 +178,13 @@ def stratified_split(docs, spec):
 def load_raw_corpus(path):
     """Read "label<TAB>text" lines; returns list of (label string, text)."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'label<TAB>text'")
-            label, text = line.split("\t", 1)
-            out.append((label, text))
+    for lineno, line in _text_lines(path):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'label<TAB>text'")
+        label, text = line.split("\t", 1)
+        out.append((label, text))
     return out
 
 
@@ -215,11 +213,7 @@ def save_vocabulary(vocab, path):
 
 
 def load_vocabulary(path):
-    vocab = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for j, line in enumerate(fh):
-            vocab[line.rstrip("\n")] = j
-    return vocab
+    return {line: lineno - 1 for lineno, line in _text_lines(path)}
 
 
 def save_labels(labels, path):
@@ -230,16 +224,15 @@ def save_labels(labels, path):
 
 def load_labels(path):
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                y = int(line)
-            except ValueError:
-                y = None
-            if y not in (-1, 1):
-                raise ValueError(f"{path}:{lineno}: label must be -1 or +1")
-            out.append(y)
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            y = int(line)
+        except ValueError:
+            y = None
+        if y not in (-1, 1):
+            raise ValueError(f"{path}:{lineno}: label must be -1 or +1")
+        out.append(y)
     return np.array(out, dtype=np.float64)

@@ -112,6 +112,29 @@ def test_vectorize_rejects_an_empty_vocabulary(tmp_path, capsys):
     assert not (out / "train.matrix").exists()
 
 
+@pytest.mark.parametrize("corpus_text, dev_text, label_map, message", [
+    ("pos\tgood film\nneg\tbad film\n", None, "neg=-1",
+     "label 'pos' has no mapping to -1/+1"),
+    ("pos\t?!\nneg\t...\n", None, "neg=-1,pos=+1", "empty vocabulary"),
+    ("pos\tgood film\nneg\tbad film\n", b"pos\tgood\nneg\tcaf\xe9\n",
+     "neg=-1,pos=+1", "dev.tsv:2: not valid UTF-8")],
+    ids=["unmapped-label", "empty-vocabulary", "latin-1-dev-corpus"])
+def test_vectorize_creates_out_dir_only_once_its_documents_load(
+        tmp_path, capsys, corpus_text, dev_text, label_map, message):
+    # each of these exited 2 and left an empty --out-dir behind
+    corpus, dev = tmp_path / "corpus.tsv", tmp_path / "dev.tsv"
+    corpus.write_text(corpus_text, encoding="utf-8")
+    flags = []
+    if dev_text is not None:
+        dev.write_bytes(dev_text)
+        flags = ["--dev-corpus", str(dev)]
+    out = tmp_path / "vec"
+    assert main(["vectorize", "--corpus", str(corpus), *flags,
+                 "--label-map", label_map, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_vectorize_is_byte_deterministic(tmp_path):
     corpus = tmp_path / "corpus.tsv"
     write_corpus(corpus)
@@ -314,6 +337,22 @@ def test_penalties_not_finite_and_non_negative_are_rejected_before_loading(
         assert "lambda grid values must be finite and positive" \
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lambdas, message", [
+    ("1,x", "--lambdas: could not convert string to float: 'x'"),
+    ("1,nan", "--lambdas: lambda grid values must be finite and positive")])
+def test_grid_lambda_errors_name_the_flag(vectorized, tmp_path, capsys,
+                                          lambdas, message):
+    out = tmp_path / "out"
+    assert main(["grid", "--matrix", str(vectorized / "train.matrix"),
+                 "--labels", str(vectorized / "train.labels"),
+                 "--dev-matrix", str(vectorized / "dev.matrix"),
+                 "--dev-labels", str(vectorized / "dev.labels"),
+                 "--method", "omp", "--lambdas", lambdas,
+                 "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_exits_3_when_every_point_fails(vectorized, tmp_path,
@@ -764,6 +803,14 @@ def test_model_file_rejects_bad_entry_with_its_line(tmp_path):
     # a negative count was "negative dimensions are not allowed"
     path.write_text("-3 -1\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"model\.txt:1: expected header"):
+        load_model(path)
+
+
+def test_model_file_names_a_line_that_is_not_utf8(tmp_path):
+    # the header was blamed: "model.txt:1: expected header 'd bias_col'"
+    path = tmp_path / "model.txt"
+    path.write_bytes(b"3 2\n0 \xff\n")
+    with pytest.raises(ValueError, match=r"model\.txt:2: not valid UTF-8$"):
         load_model(path)
 
 

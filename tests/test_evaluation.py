@@ -318,6 +318,14 @@ def test_malformed_report_line_names_its_line(tmp_path, bad):
         read_reports(path)
 
 
+def test_report_file_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "reports.txt"
+    good = format_report(FitReport(method="omp", error="café")) + "\n"
+    path.write_bytes(good.encode() + b'{"method": "\xff"}\n')
+    with pytest.raises(ValueError, match=r"reports\.txt:2: not valid UTF-8$"):
+        read_reports(path)
+
+
 def test_human_table_renders_all_rows(rng):
     reports = [
         FitReport(method="omp", hyperparams={"lambda": 0.1},

@@ -71,6 +71,15 @@ def test_load_groups_rejects_a_malformed_line_with_its_number(
     assert str(err.value) == f"{p}{message}"
 
 
+def test_load_groups_names_a_line_that_is_not_utf8(tmp_path):
+    # the error was a bare "'utf-8' codec can't decode byte 0xff ..."
+    p = tmp_path / "groups.txt"
+    p.write_bytes("café\t0\n".encode() + b"b\xff\t1\n")
+    with pytest.raises(ValueError) as err:
+        load_groups(p, n_cols=4)
+    assert str(err.value) == f"{p}:2: not valid UTF-8"
+
+
 def test_load_groups_rejects_bias_membership(tmp_path):
     p = tmp_path / "groups.txt"
     p.write_text("a\t3\n", encoding="utf-8")
@@ -655,6 +664,16 @@ def test_embedding_file_loading(tmp_path):
     p = p.rename(tmp_path / "emb.txt.xz")
     assert _embeddings_fast(p) is None
     np.testing.assert_array_equal(load_embeddings(p)["beta"], [-0.5, 0.25])
+
+
+def test_embedding_file_names_a_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_bytes("café 1.0 2.0\nbeta 3.0 4.0\n".encode()
+                  + b"caf\xe9 5.0 6.0\n")
+    assert _embeddings_fast(p) is None
+    with pytest.raises(ValueError) as err:
+        load_embeddings(p)
+    assert str(err.value) == f"{p}:3: not valid UTF-8"
 
 
 def test_embedding_file_rejects_ragged_dimensions(tmp_path):

@@ -460,6 +460,15 @@ def test_malformed_file_names_its_first_bad_line(tmp_path, body, message):
     assert str(err.value).startswith(f"{path}{message}")
 
 
+def test_a_line_that_is_not_utf8_is_named(tmp_path):
+    # the header was blamed: "bad.matrix:1: expected header 'n_rows n_cols'"
+    path = tmp_path / "bad.matrix"
+    path.write_bytes(b"2 2\n0 0 1.0\n1 1 \xff\n")
+    with pytest.raises(ValueError) as err:
+        SparseMatrix.load(path, bias_col=None)
+    assert str(err.value) == f"{path}:3: not valid UTF-8"
+
+
 @pytest.mark.parametrize("body, message", [
     ("0 0 1.0\n1 0 1.0\n0 1 2.0\n", "bias column must be 1.0 in every row"),
     ("0 0 1.0\n0 0 2.0\n",

@@ -348,6 +348,21 @@ def test_raw_corpus_requires_tab(tmp_path):
         load_raw_corpus(p)
 
 
+def test_raw_corpus_names_a_line_that_is_not_utf8(tmp_path):
+    # the error was a bare "'utf-8' codec can't decode byte 0xe9 ..."
+    p = tmp_path / "corpus.tsv"
+    p.write_bytes("med\tcafé au lait\n".encode() + b"space\tcaf\xe9\n")
+    with pytest.raises(ValueError, match=r"corpus\.tsv:2: not valid UTF-8$"):
+        load_raw_corpus(p)
+
+
+def test_vocabulary_file_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes("alpha\ncafé\n".encode() + b"caf\xe9\n")
+    with pytest.raises(ValueError, match=r"vocab\.txt:3: not valid UTF-8$"):
+        load_vocabulary(path)
+
+
 def test_vocabulary_file_round_trip(tmp_path):
     vocab = {"alpha": 0, "beta": 1, "gamma": 2}
     path = tmp_path / "vocab.txt"
@@ -369,4 +384,11 @@ def test_labels_file_rejects_other_values(tmp_path):
         load_labels(path)
     path.write_text("+1\n1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"y\.labels:2:"):
+        load_labels(path)
+
+
+def test_labels_file_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "y.labels"
+    path.write_bytes(b"+1\n-1\n\xff1\n")
+    with pytest.raises(ValueError, match=r"y\.labels:3: not valid UTF-8$"):
         load_labels(path)
