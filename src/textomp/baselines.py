@@ -267,7 +267,7 @@ class _Model:
         return step, L
 
 
-def n_nonzero(theta, bias_col=None):
+def n_nonzero(theta, bias_col):
     """Nonzero weights of theta, the bias not counted."""
     nz = int(np.count_nonzero(theta))
     if bias_col is not None and theta[bias_col] != 0:
@@ -275,17 +275,11 @@ def n_nonzero(theta, bias_col=None):
     return nz
 
 
-def sparsity(model, bias_col="last"):
-    """Percentage of non-zero non-bias weights: 100 * nnz / (d - 1).
-
-    Lower is sparser; a dense model reports 100.0. bias_col="last" follows
-    the bias-in-last-column convention; pass None for a matrix without one.
-    """
+def sparsity(model, bias_col):
+    """Percentage of the non-bias weights that are nonzero (bias_col None:
+    of all weights). Lower is sparser; a dense model reports 100.0."""
     theta = model.theta if isinstance(model, Model) else np.asarray(model)
-    d = len(theta)
-    if bias_col == "last":
-        bias_col = d - 1
-    denom = d - (bias_col is not None)
+    denom = len(theta) - (bias_col is not None)
     if denom <= 0:
         return 0.0
     return 100.0 * n_nonzero(theta, bias_col) / denom

@@ -157,6 +157,10 @@ def cmd_vectorize(args):
     _check_flags(args, {"--min-df": 1, "--seed": 0})
     spec = textpipe.SplitSpec(train_fraction=args.train_fraction,
                               seed=args.seed)
+    if args.test_corpus:  # its bytes and labels, before anything is written
+        textpipe.map_labels(((label, "") for label, _ in
+                             textpipe.load_raw_corpus(args.test_corpus)),
+                            mapping)
 
     train_docs = textpipe.map_labels(textpipe.load_raw_corpus(args.corpus),
                                      mapping)
@@ -173,7 +177,7 @@ def cmd_vectorize(args):
     out.mkdir(parents=True, exist_ok=True)
 
     # Token lists are the bulk of memory: hold one split's at a time, so
-    # the test corpus is read only once train and dev are written.
+    # the test corpus's tokens are read only once train and dev are written.
     sizes = f"train {len(train_docs)} docs, dev {len(dev_docs)} docs"
     _write_split(corpus, "train", train_docs, out)
     del train_docs

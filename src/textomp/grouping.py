@@ -125,14 +125,12 @@ def _embeddings_by_line(path):
 
 # -- group files -------------------------------------------------------------
 
-def load_groups(path, n_cols, bias_col="last"):
+def load_groups(path, n_cols, bias_col):
     """Group file: one "name<TAB>index index ..." line per group.
 
     Indices are 0-based vocabulary columns, validated against n_cols and
-    the bias column (by convention the last one). Overlap is fine.
+    the bias column (None when the matrix has none). Overlap is fine.
     """
-    if bias_col == "last":
-        bias_col = n_cols - 1
     groups = []
     for lineno, line in _text_lines(path):
         if not line:
@@ -363,15 +361,13 @@ def expand_overlap(groups, emb, vocab, neighbors=5, metric="euclidean"):
         np.searchsorted(keys, np.arange(len(groups) + 1) * span), keys % span)
 
 
-def augment_singletons(groups, n_cols, bias_col="last"):
+def augment_singletons(groups, n_cols, bias_col):
     """Append every non-bias feature as its own group to a GroupStructure.
 
     Existing groups keep their positions; singletons follow in column
     order. Calling this twice would duplicate names and fail, so callers
     guard against double augmentation.
     """
-    if bias_col == "last":
-        bias_col = n_cols - 1
     singles = np.arange(n_cols, dtype=np.int64)
     if bias_col is not None:
         singles = singles[singles != bias_col]

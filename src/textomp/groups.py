@@ -68,7 +68,7 @@ class GroupStructure:
     def names(self):
         return list(self._names)
 
-    def validate_indices(self, n_cols, bias_col=None):
+    def validate_indices(self, n_cols, bias_col):
         """Check every member index against the feature count and bias,
         and that no group holds an index twice."""
         error = member_error(self.indices, n_cols, bias_col)
@@ -98,7 +98,7 @@ def check_unique_names(names):
     return names
 
 
-def member_error(indices, n_cols, bias_col=None):
+def member_error(indices, n_cols, bias_col):
     """(position, message) of the first index that is out of range for
     n_cols features or is the bias column, which no group may hold; None
     when every index may be grouped."""

@@ -63,7 +63,7 @@ class ActiveSet(tuple):
     def ascending(self):
         return sorted(self)
 
-    def n_selected(self, bias_col=None):
+    def n_selected(self, bias_col):
         """Active count excluding the bias column."""
         return len(self) - (bias_col is not None and bias_col in self)
 

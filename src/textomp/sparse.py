@@ -85,19 +85,6 @@ class SparseMatrix:
         return cls(n_rows, n_cols, indptr, rows, vals, bias_col=bias_col)
 
     @classmethod
-    def from_columns(cls, n_rows, columns, bias_col=None):
-        """Build from a list of per-column (row_indices, values) pairs."""
-        rows = [np.asarray(r, dtype=np.int64) for r, _ in columns]
-        vals = [np.asarray(v, dtype=np.float64) for _, v in columns]
-        for j, (r, v) in enumerate(zip(rows, vals)):
-            if r.shape != v.shape:
-                raise ValueError(f"column {j}: row/value length mismatch")
-        cols = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        return cls.from_triplets(
-            n_rows, len(rows), np.concatenate([np.zeros(0, np.int64), *rows]),
-            cols, np.concatenate([np.zeros(0), *vals]), bias_col=bias_col)
-
-    @classmethod
     def from_dense(cls, arr, bias_col=None):
         """Build from a dense 2-D array, dropping exact zeros."""
         arr = np.asarray(arr, dtype=np.float64)
@@ -155,9 +142,6 @@ class SparseMatrix:
             raise IndexError(f"column index {j} out of range")
         s, e = self.indptr[j], self.indptr[j + 1]
         return self.rows[s:e], self.vals[s:e]
-
-    def to_dense(self):
-        return self.densify_columns(range(self.n_cols))
 
     # -- kernels -----------------------------------------------------------
 

@@ -22,7 +22,8 @@ from textomp import (FitOptions, GOMPConfig, GridSpec, GroupStructure,
                      grid_search, run_gomp, run_omp)
 from textomp.baselines import kkt_violation
 from textomp.cli import main as cli_main
-from textomp.evaluation import accuracy, write_reports
+from textomp.evaluation import (DEFAULT_LAMBDA_GRID, accuracy, atoms_curve,
+                                 write_reports)
 from textomp.gomp import select_group
 from textomp.logistic import ActiveSet, fit_restricted, gradient, sigmoid
 from textomp.omp import select_feature
@@ -248,6 +249,54 @@ def test_group_omp_beats_unit_norm_omp_on_planted_groups():
             f"{[round(f, 2) for f in signal]}, {elapsed:.2f}s")
 
 
+def row_split(X, y, n_first):
+    """(X, y) of the first n_first rows and of the rest."""
+    cols = np.repeat(np.arange(X.n_cols), np.diff(X.indptr))
+    halves = []
+    for keep, shift, n in ((X.rows < n_first, 0, n_first),
+                           (X.rows >= n_first, n_first, X.n_rows - n_first)):
+        halves.append((SparseMatrix.from_triplets(
+            n, X.n_cols, X.rows[keep] - shift, cols[keep], X.vals[keep],
+            bias_col=X.bias_col), y[shift:shift + n]))
+    return halves
+
+
+def test_unit_norm_omp_is_as_accurate_as_lasso_with_half_its_nonzeros():
+    """The paper's claim: OMP's models are at least as accurate as the
+    lasso's and much sparser. Each method is tuned on a dev split, OMP over
+    (lambda, atom count) at every 5th atom, the lasso over lambda, both on
+    the default lambda grid, with dev ties going to the sparser model; the
+    winners then face each other on a test split."""
+    for seed in range(3):
+        started = time.perf_counter()
+        d = gen.bag_of_words(np.random.default_rng([4, seed]), 1000, 2000,
+                             4000, 100, candidate_ranks=1500)
+        X = SparseMatrix(d["train_n"], 4001, *d["train"], bias_col=4000)
+        y = d["train_y"]
+        held = SparseMatrix(d["heldout_n"], 4001, *d["heldout"],
+                            bias_col=4000)
+        dev, test = row_split(held, d["heldout_y"], 1000)
+        best = None
+        for lam in DEFAULT_LAMBDA_GRID:
+            _, traj = run_omp(X, y, OMPConfig(
+                budget=200, lam=lam, normalize_columns=True,
+                checkpoint_interval=5))
+            for (count, theta), (_, acc) in zip(traj.checkpoints,
+                                                atoms_curve(traj, *dev)):
+                if best is None or (-acc, count) < (-best[0], best[1]):
+                    best = acc, count, theta
+        omp_acc, omp_nnz = accuracy(best[2], *test), best[1]
+        lasso, report, _ = grid_search(X, y, *dev, GridSpec(method="lasso"))
+        lasso_acc, lasso_nnz = accuracy(lasso, *test), report.n_active
+        report_line(
+            f"seed {seed}: unit-norm OMP is at least as accurate as the "
+            "lasso with at most half its nonzeros",
+            omp_acc >= lasso_acc and 2 * omp_nnz <= lasso_nnz,
+            f"OMP {omp_acc:.3f} at {omp_nnz} atoms, lasso {lasso_acc:.3f} "
+            f"at {lasso_nnz} nonzeros, "
+            f"{time.perf_counter() - started:.1f}s")
+
+
 def test_full_budget_run_equals_ridge_on_all_features():
     rng = np.random.default_rng(9)
     _, X, y = random_instance(rng, 40, 12)
@@ -274,7 +323,8 @@ def test_dev_tie_selects_sparser_model():
         col = np.zeros(X.n_rows)
         col[rows] = 1.0
         return SparseMatrix.from_dense(
-            np.insert(X.to_dense(), -1, col, axis=1), bias_col=X.n_cols)
+            np.insert(X.densify_columns(range(X.n_cols)), -1, col, axis=1),
+            bias_col=X.n_cols)
 
     X, y = separable(40)
     Xd, yd = separable(20)

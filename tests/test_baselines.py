@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from textomp import (GridSpec, OMPConfig, PenaltyConfig, SparseMatrix,
-                     baselines, fit_penalized, sparsity)
+                     baselines, fit_penalized, run_omp, sparsity)
 from textomp.baselines import kkt_violation
 from textomp.logistic import ActiveSet, fit_restricted
 
@@ -118,12 +118,26 @@ def test_bias_is_exempt_from_l1_shrinkage(rng):
 
 
 def test_sparsity_edge_cases():
-    assert sparsity(np.zeros(10)) == 0.0
+    assert sparsity(np.zeros(10), bias_col=9) == 0.0
     theta = np.ones(10)
-    assert sparsity(theta) == 100.0
+    assert sparsity(theta, bias_col=9) == 100.0
     theta = np.zeros(25788)
     theta[:2000] = 1.0
-    assert sparsity(theta) == pytest.approx(7.756, abs=1e-3)
+    assert sparsity(theta, bias_col=25787) == pytest.approx(7.756, abs=1e-3)
+
+
+def test_sparsity_counts_every_weight_of_a_matrix_without_a_bias():
+    # one of four weights set on a matrix built without a bias is 25%; the
+    # last column is a feature here, not a bias to leave out
+    A = np.random.default_rng(0).normal(size=(40, 4))
+    A[:, 3] *= 5
+    X = SparseMatrix.from_dense(A)
+    model, _ = run_omp(X, np.where(A[:, 3] > 0, 1.0, -1.0),
+                       OMPConfig(budget=1, lam=0.1))
+    assert model.active == (3,)
+    assert sparsity(model, bias_col=X.bias_col) == 25.0
+    with pytest.raises(TypeError):
+        sparsity(model)  # no default guesses where the bias is
 
 
 def test_overflowing_step_raises_instead_of_looping():

@@ -112,22 +112,28 @@ def test_vectorize_rejects_an_empty_vocabulary(tmp_path, capsys):
     assert not (out / "train.matrix").exists()
 
 
-@pytest.mark.parametrize("corpus_text, dev_text, label_map, message", [
+@pytest.mark.parametrize("corpus_text, split, label_map, message", [
     ("pos\tgood film\nneg\tbad film\n", None, "neg=-1",
      "label 'pos' has no mapping to -1/+1"),
     ("pos\t?!\nneg\t...\n", None, "neg=-1,pos=+1", "empty vocabulary"),
-    ("pos\tgood film\nneg\tbad film\n", b"pos\tgood\nneg\tcaf\xe9\n",
-     "neg=-1,pos=+1", "dev.tsv:2: not valid UTF-8")],
-    ids=["unmapped-label", "empty-vocabulary", "latin-1-dev-corpus"])
+    ("pos\tgood film\nneg\tbad film\n", ("dev", b"pos\tgood\nneg\tcaf\xe9\n"),
+     "neg=-1,pos=+1", "dev.tsv:2: not valid UTF-8"),
+    ("pos\tgood film\nneg\tbad film\n", ("test", b"pos\tgood\nmaybe\tfilm\n"),
+     "neg=-1,pos=+1", "label 'maybe' has no mapping to -1/+1"),
+    ("pos\tgood film\nneg\tbad film\n", ("test", b"pos\tgood\nneg\tcaf\xe9\n"),
+     "neg=-1,pos=+1", "test.tsv:2: not valid UTF-8")],
+    ids=["unmapped-label", "empty-vocabulary", "latin-1-dev-corpus",
+         "unmapped-test-label", "latin-1-test-corpus"])
 def test_vectorize_creates_out_dir_only_once_its_documents_load(
-        tmp_path, capsys, corpus_text, dev_text, label_map, message):
-    # each of these exited 2 and left an empty --out-dir behind
-    corpus, dev = tmp_path / "corpus.tsv", tmp_path / "dev.tsv"
+        tmp_path, capsys, corpus_text, split, label_map, message):
+    # each of these exited 2 and left an empty or partial --out-dir behind
+    corpus = tmp_path / "corpus.tsv"
     corpus.write_text(corpus_text, encoding="utf-8")
     flags = []
-    if dev_text is not None:
-        dev.write_bytes(dev_text)
-        flags = ["--dev-corpus", str(dev)]
+    if split is not None:
+        name, text = split
+        (tmp_path / f"{name}.tsv").write_bytes(text)
+        flags = [f"--{name}-corpus", str(tmp_path / f"{name}.tsv")]
     out = tmp_path / "vec"
     assert main(["vectorize", "--corpus", str(corpus), *flags,
                  "--label-map", label_map, "--out-dir", str(out)]) == 2
@@ -871,7 +877,7 @@ def test_group_subcommand_writes_groups(tmp_path, monkeypatch):
                  "--out", str(out)])
     assert code == 0
     from textomp import load_groups
-    gs = load_groups(out, n_cols=11)
+    gs = load_groups(out, n_cols=11, bias_col=10)
     assert len(gs) >= 3  # k clusters survive
     covered = {j for g in gs for j in g.members}
     assert covered == set(range(10))

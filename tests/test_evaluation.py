@@ -69,7 +69,7 @@ def test_accuracy_invariant_to_positive_rescaling(rng):
 
 
 def test_accuracy_empty_set_errors():
-    X = SparseMatrix.from_columns(0, [([], [])])
+    X = SparseMatrix.from_triplets(0, 1, [], [], [])
     with pytest.raises(ValueError):
         accuracy(np.zeros(1), X, np.array([]))
 
@@ -130,7 +130,8 @@ def with_private_word(X, rows):
     """X with one more column, before the bias, that is 1 in `rows`."""
     col = np.zeros(X.n_rows)
     col[rows] = 1.0
-    return SparseMatrix.from_dense(np.insert(X.to_dense(), -1, col, axis=1),
+    dense = X.densify_columns(range(X.n_cols))
+    return SparseMatrix.from_dense(np.insert(dense, -1, col, axis=1),
                                    bias_col=X.n_cols)
 
 

@@ -31,7 +31,7 @@ def vocab_of(n):
 def test_load_groups_parses_named_index_sets(tmp_path):
     p = tmp_path / "groups.txt"
     p.write_text("topics_1\t0 4 7\n", encoding="utf-8")
-    gs = load_groups(p, n_cols=9)
+    gs = load_groups(p, n_cols=9, bias_col=8)
     assert gs[0].name == "topics_1"
     assert gs[0].members == (0, 4, 7)
 
@@ -39,7 +39,7 @@ def test_load_groups_parses_named_index_sets(tmp_path):
 def test_load_groups_accepts_overlap(tmp_path):
     p = tmp_path / "groups.txt"
     p.write_text("a\t0 4\nb\t4 5\n", encoding="utf-8")
-    gs = load_groups(p, n_cols=7)
+    gs = load_groups(p, n_cols=7, bias_col=6)
     assert set(gs[0].members) & set(gs[1].members) == {4}
 
 
@@ -47,13 +47,13 @@ def test_load_groups_rejects_out_of_range_with_line_number(tmp_path):
     p = tmp_path / "groups.txt"
     p.write_text("ok\t0\nbad\t99\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2"):
-        load_groups(p, n_cols=10)
+        load_groups(p, n_cols=10, bias_col=9)
 
 
 def test_load_groups_skips_blank_lines(tmp_path):
     p = tmp_path / "groups.txt"
     p.write_text("a\t0 1\n\nb\t2\n", encoding="utf-8")
-    gs = load_groups(p, n_cols=4)
+    gs = load_groups(p, n_cols=4, bias_col=3)
     assert gs.names() == ["a", "b"]
     assert [g.members for g in gs] == [(0, 1), (2,)]
 
@@ -67,7 +67,7 @@ def test_load_groups_rejects_a_malformed_line_with_its_number(
     p = tmp_path / "groups.txt"
     p.write_text(f"ok\t0\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        load_groups(p, n_cols=4)
+        load_groups(p, n_cols=4, bias_col=3)
     assert str(err.value) == f"{p}{message}"
 
 
@@ -76,7 +76,7 @@ def test_load_groups_names_a_line_that_is_not_utf8(tmp_path):
     p = tmp_path / "groups.txt"
     p.write_bytes("café\t0\n".encode() + b"b\xff\t1\n")
     with pytest.raises(ValueError) as err:
-        load_groups(p, n_cols=4)
+        load_groups(p, n_cols=4, bias_col=3)
     assert str(err.value) == f"{p}:2: not valid UTF-8"
 
 
@@ -84,7 +84,17 @@ def test_load_groups_rejects_bias_membership(tmp_path):
     p = tmp_path / "groups.txt"
     p.write_text("a\t3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bias"):
-        load_groups(p, n_cols=4)
+        load_groups(p, n_cols=4, bias_col=3)
+
+
+def test_load_groups_groups_the_last_column_of_a_matrix_without_a_bias(
+        tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("g\t3\n", encoding="utf-8")
+    assert [(g.name, g.members) for g in
+            load_groups(p, n_cols=4, bias_col=None)] == [("g", (3,))]
+    with pytest.raises(TypeError):
+        load_groups(p, n_cols=4)  # no default guesses where the bias is
 
 
 @pytest.mark.parametrize("member,message", [
@@ -96,7 +106,7 @@ def test_a_group_file_and_a_structure_reject_a_member_alike(
     p = tmp_path / "groups.txt"
     p.write_text(f"ok\t0\nbad\t1 {member}\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        load_groups(p, n_cols=10)
+        load_groups(p, n_cols=10, bias_col=9)
     assert str(err.value) == f"{p}:2: {message}"
     # an empty group before the bad one must not take the blame
     structure = GroupStructure([("ok", [0]), ("empty", []),
@@ -119,7 +129,7 @@ def test_the_first_bad_member_in_group_order_is_reported(
     p.write_text("".join(f"{name}\t{' '.join(map(str, members))}\n"
                          for name, members in groups), encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        load_groups(p, n_cols=10)
+        load_groups(p, n_cols=10, bias_col=9)
     assert str(err.value) == f"{p}:2: {message}"
 
 
@@ -142,7 +152,7 @@ def test_group_file_round_trip(tmp_path):
     gs = GroupStructure([("a", [0, 2]), ("b", [1, 2, 4])])
     path = tmp_path / "g.txt"
     save_groups(gs, path)
-    loaded = load_groups(path, n_cols=6)
+    loaded = load_groups(path, n_cols=6, bias_col=5)
     assert loaded.names() == gs.names()
     assert [g.members for g in loaded] == [g.members for g in gs]
 
@@ -626,21 +636,28 @@ def test_cosine_expansion_ignores_a_norm_that_overflows():
 # -- singleton augmentation -------------------------------------------------------------
 
 def test_augment_singletons_on_empty_structure():
-    out = augment_singletons(GroupStructure([]), 4)
+    out = augment_singletons(GroupStructure([]), 4, bias_col=3)
     assert [g.members for g in out] == [(0,), (1,), (2,)]
+
+
+def test_augment_singletons_keeps_the_last_column_without_a_bias():
+    out = augment_singletons(GroupStructure([]), 4, bias_col=None)
+    assert out.names() == [f"single_{j}" for j in range(4)]
+    with pytest.raises(TypeError):
+        augment_singletons(GroupStructure([]), 4)
 
 
 def test_augment_preserves_existing_groups_ahead_of_singletons():
     gs = GroupStructure([("topic", [0, 2])])
-    out = augment_singletons(gs, 4)
+    out = augment_singletons(gs, 4, bias_col=3)
     assert out[0].name == "topic"
     assert [g.members for g in out] == [(0, 2), (0,), (1,), (2,)]
 
 
 def test_double_augmentation_collides_on_names():
-    once = augment_singletons(GroupStructure([]), 3)
+    once = augment_singletons(GroupStructure([]), 3, bias_col=2)
     with pytest.raises(ValueError):
-        augment_singletons(once, 3)
+        augment_singletons(once, 3, bias_col=2)
 
 
 def test_both_name_checks_report_the_first_duplicate_alike():
@@ -648,7 +665,7 @@ def test_both_name_checks_report_the_first_duplicate_alike():
         GroupStructure([("a", [0]), ("b", [1]), ("b", [2]), ("a", [3])])
     taken = GroupStructure([("single_2", [0]), ("single_1", [1])])
     with pytest.raises(ValueError, match="^duplicate group name 'single_1'$"):
-        augment_singletons(taken, 4)
+        augment_singletons(taken, 4, bias_col=3)
 
 
 # -- embedding files ------------------------------------------------------------------

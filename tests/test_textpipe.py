@@ -121,7 +121,7 @@ def test_corpus_rejects_bad_labels():
 def test_build_matrix_counts_tokens():
     docs = docs_from([(1, ["a", "b", "a"])])
     X, y = build_matrix(Corpus.build(docs), docs)
-    assert X.to_dense().tolist() == [[2.0, 1.0, 1.0]]
+    assert X.densify_columns(range(X.n_cols)).tolist() == [[2.0, 1.0, 1.0]]
     assert y.tolist() == [1.0]
     assert X.bias_col == 2
 
@@ -129,7 +129,7 @@ def test_build_matrix_counts_tokens():
 def test_build_matrix_oov_document_keeps_only_bias():
     corpus = Corpus.build(docs_from([(1, ["a"])]))
     X, _ = build_matrix(corpus, docs_from([(-1, ["zz", "qq"])]))
-    assert X.to_dense().tolist() == [[0.0, 1.0]]
+    assert X.densify_columns(range(X.n_cols)).tolist() == [[0.0, 1.0]]
 
 
 def test_build_matrix_on_no_documents_and_on_all_oov_documents():
@@ -138,7 +138,7 @@ def test_build_matrix_on_no_documents_and_on_all_oov_documents():
     assert (X.shape, X.nnz, X.bias_col, y.shape) == ((0, 3), 0, 2, (0,))
     X, y = build_matrix(corpus, docs_from([(1, ["zz"]), (-1, []),
                                            (1, ["qq", "zz", "qq"])]))
-    assert X.to_dense().tolist() == [[0.0, 0.0, 1.0]] * 3
+    assert X.densify_columns(range(X.n_cols)).tolist() == [[0.0, 0.0, 1.0]] * 3
     assert y.tolist() == [1.0, -1.0, 1.0]
 
 
@@ -157,8 +157,8 @@ def test_build_matrix_passes_its_entries_in_storage_order(monkeypatch):
                                            (-1, ["b", "a"])]))
     [key] = seen
     assert np.all(np.diff(key) > 0)
-    assert X.to_dense().tolist() == [[1.0, 0.0, 2.0, 1.0],
-                                     [1.0, 1.0, 0.0, 1.0]]
+    assert X.densify_columns(range(4)).tolist() == [[1.0, 0.0, 2.0, 1.0],
+                                                    [1.0, 1.0, 0.0, 1.0]]
 
 
 def test_build_matrix_matches_hand_count():
@@ -174,7 +174,7 @@ def test_build_matrix_matches_hand_count():
         [0.0, 1.0, 1.0, 1.0],
         [1.0, 0.0, 2.0, 1.0],
     ]
-    assert X.to_dense().tolist() == expected
+    assert X.densify_columns(range(X.n_cols)).tolist() == expected
     assert y.tolist() == [1.0, -1.0, 1.0]
 
 
@@ -197,7 +197,7 @@ def test_build_matrix_equals_a_per_document_counter():
     ref[:, corpus.bias_col] = 1.0
     assert any(len(d.tokens) > len(set(d.tokens)) for d in docs)
     assert not any(ref[-2, :-1]) and not any(ref[-1, :-1])
-    np.testing.assert_array_equal(X.to_dense(), ref)
+    np.testing.assert_array_equal(X.densify_columns(range(X.n_cols)), ref)
     assert y.tolist() == [d.label for d in docs]
 
 
@@ -206,7 +206,7 @@ def test_build_matrix_row_sums_equal_in_vocab_counts():
     corpus = Corpus.build(train)
     eval_docs = docs_from([(1, ["a", "a", "zz", "c"]), (-1, ["zz"])])
     X, _ = build_matrix(corpus, eval_docs)
-    dense = X.to_dense()
+    dense = X.densify_columns(range(X.n_cols))
     for i, doc in enumerate(eval_docs):
         in_vocab = sum(1 for t in doc.tokens if t in corpus.vocabulary)
         assert dense[i, :-1].sum() == in_vocab
