@@ -288,7 +288,8 @@ def cmd_train(args):
         raise _usage("--dev-matrix and --dev-labels go together")
     hp = {name: getattr(args, _PENALTY_FLAGS[name][0])
           for name in evaluation.METHOD_PENALTIES[args.method]}
-    _check_flags(args, {"--budget": 1, "--max-iter": 1},
+    _check_flags(args, {"--budget": 1, "--atoms-per-step": 1,
+                        "--max-iter": 1},
                  ["--epsilon", "--tol",
                   *(f"--{name.replace('_', '-')}" for name in hp)])
     X, y = _load_design(args.matrix, args.labels)
@@ -331,7 +332,8 @@ def _write_scatter(reports, path):
 
 def cmd_grid(args):
     _check_method_settings(args)
-    _check_flags(args, {"--budget": 1, "--max-iter": 1},
+    _check_flags(args, {"--budget": 1, "--atoms-per-step": 1,
+                        "--max-iter": 1},
                  ["--epsilon", "--tol"])
     if bool(args.test_matrix) != bool(args.test_labels):
         raise _usage("--test-matrix and --test-labels go together")
@@ -417,6 +419,10 @@ def _add_solver_flags(p):
                    help="max selected features (omp/gomp)")
     p.add_argument("--epsilon", type=float, default=FitOptions.epsilon,
                    help="stop once the winner's ||X_W^T r|| is at most this")
+    p.add_argument("--atoms-per-step", type=int,
+                   default=FitOptions.atoms_per_step,
+                   help="best columns each omp step enters before its "
+                        "refit; 1 is single-atom OMP")
     p.add_argument("--groups", default=None, help="group file for gomp")
     p.add_argument("--criterion", choices=gomp_mod.CRITERIA,
                    default=FitOptions.criterion)

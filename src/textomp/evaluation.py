@@ -25,7 +25,7 @@ DEFAULT_LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 _EVERY_FIT = ("tol", "max_iter", "penalize_bias")
 _GREEDY = _EVERY_FIT + ("budget", "epsilon", "normalize_columns")
 METHOD_SETTINGS = {
-    "omp": _GREEDY,
+    "omp": _GREEDY + ("atoms_per_step",),
     "gomp": _GREEDY + ("groups", "criterion", "augment_singletons"),
     **dict.fromkeys(("lasso", "ridge", "elastic", "none"), _EVERY_FIT)}
 
@@ -118,6 +118,7 @@ class FitOptions:
     method of a comparison."""
     budget: int = omp_mod.GreedyConfig.budget
     epsilon: float = omp_mod.GreedyConfig.epsilon
+    atoms_per_step: int = omp_mod.OMPConfig.atoms_per_step  # omp only
     groups: object = None  # GroupStructure or list of Groups, gomp only
     criterion: str = gomp_mod.GOMPConfig.criterion
     augment_singletons: bool = gomp_mod.GOMPConfig.augment_singletons

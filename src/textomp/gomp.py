@@ -135,17 +135,17 @@ def run_gomp(X, y, groups, cfg):
                                              bias_col=X.bias_col)
     col_norms = X.col_norms() if cfg.normalize_columns else None
 
-    def select(r, candidates):
+    def select(r, candidates, room):  # one group, whatever room is left
         working = remove_overlap(groups, candidates)
         if not working.indices.size:
-            return None  # exhausted: every index already active or stripped
+            return []  # exhausted: every index already active or stripped
         pos, score, norm = select_group(X, working, r,
                                         criterion=cfg.criterion,
                                         col_norms=col_norms)
         winner = working[pos]
-        return norm, GroupSelectionRecord(
+        return [(norm, GroupSelectionRecord(
             name=winner.name, score=score,
             members_original=groups[pos].members,
-            members_added=winner.members)
+            members_added=winner.members))]
 
     return run_greedy(X, y, cfg, select)

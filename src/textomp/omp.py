@@ -1,10 +1,13 @@
 """Greedy logistic orthogonal matching pursuit.
 
-Loop: pick the inactive column most correlated with the residual, add it
-to the active set, refit the L2-penalized logistic model on the enlarged
-support, recompute the residual, repeat until the feature budget is hit,
-the winning correlation falls to the precision threshold, or no candidate
-columns remain. `run_greedy` is this loop, with the pick left to a step.
+Loop: pick the inactive columns most correlated with the residual, add
+them to the active set, refit the L2-penalized logistic model on the
+enlarged support, recompute the residual, repeat until the feature budget
+is hit, the winning correlation falls to the precision threshold, or no
+candidate columns remain. Each step enters the atoms_per_step best
+columns before its one refit, which is generalized OMP (Wang, Kwon &
+Shim, IEEE TSP 2012); atoms_per_step=1 is the paper's single-atom OMP.
+`run_greedy` is this loop, with the pick left to a step.
 It is the one owner of the support: an index list in entry order, which
 every refit receives, and a mask of the columns still able to enter,
 which every pick ranks on. The refit returns the list on its Model as a
@@ -14,7 +17,7 @@ A step computes only what its pick and its refit need. The pick is a
 screened scan: |x^T r| <= ||x||_1 ||r||_inf bounds every column, so the
 columns are grouped once per run into bands of that bound
 (`screen_bands`), and `select_feature` stops scanning once no band left
-can beat its best score, as safe feature elimination bounds a lasso (El
+can beat its picks, as safe feature elimination bounds a lasso (El
 Ghaoui, Viallon & Rabbani, 2012); it gives the bits of the exhaustive
 scan. The residual is `residual(X, theta, y)`, whose `X.mat_vec` reads
 only the active columns' entries while they hold under a third of X's.
@@ -65,13 +68,24 @@ class GreedyConfig:
         check_count("checkpoint_interval", self.checkpoint_interval)
 
 
-OMPConfig = GreedyConfig  # OMP has no setting of its own
+@dataclass
+class OMPConfig(GreedyConfig):
+    """GreedyConfig plus atoms_per_step, the number S of best columns that
+    each step enters before its one refit; the last step enters what the
+    budget has left. S = 1 is the paper's single-atom OMP."""
+
+    atoms_per_step: int = 8
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_count("atoms_per_step", self.atoms_per_step)
 
 
 @dataclass
 class SelectionRecord(RefitWork):
-    """One greedy iteration: which column won and with what correlation,
-    and the RefitWork of the refit that followed."""
+    """One selected column and its signed correlation, and the RefitWork
+    of the one refit that followed its step; the columns a step enters
+    share that refit."""
 
     index: int
     score: float
@@ -86,8 +100,10 @@ class Trajectory:
     """Per-iteration selection records plus periodic weight snapshots.
 
     checkpoints holds (active non-bias feature count, theta copy) pairs,
-    taken once the count reaches each checkpoint_interval multiple and at
-    termination, so accuracy-vs-atom-count curves replay without refitting.
+    taken at the first count at or past each checkpoint_interval multiple
+    and at termination, so accuracy-vs-atom-count curves replay without
+    refitting. A step that enters several atoms and crosses several
+    multiples at once makes one checkpoint.
     """
 
     records: list = field(default_factory=list)
@@ -161,27 +177,43 @@ def screen_bands(X, candidates, col_norms=None):
     return ScreenBands(covers, bands)
 
 
-def select_feature(X, r, candidates, col_norms=None, bands=None):
-    """Candidate column with the largest |X_j^T r|; ties go to the lowest
-    index.
+def _ranked(values, count):
+    """Positions of the count largest values, in rank order: ties go to
+    the lower position and NaN ranks last, as in
+    np.argsort(-values, kind="stable")[:count], in O(len(values))."""
+    neg = -values
+    if count < neg.size:
+        # only the count-th smallest of neg, its ties and NaN can rank
+        kth = np.partition(neg, count - 1)[count - 1]
+        keep = np.flatnonzero(~(neg > kth))
+        return keep[np.argsort(neg[keep], kind="stable")[:count]]
+    return np.argsort(neg, kind="stable")
+
+
+def select_feature(X, r, candidates, col_norms=None, bands=None, count=1):
+    """The count candidate columns with the largest |X_j^T r|, best first;
+    ties go to the lowest index.
 
     candidates is a boolean mask over X's columns; only columns where it
     is True compete. col_norms, when given, rescales each score by
-    1/col_norms[j] (unit-L2 column scaling). Returns (index, signed
-    correlation). Raises when no candidate remains.
+    1/col_norms[j] (unit-L2 column scaling). Returns a list of (index,
+    signed correlation) pairs: the first count of the candidates in the
+    order of np.argsort(-score, kind="stable") over their scores (a NaN
+    score ranks last), fewer when fewer candidates remain. Raises when no
+    candidate remains.
 
     The scan is screened, and its result is the exhaustive scan's, bit for
     bit. For any column, |x^T r| <= ||x||_1 ||r||_inf, so a column scores at
     most its key (see `screen_bands`) times ||r||_inf. The bands are
     scanned from the highest key, one `correlations` call each, and the
-    scan stops once the best candidate score so far is strictly greater
-    than the next band's limit times ||r||_inf plus its slack. A scanned
-    column's score is the same reduceat over the same products as in
-    `X.correlations(r)`, so it has the same bits; a skipped column scores
-    strictly below the winner, so the lowest-index tie rule holds. bands
-    is `screen_bands(X, mask, col_norms)` of a mask that is True at every
-    candidate, or a ValueError is raised; `run_omp` builds it once per
-    run, and a call without it builds it here.
+    scan stops once count candidates are picked and the last of them
+    scores strictly greater than the next band's limit times ||r||_inf
+    plus its slack. A scanned column's score is the same reduceat over the
+    same products as in `X.correlations(r)`, so it has the same bits; a
+    skipped column scores strictly below every pick, so the lowest-index
+    tie rule holds. bands is `screen_bands(X, mask, col_norms)` of a mask
+    that is True at every candidate, or a ValueError is raised; `run_omp`
+    builds it once per run, and a call without it builds it here.
 
     Why the limit holds, with u = 2^-53, m = X.n_rows, R = ||r||_inf
     (exact) and γ_k = k u / (1 - k u): a product v_i x_i rounds with
@@ -200,9 +232,10 @@ def select_feature(X, r, candidates, col_norms=None, bands=None):
     m <= 2^50, s is over twice the relative margin needed, and the slack,
     (m + 2) 2^-1072 / min(1, N) over the band's non-zero norms, over twice
     the absolute one. A score that overflows overflows its band's limit
-    too, and a limit that is not finite, or an R that is NaN, never stops
-    the scan.
+    too, and a limit that is not finite, a NaN pick, or an R that is NaN
+    never stops the scan.
     """
+    check_count("count", count)
     if not candidates.any():
         raise ValueError("no inactive candidate columns remain")
     if bands is None:
@@ -210,21 +243,26 @@ def select_feature(X, r, candidates, col_norms=None, bands=None):
     elif np.any(candidates > bands.covers):
         raise ValueError("a candidate column lies in no band")
     big = float(np.max(np.abs(r), initial=0.0))
-    best, winners = -1.0, []
+    # the best count columns scanned so far, in rank order
+    picked = np.empty(0, dtype=np.int64)
+    value = corr = np.empty(0)
     for limit, slack, cols, block, norms in bands.bands:
-        if best > limit * big + slack:
+        if picked.size == count and value[-1] > limit * big + slack:
             break
-        scores = block.correlations(r)
-        band = np.where(candidates[cols],
-                        np.abs(per_unit_norm(scores, norms)), -1.0)
-        i = int(np.argmax(band))  # the band's first max, or first NaN
-        winners.append((int(cols[i]), float(band[i]), float(scores[i])))
-        best = max(best, winners[-1][1])
-    # np.argmax over the band winners in column order is np.argmax over
-    # every scanned column
-    winners.sort()
-    j, _, corr = winners[int(np.argmax([w[1] for w in winners]))]
-    return j, corr
+        live = np.flatnonzero(candidates[cols])
+        if not live.size:
+            continue
+        scores = block.correlations(r)[live]
+        band = np.abs(per_unit_norm(scores, None if norms is None
+                                    else norms[live]))
+        top = _ranked(band, count)
+        # the union of each band's best count holds the best count overall
+        picked = np.concatenate((picked, cols[live[top]]))
+        value = np.concatenate((value, band[top]))
+        corr = np.concatenate((corr, scores[top]))
+        keep = np.lexsort((picked, -value))[:count]
+        picked, value, corr = picked[keep], value[keep], corr[keep]
+    return list(zip(picked.tolist(), corr.tolist()))
 
 
 def run_greedy(X, y, cfg, select):
@@ -233,13 +271,18 @@ def run_greedy(X, y, cfg, select):
     The loop keeps the support as `order`, the active indices in entry
     order, and `candidates`, a mask over X's columns that is False at the
     bias from the start and at each index once it enters.
-    select(r, candidates) returns None when nothing is left, else the
-    winner's correlation norm ||X_W^T r|| and a record whose members_added
-    enter the support unless the norm is at most cfg.epsilon; the record
-    then takes the RefitWork counters of the refit that follows. Every
-    refit of the run shares one RefitState, so the dense active block
-    and the lagged inverse Hessian carry over from one selection to the
-    next.
+    select(r, candidates, room) returns a step's picks, best first, as
+    (correlation norm ||X_W^T r||, record) pairs, empty when nothing is
+    left; room is what the budget has left, which OMP's batch fills at
+    most and group OMP's one group may pass. The run stops when the first
+    norm is at most cfg.epsilon; otherwise each record whose norm is not
+    at most cfg.epsilon (the first's always) enters its members_added,
+    and all of them then take the RefitWork counters of the one refit
+    that follows. A checkpoint lands at the first selected count at or
+    past each checkpoint_interval multiple, so a step that crosses
+    several multiples makes one. Every refit of the run shares one
+    RefitState, so the dense active block and the lagged inverse Hessian
+    carry over from one step to the next.
     """
     y = checked_labels(X, y)
     order = [] if X.bias_col is None else [X.bias_col]
@@ -258,18 +301,21 @@ def run_greedy(X, y, cfg, select):
     n_sel = 0  # selected indices, the bias not counted
     interval = cfg.checkpoint_interval
     while n_sel < cfg.budget:
-        chosen = select(r, candidates)
-        if chosen is None or chosen[0] <= cfg.epsilon:
+        picks = select(r, candidates, cfg.budget - n_sel)
+        if not picks or picks[0][0] <= cfg.epsilon:
             break
-        record = chosen[1]
-        order.extend(record.members_added)
-        candidates[list(record.members_added)] = False
-        before, n_sel = n_sel, n_sel + len(record.members_added)
+        records = [record for norm, record in picks
+                   if not norm <= cfg.epsilon]
+        added = [j for record in records for j in record.members_added]
+        order.extend(added)
+        candidates[added] = False
+        before, n_sel = n_sel, n_sel + len(added)
         model = refit(model.theta)
         r = residual(X, model.theta, y)
-        for name in _WORK_FIELDS:
-            setattr(record, name, getattr(model, name))
-        traj.records.append(record)
+        for record in records:
+            for name in _WORK_FIELDS:
+                setattr(record, name, getattr(model, name))
+        traj.records.extend(records)
         if n_sel // interval > before // interval:
             traj.checkpoints.append((n_sel, model.theta.copy()))
 
@@ -279,22 +325,25 @@ def run_greedy(X, y, cfg, select):
 
 
 def run_omp(X, y, cfg):
-    """Run greedy single-feature selection; returns (final Model, Trajectory).
+    """Run greedy feature selection, cfg.atoms_per_step columns per refit;
+    returns (final Model, Trajectory) with one record per selected column.
 
-    Solver non-convergence on an iteration is recorded on that iteration's
-    trajectory entry and the loop continues with the last accepted iterate.
+    Solver non-convergence on a refit is recorded on the records of its
+    step and the loop continues with the last accepted iterate.
     """
     col_norms = X.col_norms() if cfg.normalize_columns else None
     bands = None
 
-    def select(r, candidates):
+    def select(r, candidates, room):
         nonlocal bands
         if not candidates.any():
-            return None  # every non-bias column is already active
+            return []  # every non-bias column is already active
         if bands is None:  # the first pick's mask covers every later one
             bands = screen_bands(X, candidates, col_norms)
-        j, corr = select_feature(X, r, candidates, col_norms=col_norms,
-                                 bands=bands)
-        return abs(corr), SelectionRecord(index=j, score=corr)
+        picks = select_feature(X, r, candidates, col_norms=col_norms,
+                               bands=bands,
+                               count=min(cfg.atoms_per_step, room))
+        return [(abs(corr), SelectionRecord(index=j, score=corr))
+                for j, corr in picks]
 
     return run_greedy(X, y, cfg, select)

@@ -1,6 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# When a property fails, hypothesis's pytest plugin imports its patching
+# module, whose libcst import raises a DeprecationWarning; under
+# filterwarnings = error that aborted the whole session with an
+# INTERNALERROR instead of naming the failure. Importing it here first,
+# with that warning ignored, leaves the plugin an import already done.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from textomp import SparseMatrix, logistic
 

@@ -115,22 +115,21 @@ def test_greedy_selection_matches_exhaustive_scan_and_never_repeats(
     real = select_feature
     mismatches = []
 
-    def exhaustive(X, r, candidates):
-        best = None
+    def exhaustive(X, r, candidates, count):
+        scored = []
         for j in range(X.n_cols):
             if j == X.bias_col or not candidates[j]:
                 continue
-            s = abs(X.correlations(r)[j])
-            if best is None or s > best[1]:
-                best = (j, s)
-        return best[0]
+            scored.append((-abs(X.correlations(r)[j]), j))
+        return [j for _, j in sorted(scored)[:count]]
 
-    def checked(X, r, candidates, col_norms=None, bands=None):
-        j, corr = real(X, r, candidates, col_norms=col_norms, bands=bands)
-        jb = exhaustive(X, r, candidates)
-        if j != jb:
-            mismatches.append((j, jb))
-        return j, corr
+    def checked(X, r, candidates, col_norms=None, bands=None, count=1):
+        picks = real(X, r, candidates, col_norms=col_norms, bands=bands,
+                     count=count)
+        jb = exhaustive(X, r, candidates, count)
+        if [j for j, _ in picks] != jb:
+            mismatches.append((picks, jb))
+        return picks
 
     monkeypatch.setattr(omp_mod, "select_feature", checked)
     repeats = 0
@@ -142,8 +141,8 @@ def test_greedy_selection_matches_exhaustive_scan_and_never_repeats(
         if len(picked) != len(set(picked)):
             repeats += 1
     elapsed = time.perf_counter() - started
-    report_line("every selection equals the exhaustive argmax, no repeats "
-                "(20 instances)",
+    report_line("every selection equals the exhaustive top atoms_per_step, "
+                "no repeats (20 instances)",
                 not mismatches and repeats == 0 and elapsed < 5.0,
                 f"{len(mismatches)} mismatches, {repeats} repeat "
                 f"trajectories, {elapsed:.2f}s")
@@ -164,7 +163,7 @@ def test_group_score_criteria_reduce_to_each_other():
     cfg = GOMPConfig(budget=9, lam=0.5, criterion="averaged",
                      augment_singletons=False)
     _, gtraj = run_gomp(Xr, y, singles, cfg)
-    _, otraj = run_omp(Xr, y, OMPConfig(budget=9, lam=0.5))
+    _, otraj = run_omp(Xr, y, OMPConfig(budget=9, lam=0.5, atoms_per_step=1))
     gomp_seq = [rec.members_added[0] for rec in gtraj.records]
     same_seq = gomp_seq == otraj.selected_indices()
 

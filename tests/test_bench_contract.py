@@ -10,6 +10,7 @@ counters also read some call arguments by position."""
 import ast
 import importlib
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -188,32 +189,36 @@ def test_a_traced_run_omp_records_the_layers_of_every_step():
     # the omp_refit layer metrics and omp.step_ms come from these spans:
     # step_ms cuts the run_omp span at its select_feature children, so a
     # step must make exactly one select_feature call, and the residual's
-    # and the refit's layers need their spans under every step
+    # and the refit's layers need their spans under every step; a step
+    # enters atoms_per_step records before its one refit
     rng = np.random.default_rng(1)
     dense = np.column_stack([rng.poisson(0.5, size=(30, 12)).astype(float),
                              np.ones(30)])
     X = SparseMatrix.from_dense(dense, bias_col=12)
     y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
-    tracer = spans.Tracer().install()
-    try:
-        _, traj = omp.run_omp(X, y, omp.OMPConfig(budget=5))
-    finally:
-        tracer.remove()
-    assert len(traj.records) == 5
-    [run] = [pos for pos, span in enumerate(tracer.spans)
-             if span.name == "omp.run_omp"]
-    selects = [span for span in tracer.spans
-               if span.name == "omp.select_feature"]
-    assert len(selects) == len(traj.records)
-    assert all(span.parent == run for span in selects)
-    residuals = [pos for pos, span in enumerate(tracer.spans)
-                 if span.name == "logistic.residual"]
-    assert len(residuals) == len(traj.records)
-    for pos in residuals:
-        assert any(span.name == "sparse.mat_vec" and span.parent == pos
+    for atoms_per_step in (1, 8):
+        tracer = spans.Tracer().install()
+        try:
+            _, traj = omp.run_omp(X, y, omp.OMPConfig(
+                budget=5, atoms_per_step=atoms_per_step))
+        finally:
+            tracer.remove()
+        assert len(traj.records) == 5
+        steps = math.ceil(5 / atoms_per_step)
+        [run] = [pos for pos, span in enumerate(tracer.spans)
+                 if span.name == "omp.run_omp"]
+        selects = [span for span in tracer.spans
+                   if span.name == "omp.select_feature"]
+        assert len(selects) == steps
+        assert all(span.parent == run for span in selects)
+        residuals = [pos for pos, span in enumerate(tracer.spans)
+                     if span.name == "logistic.residual"]
+        assert len(residuals) == steps
+        for pos in residuals:
+            assert any(span.name == "sparse.mat_vec" and span.parent == pos
+                       for span in tracer.spans)
+        assert any(span.name == "sparse.densify_columns"
                    for span in tracer.spans)
-    assert any(span.name == "sparse.densify_columns"
-               for span in tracer.spans)
 
 
 def test_fits_hand_back_the_active_set_and_records_the_benchmark_reads():

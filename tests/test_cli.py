@@ -266,7 +266,7 @@ def test_grid_search_cli_end_to_end(vectorized, tmp_path, capsys):
 @pytest.mark.parametrize("subcommand", ["train", "grid"])
 @pytest.mark.parametrize("flag,value", [
     ("--budget", "0"), ("--epsilon", "-1"), ("--tol", "-0.5"),
-    ("--max-iter", "0"), ("--max-iter", "-3")])
+    ("--max-iter", "0"), ("--max-iter", "-3"), ("--atoms-per-step", "0")])
 def test_solver_flags_out_of_range_are_rejected_before_loading(
         vectorized, tmp_path, capsys, subcommand, flag, value):
     # train --max-iter 0 fitted an all-zero model and exited 0; grid
@@ -488,6 +488,8 @@ def test_flags_a_method_does_not_read_are_usage_errors(vectorized, tmp_path,
         ("ridge", ["--normalize-columns", "--epsilon", "5"], "--epsilon"),
         ("ridge", ["--normalize-columns"], "--normalize-columns"),
         ("none", ["--epsilon", "5"], "--epsilon"),
+        ("gomp", ["--atoms-per-step", "1"], "--atoms-per-step"),
+        ("lasso", ["--atoms-per-step", "2"], "--atoms-per-step"),
     ]
     for sub, extra in (("train", []), ("grid", dev)):
         for method, flags, named in cases:
@@ -501,9 +503,12 @@ def test_flags_a_method_does_not_read_are_usage_errors(vectorized, tmp_path,
             assert not out.exists()
     # a flag left at its default, or one the method reads, is accepted
     for method, flags in (("ridge", ["--budget", str(FitOptions.budget),
-                                     "--augment-singletons"]),
+                                     "--augment-singletons",
+                                     "--atoms-per-step",
+                                     str(FitOptions.atoms_per_step)]),
                           ("omp", ["--budget", "2", "--epsilon", "0.5",
-                                   "--normalize-columns"])):
+                                   "--normalize-columns",
+                                   "--atoms-per-step", "1"])):
         assert main(["train", "--method", method, *data, *flags,
                      "--out-dir", str(tmp_path / f"ok-{method}")]) == 0
 
@@ -608,9 +613,9 @@ def test_manifest_config_is_the_inputs_and_every_fit_setting(vectorized,
     assert main(["train", *data, "--out-dir", str(tmp_path / "t")]) == 0
     assert main(["grid", *data, *dev, "--lambdas", "1",
                  "--out-dir", str(tmp_path / "g")]) == 0
-    fit_keys = set("augment_singletons budget criterion epsilon groups "
-                   "labels matrix max_iter method normalize_columns "
-                   "penalize_bias tol".split())
+    fit_keys = set("atoms_per_step augment_singletons budget criterion "
+                   "epsilon groups labels matrix max_iter method "
+                   "normalize_columns penalize_bias tol".split())
     train_keys = fit_keys | set("dev_labels dev_matrix lam lambda_l1 "
                                 "lambda_l2".split())
     grid_keys = fit_keys | set("dev_labels dev_matrix lambdas "

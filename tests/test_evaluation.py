@@ -238,13 +238,16 @@ def test_curve_flat_once_single_atom_suffices(rng):
 
 
 def test_curve_length_is_budget_over_interval_rounded_up(rng):
+    # steps of 8 reach 8, 16, 24, 25: the first counts past 10 and 20
     _, X = random_design(rng, 30, 30, density=1.0)
     y = random_labels(rng, 30)
-    cfg = OMPConfig(budget=25, lam=1.0, checkpoint_interval=10)
-    _, traj = run_omp(X, y, cfg)
-    curve = atoms_curve(traj, X, y)
-    assert len(curve) == math.ceil(25 / 10)
-    assert [c for c, _ in curve] == [10, 20, 25]
+    for atoms_per_step, counts in ((1, [10, 20, 25]), (8, [16, 24, 25])):
+        cfg = OMPConfig(budget=25, lam=1.0, checkpoint_interval=10,
+                        atoms_per_step=atoms_per_step)
+        _, traj = run_omp(X, y, cfg)
+        curve = atoms_curve(traj, X, y)
+        assert len(curve) == math.ceil(25 / 10)
+        assert [c for c, _ in curve] == counts
 
 
 # -- report serialization -----------------------------------------------------------

@@ -182,7 +182,8 @@ def test_singleton_groups_with_averaged_criterion_replay_plain_selection(rng):
                          criterion="averaged", augment_singletons=False)
         gmodel, gtraj = run_gomp(X, y, singletons, cfg)
         omodel, otraj = run_omp(X, y, OMPConfig(budget=6, lam=0.5,
-                                                epsilon=epsilon))
+                                                epsilon=epsilon,
+                                                atoms_per_step=1))
         picked = [rec.members_added[0] for rec in gtraj.records]
         assert picked == otraj.selected_indices(), epsilon
         assert gtraj.selected_indices() == otraj.selected_indices()

@@ -1,4 +1,5 @@
-from itertools import combinations
+import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -58,8 +59,8 @@ def test_select_feature_unit_columns():
     dense[1, 1] = 1.0
     dense[:, 2] = 1.0
     X = SparseMatrix.from_dense(dense, bias_col=2)
-    j, corr = select_feature(X, np.array([1.0, 0.0, 0.0, 0.0]),
-                             candidates(X, [2]))
+    [(j, corr)] = select_feature(X, np.array([1.0, 0.0, 0.0, 0.0]),
+                                 candidates(X, [2]))
     assert j == 0
     assert corr == 1.0
 
@@ -73,7 +74,7 @@ def test_select_feature_picks_column_equal_to_residual(rng):
     dense[:, 1] = r
     dense[:, 3] = 1.0
     X = SparseMatrix.from_dense(dense, bias_col=3)
-    j, _ = select_feature(X, r, candidates(X, [3]))
+    [(j, _)] = select_feature(X, r, candidates(X, [3]))
     assert j == 1
 
 
@@ -82,7 +83,7 @@ def test_select_feature_matches_exhaustive_scan(rng):
         _, X = random_design(rng, 6, 9)
         r = rng.normal(size=6)
         active = [8, 2]
-        j, corr = select_feature(X, r, candidates(X, active))
+        [(j, corr)] = select_feature(X, r, candidates(X, active))
         assert j == brute_force_selection(X, r, active)
         assert corr == X.correlations(r)[j]
 
@@ -91,7 +92,8 @@ def test_select_feature_tie_breaks_to_lowest_index():
     col = np.array([1.0, 2.0, 0.0])
     dense = np.column_stack([col, col, np.ones(3)])
     X = SparseMatrix.from_dense(dense, bias_col=2)
-    j, _ = select_feature(X, np.array([1.0, 1.0, 1.0]), candidates(X, [2]))
+    [(j, _)] = select_feature(X, np.array([1.0, 1.0, 1.0]),
+                              candidates(X, [2]))
     assert j == 0
 
 
@@ -110,21 +112,22 @@ def test_select_feature_normalized_scoring(rng):
         np.ones(4),
     ])
     X = SparseMatrix.from_dense(dense, bias_col=2)
-    j_raw, _ = select_feature(X, r, candidates(X, [2]))
-    j_scaled, _ = select_feature(X, r, candidates(X, [2]),
-                                 col_norms=X.col_norms())
+    [(j_raw, _)] = select_feature(X, r, candidates(X, [2]))
+    [(j_scaled, _)] = select_feature(X, r, candidates(X, [2]),
+                                     col_norms=X.col_norms())
     assert j_raw == 1
     assert j_scaled == 0
 
 
-def exhaustive_scan(X, r, candidates, col_norms=None):
+def exhaustive_scan(X, r, candidates, col_norms=None, count=1):
     """Every column scored by one X.correlations call, as a scan without
-    a screen ranks them: (index, signed correlation)."""
+    a screen ranks them: the count best candidates, best first and ties
+    to the lower index, as (index, signed correlation) pairs."""
     scores = X.correlations(r)
-    ranked = np.where(candidates, np.abs(per_unit_norm(scores, col_norms)),
-                      -1.0)
-    j = int(np.argmax(ranked))
-    return j, float(scores[j])
+    cols = np.flatnonzero(candidates)
+    ranked = np.abs(per_unit_norm(scores, col_norms))[cols]
+    best = cols[np.argsort(-ranked, kind="stable")[:count]]
+    return [(int(j), float(scores[j])) for j in best]
 
 
 def tied_design(rng, n, with_bias):
@@ -149,9 +152,9 @@ def tied_design(rng, n, with_bias):
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.booleans(),
        st.booleans(), st.sampled_from(["normal", "zero", "saturated"]),
-       st.booleans())
+       st.booleans(), st.sampled_from([1, 2, 3, 8]), st.booleans())
 def test_screened_scan_returns_the_exhaustive_pick_and_bits(
-        seed, n, with_bias, normalize, kind, run_bands):
+        seed, n, with_bias, normalize, kind, run_bands, count, few):
     rng = np.random.default_rng(seed)
     X, zero_rows = tied_design(rng, n, with_bias)
     if kind == "normal":
@@ -162,16 +165,19 @@ def test_screened_scan_returns_the_exhaustive_pick_and_bits(
         r = rng.choice([-1.0, 1.0, 1.8e-35], size=n)
     r[zero_rows] = 0.0
     col_norms = X.col_norms() if normalize else None
-    mask = rng.random(X.n_cols) < 0.7
+    # few: mostly fewer candidates than count
+    mask = rng.random(X.n_cols) < (0.1 if few else 0.7)
     mask[rng.integers(X.n_cols)] = True
     bands = None
     if run_bands:  # built once for a wider mask, as run_omp does
         wide = mask | (rng.random(X.n_cols) < 0.5)
         bands = screen_bands(X, wide, col_norms)
-    j, corr = select_feature(X, r, mask, col_norms=col_norms, bands=bands)
-    ref_j, ref_corr = exhaustive_scan(X, r, mask, col_norms)
-    assert j == ref_j
-    assert np.float64(corr).tobytes() == np.float64(ref_corr).tobytes()
+    picks = select_feature(X, r, mask, col_norms=col_norms, bands=bands,
+                           count=count)
+    ref = exhaustive_scan(X, r, mask, col_norms, count)
+    assert [j for j, _ in picks] == [j for j, _ in ref]
+    assert [np.float64(c).tobytes() for _, c in picks] \
+        == [np.float64(c).tobytes() for _, c in ref]
 
 
 def test_screen_bands_group_by_power_of_two_with_the_empty_last():
@@ -199,18 +205,20 @@ def test_select_feature_rejects_bands_that_miss_a_candidate():
         select_feature(X, np.ones(2), np.array([True, True, False]),
                        bands=bands)
     assert select_feature(X, np.ones(2), np.array([True, False, False]),
-                          bands=bands)[0] == 0
+                          bands=bands) == [(0, 3.0)]
 
 
 def residual_checker(monkeypatch, X, y):
     """Wrap the greedy loop's refit and residual so that every residual it
     takes is compared, bit for bit, with residual(X, theta, y) at the
-    refit's theta; returns the list of steps checked."""
+    refit's theta; returns the list of steps checked and the list of
+    refits made, the bias-only ones included."""
     real_fit, real_residual = omp.fit_restricted, omp.residual
-    last, checked = {}, []
+    last, checked, fits = {}, [], []
 
     def fit(*args, **kwargs):
         last["model"] = real_fit(*args, **kwargs)
+        fits.append(last["model"])
         return last["model"]
 
     def residual(block, theta, labels):
@@ -221,25 +229,32 @@ def residual_checker(monkeypatch, X, y):
 
     monkeypatch.setattr(omp, "fit_restricted", fit)
     monkeypatch.setattr(omp, "residual", residual)
-    return checked
+    return checked, fits
 
 
 @settings(max_examples=30)
-@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans())
+@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans(),
+       st.sampled_from([1, 3, 8]))
 def test_every_greedy_step_takes_the_residual_of_the_whole_design(
-        seed, with_bias, normalize):
+        seed, with_bias, normalize, atoms_per_step):
     rng = np.random.default_rng(seed)
     X, _ = tied_design(rng, 14, with_bias)
     y = random_labels(rng, 14)
     groups = [(f"g{p}", [p, p + 1, p + 3]) for p in range(0, 12, 3)]
     with pytest.MonkeyPatch.context() as monkeypatch:
-        checked = residual_checker(monkeypatch, X, y)
+        checked, fits = residual_checker(monkeypatch, X, y)
         _, traj = run_omp(X, y, OMPConfig(budget=8, lam=0.5,
-                                          normalize_columns=normalize))
+                                          normalize_columns=normalize,
+                                          atoms_per_step=atoms_per_step))
+        omp_refits = len(fits) - 1  # less the bias-only fit
         _, gtraj = run_gomp(X, y, groups,
                             GOMPConfig(budget=8, lam=0.5,
                                        normalize_columns=normalize))
-    assert len(checked) == len(traj.records) + len(gtraj.records)
+    # one residual per refit; an OMP refit follows up to atoms_per_step
+    # records, a group OMP refit one
+    assert math.ceil(len(traj.records) / atoms_per_step) <= omp_refits \
+        <= len(traj.records)
+    assert len(checked) == omp_refits + len(gtraj.records)
     assert all(checked)
 
 
@@ -280,7 +295,8 @@ def test_infinite_epsilon_is_rejected():
 def test_recovers_planted_support_and_beats_every_other_subset(rng):
     support = (4, 11, 23)
     dense, X, y = sparse_logistic_instance(rng, 40, 30, support)
-    cfg = OMPConfig(budget=3, lam=0.1)
+    # a property of single-atom OMP: each pick follows a refit
+    cfg = OMPConfig(budget=3, lam=0.1, atoms_per_step=1)
     model, traj = run_omp(X, y, cfg)
     recovered = tuple(sorted(traj.selected_indices()))
     assert recovered == support
@@ -334,11 +350,33 @@ def test_full_budget_equals_ridge_on_all_features(rng):
 
 
 def test_trajectory_checkpoints_at_interval_and_termination(rng):
+    # a checkpoint at the first count at or past each multiple of 3: the
+    # steps of 2 reach 2, 4, 6, 7, and one step of 7 crosses 3 and 6 once
     _, X = random_design(rng, 20, 12)
     y = random_labels(rng, 20)
-    cfg = OMPConfig(budget=7, lam=1.0, checkpoint_interval=3)
-    _, traj = run_omp(X, y, cfg)
-    assert [c for c, _ in traj.checkpoints] == [3, 6, 7]
+    for atoms_per_step, counts in ((1, [3, 6, 7]), (2, [4, 6, 7]),
+                                   (8, [7])):
+        cfg = OMPConfig(budget=7, lam=1.0, checkpoint_interval=3,
+                        atoms_per_step=atoms_per_step)
+        _, traj = run_omp(X, y, cfg)
+        assert [c for c, _ in traj.checkpoints] == counts
+        assert len(traj.records) == 7
+
+
+def test_a_step_enters_only_the_picks_above_epsilon():
+    # no bias and one row per column: a refit moves only the residual of
+    # the entered columns' rows, and halves the others' (from y to -y/2)
+    dense = np.diag([5.0, 4.0, 1.0, 0.5, 0.3])
+    y = np.array([1.0, 1.0, -1.0, 1.0, -1.0])
+    X = SparseMatrix.from_dense(dense)
+    model, traj = run_omp(X, y, OMPConfig(budget=5, epsilon=2.0, lam=1.0,
+                                          atoms_per_step=8))
+    # the step ranks all five; 1.0, 0.5 and 0.3 are at most epsilon, and
+    # the next step's best, |-0.5|, stops the run
+    assert [(rec.index, rec.score) for rec in traj.records] \
+        == [(0, 5.0), (1, 4.0)]
+    assert model.active.ascending() == [0, 1]
+    assert [c for c, _ in traj.checkpoints] == [2]
 
 
 def test_solver_nonconvergence_is_recorded_not_fatal(rng):
@@ -352,26 +390,33 @@ def test_solver_nonconvergence_is_recorded_not_fatal(rng):
 
 
 def test_shared_refit_state_matches_stateless_refits(monkeypatch):
-    for seed in (0, 1):
+    for atoms_per_step, seed in product((1, 8), (0, 1)):
+        steps = math.ceil(20 / atoms_per_step)
         rng = np.random.default_rng(seed)
         _, X = random_design(rng, 80, 30)
         y = random_labels(rng, 80)
         for lam in (0.1, 1.0, 10.0):
-            cfg = OMPConfig(budget=20, lam=lam, checkpoint_interval=1)
+            cfg = OMPConfig(budget=20, lam=lam, checkpoint_interval=1,
+                            atoms_per_step=atoms_per_step)
             _, shared = run_omp(X, y, cfg)
             with monkeypatch.context() as m:
                 m.setattr(omp, "fit_restricted", stateless_fit_restricted)
                 _, fresh = run_omp(X, y, cfg)
             assert shared.selected_indices() == fresh.selected_indices()
-            assert len(shared.checkpoints) == len(fresh.checkpoints) == 20
+            # one checkpoint per refit
+            assert len(shared.checkpoints) == len(fresh.checkpoints) == steps
             for (_, a), (_, b) in zip(shared.checkpoints, fresh.checkpoints):
                 assert objective(X, y, a, lam) == pytest.approx(
                     objective(X, y, b, lam), rel=1e-12, abs=0)
             assert all(rec.converged for rec in shared.records)
+            # one record of each refit's step: its first
+            shared_refits = shared.records[::atoms_per_step]
+            fresh_refits = fresh.records[::atoms_per_step]
+            assert len(shared_refits) == len(fresh_refits) == steps
             # the lagged inverse carried over instead of being rebuilt
-            assert sum(rec.cg_steps for rec in shared.records) > 0
-            assert sum(rec.hessian_builds for rec in shared.records) \
-                < sum(rec.hessian_builds for rec in fresh.records)
+            assert sum(rec.cg_steps for rec in shared_refits) > 0
+            assert sum(rec.hessian_builds for rec in shared_refits) \
+                < sum(rec.hessian_builds for rec in fresh_refits)
 
 
 def test_records_carry_the_work_of_their_refit(monkeypatch, rng):
@@ -384,13 +429,20 @@ def test_records_carry_the_work_of_their_refit(monkeypatch, rng):
         return models[-1]
 
     monkeypatch.setattr(omp, "fit_restricted", fit)
-    _, traj = run_omp(X, y, OMPConfig(budget=6, lam=1.0))
-    assert len(models) == len(traj.records) + 1  # after the bias-only fit
-    for rec, model in zip(traj.records, models[1:]):
-        assert (rec.converged, rec.n_iter, rec.cg_steps, rec.hessian_builds) \
-            == (model.converged, model.n_iter, model.cg_steps,
-                model.hessian_builds)
-    assert sum(rec.n_iter for rec in traj.records) > 0
+    for atoms_per_step in (1, 4, 8):
+        models.clear()
+        _, traj = run_omp(X, y, OMPConfig(budget=6, lam=1.0,
+                                          atoms_per_step=atoms_per_step))
+        assert len(traj.records) == 6
+        # after the bias-only fit, one refit per step of atoms_per_step
+        assert len(models) == math.ceil(6 / atoms_per_step) + 1
+        for i, rec in enumerate(traj.records):
+            model = models[1 + i // atoms_per_step]
+            assert (rec.converged, rec.n_iter, rec.cg_steps,
+                    rec.hessian_builds) \
+                == (model.converged, model.n_iter, model.cg_steps,
+                    model.hessian_builds)
+        assert sum(rec.n_iter for rec in traj.records) > 0
 
 
 def test_config_validation():
@@ -414,11 +466,16 @@ def test_config_validation():
     for interval in (0, -3):
         with pytest.raises(ValueError, match="checkpoint_interval"):
             OMPConfig(budget=3, checkpoint_interval=interval)
+    with pytest.raises(ValueError, match="atoms_per_step"):
+        OMPConfig(atoms_per_step=0)
+    with pytest.raises(TypeError):  # group OMP enters one group per step
+        GOMPConfig(atoms_per_step=2)
 
 
 def test_counts_must_be_integers():
     # budget=nan returned the bias-only model; budget=2.5 selected 3
-    for name in ("budget", "max_iter", "checkpoint_interval"):
+    for name in ("budget", "max_iter", "checkpoint_interval",
+                 "atoms_per_step"):
         for value in (float("nan"), 2.5, 3.0):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 OMPConfig(**{name: value})
