@@ -135,7 +135,7 @@ def run_gomp(X, y, groups, cfg):
                                              bias_col=X.bias_col)
     col_norms = X.col_norms() if cfg.normalize_columns else None
 
-    def select(r, candidates, room):  # one group, whatever room is left
+    def select(r, candidates):
         working = remove_overlap(groups, candidates)
         if not working.indices.size:
             return []  # exhausted: every index already active or stripped

@@ -372,8 +372,8 @@ def augment_singletons(groups, n_cols, bias_col):
     if bias_col is not None:
         singles = singles[singles != bias_col]
     # formatted from Python ints: numpy scalars take over twice as long
-    names = check_unique_names(groups.names() + [
-        f"single_{j}" for j in range(n_cols) if j != bias_col])
+    names = check_unique_names(
+        groups.names() + [f"single_{j}" for j in singles.tolist()])
     offsets = np.concatenate(
         (groups.offsets, groups.offsets[-1] + np.arange(1, len(singles) + 1)))
     return GroupStructure.from_arrays(

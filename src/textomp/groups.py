@@ -90,8 +90,6 @@ class GroupStructure:
 
 def check_unique_names(names):
     """names, after raising on the first one that repeats an earlier one."""
-    if len(set(names)) == len(names):
-        return names
     seen = set()
     for name in names:
         if name in seen:

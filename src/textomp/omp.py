@@ -177,19 +177,6 @@ def screen_bands(X, candidates, col_norms=None):
     return ScreenBands(covers, bands)
 
 
-def _ranked(values, count):
-    """Positions of the count largest values, in rank order: ties go to
-    the lower position and NaN ranks last, as in
-    np.argsort(-values, kind="stable")[:count], in O(len(values))."""
-    neg = -values
-    if count < neg.size:
-        # only the count-th smallest of neg, its ties and NaN can rank
-        kth = np.partition(neg, count - 1)[count - 1]
-        keep = np.flatnonzero(~(neg > kth))
-        return keep[np.argsort(neg[keep], kind="stable")[:count]]
-    return np.argsort(neg, kind="stable")
-
-
 def select_feature(X, r, candidates, col_norms=None, bands=None, count=1):
     """The count candidate columns with the largest |X_j^T r|, best first;
     ties go to the lowest index.
@@ -255,7 +242,7 @@ def select_feature(X, r, candidates, col_norms=None, bands=None, count=1):
         scores = block.correlations(r)[live]
         band = np.abs(per_unit_norm(scores, None if norms is None
                                     else norms[live]))
-        top = _ranked(band, count)
+        top = np.argsort(-band, kind="stable")[:count]
         # the union of each band's best count holds the best count overall
         picked = np.concatenate((picked, cols[live[top]]))
         value = np.concatenate((value, band[top]))
@@ -271,18 +258,17 @@ def run_greedy(X, y, cfg, select):
     The loop keeps the support as `order`, the active indices in entry
     order, and `candidates`, a mask over X's columns that is False at the
     bias from the start and at each index once it enters.
-    select(r, candidates, room) returns a step's picks, best first, as
+    select(r, candidates) returns a step's picks, best first, as
     (correlation norm ||X_W^T r||, record) pairs, empty when nothing is
-    left; room is what the budget has left, which OMP's batch fills at
-    most and group OMP's one group may pass. The run stops when the first
-    norm is at most cfg.epsilon; otherwise each record whose norm is not
-    at most cfg.epsilon (the first's always) enters its members_added,
-    and all of them then take the RefitWork counters of the one refit
-    that follows. A checkpoint lands at the first selected count at or
-    past each checkpoint_interval multiple, so a step that crosses
-    several multiples makes one. Every refit of the run shares one
-    RefitState, so the dense active block and the lagged inverse Hessian
-    carry over from one step to the next.
+    left; of these, only as many as the budget has room for are kept.
+    The run stops when the first norm is at most cfg.epsilon; otherwise
+    each kept record whose norm is not at most cfg.epsilon (the first's
+    always) enters its members_added, and all of them then take the
+    RefitWork counters of the one refit that follows. A checkpoint lands
+    at the first selected count at or past each checkpoint_interval
+    multiple, so a step that crosses several multiples makes one. Every
+    refit of the run shares one RefitState, so the dense active block and
+    the lagged inverse Hessian carry over from one step to the next.
     """
     y = checked_labels(X, y)
     order = [] if X.bias_col is None else [X.bias_col]
@@ -301,7 +287,7 @@ def run_greedy(X, y, cfg, select):
     n_sel = 0  # selected indices, the bias not counted
     interval = cfg.checkpoint_interval
     while n_sel < cfg.budget:
-        picks = select(r, candidates, cfg.budget - n_sel)
+        picks = select(r, candidates)[:cfg.budget - n_sel]
         if not picks or picks[0][0] <= cfg.epsilon:
             break
         records = [record for norm, record in picks
@@ -334,15 +320,14 @@ def run_omp(X, y, cfg):
     col_norms = X.col_norms() if cfg.normalize_columns else None
     bands = None
 
-    def select(r, candidates, room):
+    def select(r, candidates):
         nonlocal bands
         if not candidates.any():
             return []  # every non-bias column is already active
         if bands is None:  # the first pick's mask covers every later one
             bands = screen_bands(X, candidates, col_norms)
         picks = select_feature(X, r, candidates, col_norms=col_norms,
-                               bands=bands,
-                               count=min(cfg.atoms_per_step, room))
+                               bands=bands, count=cfg.atoms_per_step)
         return [(abs(corr), SelectionRecord(index=j, score=corr))
                 for j, corr in picks]
 

@@ -315,11 +315,13 @@ def test_recovers_planted_support_and_beats_every_other_subset(rng):
 
 
 def test_never_selects_the_same_feature_twice(rng):
-    for seed in range(5):
+    # S = 3 takes three steps of budget 7, so later picks see the mask
+    for atoms_per_step, seed in product((1, 3), range(5)):
         local = np.random.default_rng(seed)
         _, X = random_design(local, 15, 8)
         y = random_labels(local, 15)
-        _, traj = run_omp(X, y, OMPConfig(budget=7, lam=0.5))
+        _, traj = run_omp(X, y, OMPConfig(budget=7, lam=0.5,
+                                          atoms_per_step=atoms_per_step))
         picked = traj.selected_indices()
         assert len(picked) == len(set(picked))
 
@@ -334,11 +336,16 @@ def test_active_set_size_bounds(rng):
 def test_training_objective_never_increases(rng):
     _, X = random_design(rng, 20, 10)
     y = random_labels(rng, 20)
-    cfg = OMPConfig(budget=9, lam=0.5, checkpoint_interval=1)
-    model, traj = run_omp(X, y, cfg)
-    values = [objective(X, y, theta, 0.5) for _, theta in traj.checkpoints]
-    for prev, cur in zip(values, values[1:]):
-        assert cur <= prev + 1e-6
+    # one checkpoint per refit: 9 at S = 1, 3 at S = 3
+    for atoms_per_step in (1, 3):
+        cfg = OMPConfig(budget=9, lam=0.5, checkpoint_interval=1,
+                        atoms_per_step=atoms_per_step)
+        model, traj = run_omp(X, y, cfg)
+        assert len(traj.checkpoints) == 9 // atoms_per_step
+        values = [objective(X, y, theta, 0.5)
+                  for _, theta in traj.checkpoints]
+        for prev, cur in zip(values, values[1:]):
+            assert cur <= prev + 1e-6
 
 
 def test_full_budget_equals_ridge_on_all_features(rng):
